@@ -92,7 +92,6 @@ from .sources import (
     conditional_phi_derivative,
     sample_arrival,
     single_photon_conditional,
-    stellar_density,
 )
 from .state_engine import (
     DensityOperator,
@@ -102,13 +101,10 @@ from .state_engine import (
     basis_index,
     basis_label,
     basis_labels,
-    basis_state,
     dump_state,
-    expand_unitary,
     fock,
     load_state,
     mode_occupations,
-    number_distribution,
     number_measurement_distribution,
     parse_state,
     partial_trace,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,18 +30,18 @@ from .errors import ConfigError, NumericalInvariantError, QTelescopyError
 from .estimation import (
     DEFAULT_SCHEDULE,
     ExperimentPlan,
-    crb_report,
+    get_protocol,
     mle_phase,
     run_experiment,
+    window_fisher,
 )
-from .fisher import G_BOUNDARY, classical_fisher, qfi_matrix, saturability_check, sld
+from .fisher import G_BOUNDARY, qfi_matrix, saturability_check, sld
 from .gates import beam_splitter
 from .protocols import (
     Herald,
     ProtocolConfig,
     Variant,
     bell_register,
-    bin_digits,
     classify_herald,
     cnot_distribution,
     decode_time_bin,
@@ -62,7 +63,6 @@ from .sources import (
 from .state_engine import apply_unitary, fock
 
 SCHEMA_VERSION = 1
-PROTOCOLS = ("cnot", "direct", "gottesman")
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,6 @@ class RunConfig:
             raise ConfigError(
                 f"unsupported schema_version {self.schema_version}; expected {SCHEMA_VERSION}"
             )
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         for name, value, lo, hi in (
             ("epsilon", self.epsilon, 0.0, 1.0),
             ("g", self.g, 0.0, 1.0),
@@ -125,6 +123,7 @@ class RunConfig:
         if self.delta_schedule is not None and len(self.delta_schedule) == 0:
             raise ConfigError("delta_schedule, when given, must not be empty")
         try:
+            get_protocol(self.protocol)
             Variant.parse(self.variant)
         except ValueError as exc:
             raise ConfigError(str(exc))
@@ -139,23 +138,24 @@ class RunConfig:
 
 
 def _coerce_types(merged: dict) -> dict:
-    def float_tuple(value, name):
-        if value is None:
-            return None
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{name} must be a list of numbers")
+    def finite(value, name):
         try:
-            return tuple(float(v) for v in value)
+            number = float(value)
         except (TypeError, ValueError):
-            raise ConfigError(f"{name} must be a list of numbers")
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not math.isfinite(number):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        return number
 
     for key in ("delta_schedule", "phi_values", "g_values", "delta_values"):
-        merged[key] = float_tuple(merged[key], key)
+        value = merged[key]
+        if value is None:
+            continue
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list of numbers")
+        merged[key] = tuple(finite(v, f"{key}[{i}]") for i, v in enumerate(value))
     for key in ("epsilon", "g", "phi", "delta", "eta"):
-        try:
-            merged[key] = float(merged[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key} must be a number, got {merged[key]!r}")
+        merged[key] = finite(merged[key], key)
     for key in ("schema_version", "n_bins", "n_windows"):
         if not isinstance(merged[key], int) or isinstance(merged[key], bool):
             raise ConfigError(f"{key} must be an integer, got {merged[key]!r}")
@@ -250,15 +250,11 @@ def _label_text(label) -> str:
 def cmd_probs(args) -> int:
     cfg = load_config(args.config, args.seed)
     source = cfg.source()
-    if cfg.protocol == "cnot":
-        table = cnot_distribution(source, ProtocolConfig(cfg.delta, cfg.eta, cfg.variant))
-        reference = analytic.cnot_outcome_table(cfg.phi, cfg.g, cfg.epsilon, cfg.delta, cfg.eta)
-    elif cfg.protocol == "direct":
-        table = direct_distribution(source, cfg.delta, cfg.swap_bases)
-        reference = analytic.direct_outcome_table(cfg.phi, cfg.g, cfg.delta, cfg.swap_bases)
-    else:
-        table = gottesman_distribution(source, cfg.delta)
-        reference = None
+    protocol = get_protocol(cfg.protocol)
+    table = protocol.run(source, cfg.delta, cfg.eta, cfg.variant, cfg.swap_bases)
+    reference = None
+    if protocol.reference is not None:
+        reference = protocol.reference(source, cfg.delta, cfg.eta, cfg.swap_bases)
 
     rows = []
     for label in sorted(set(table) | set(reference or {})):
@@ -274,19 +270,16 @@ def cmd_probs(args) -> int:
 
 
 def _fisher_row(cfg: RunConfig, phi: float, g: float, delta: float) -> list:
-    from .estimation import _window_model
-
     source = StellarSource(phi, g, cfg.epsilon)
-    model = _window_model(cfg.protocol, delta, cfg.epsilon, cfg.eta, source.n_max)
-    scale = cfg.epsilon if model.units == "per_event" else 1.0
     at_boundary = g >= G_BOUNDARY
     wrt = ("phi",) if at_boundary else ("phi", "g")
-    fmat = classical_fisher(model, (phi, g), wrt=wrt)
-    f_pp = scale * fmat.phi_phi
-    f_gg = np.nan if at_boundary else scale * fmat.g_g
-    f_pg = np.nan if at_boundary else scale * fmat.phi_g
+    setting = (delta, cfg.epsilon, cfg.eta, cfg.variant, cfg.swap_bases, source.n_max)
+    fmat = window_fisher(cfg.protocol, setting, (phi, g), wrt)
+    f_pp = fmat.phi_phi
+    f_gg = np.nan if at_boundary else fmat.g_g
+    f_pg = np.nan if at_boundary else fmat.phi_g
 
-    rho = single_photon_conditional(StellarSource(phi, g, cfg.epsilon))
+    rho = single_photon_conditional(source)
     drho_phi = conditional_phi_derivative(phi, g)
     h_pp = cfg.epsilon * qfi_matrix(rho, drho_phi=drho_phi).phi_phi
     if at_boundary:
@@ -340,7 +333,6 @@ def cmd_simulate(args) -> int:
     )
     records = run_experiment(plan)
     report = mle_phase(records, plan)
-    info = crb_report(cfg.protocol, plan.source, plan.delta_schedule, cfg.eta)
 
     trace_lines = []
     for w, record in enumerate(records):
@@ -366,7 +358,7 @@ def cmd_simulate(args) -> int:
         "n_windows": cfg.n_windows,
         "n_heralded": report.n_heralded,
         "n_vacuum": report.n_vacuum,
-        "fisher_per_window": info.fisher_per_window,
+        "fisher_per_window": report.fisher_per_window,
         "delta_schedule": list(plan.delta_schedule),
         "seed": cfg.seed,
     }

@@ -1,13 +1,16 @@
-"""Monte-Carlo experiment runner and maximum-likelihood phase estimation.
+"""Protocol registry, Monte-Carlo experiment runner, maximum-likelihood phase
+estimation and Cramer-Rao accounting.
 
-The runner samples detection records window by window from the exact
-circuit-derived outcome tables.  The estimator reads each protocol
-setting's fringe table, p_o(phi, g) = A_o + g cos(phi) B_o + g sin(phi) C_o,
-compiled once from three circuit runs of the state engine rather than by
-simulating the circuit again for every phase it scores.  It maximizes the
-exact log-likelihood of the heralded records on a dense phase grid and then
-refines by golden-section search on the same closed form.  Estimates are
-validated against the Cramer-Rao bound 1/(M * fisher-per-window).
+Every protocol has one entry in :data:`PROTOCOLS`: its circuit call, its
+outcome labels, its herald rule, whether its table is conditioned on a
+photon arrival, and its window sampler.  Each protocol setting is compiled
+once, from three circuit runs of the state engine, into the exact law of its
+heralded outcomes, p_o(phi, g) = A_o + g cos(phi) B_o + g sin(phi) C_o,
+rather than simulating the circuit again for every phase it is scored at.
+The estimator maximizes the log-likelihood of the heralded records under
+that law on a dense phase grid and then refines by golden-section search on
+the same closed form.  The Cramer-Rao bound 1/(M * fisher-per-window) takes
+its Fisher information from finite differences of the setting's circuit.
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
+from . import analytic
 from .errors import EstimationError, NumericalInvariantError
-from .fisher import OutcomeModel, classical_fisher
+from .fisher import FisherMatrix, OutcomeModel, classical_fisher
 from .protocols import (
     DetectionRecord,
     Herald,
@@ -39,7 +44,6 @@ PHI_GRID_POINTS = 1024
 GOLDEN_TOL = 1e-10
 # compiled probabilities below this are a broken circuit, not round-off
 NEGATIVE_PROB_TOL = 1e-12
-KNOWN_PROTOCOLS = ("cnot", "direct", "gottesman")
 
 
 def wrap_phase(phi: float) -> float:
@@ -65,10 +69,7 @@ class ExperimentPlan:
     swap_bases: bool = False
 
     def __post_init__(self):
-        if self.protocol not in KNOWN_PROTOCOLS:
-            raise ValueError(
-                f"unknown protocol {self.protocol!r}; expected one of {KNOWN_PROTOCOLS}"
-            )
+        get_protocol(self.protocol)
         if self.n_windows < 1:
             raise ValueError("a plan needs at least one window")
         schedule = tuple(float(d) for d in self.delta_schedule)
@@ -93,7 +94,7 @@ class EstimateReport:
     ``empirical_mse`` is the squared wrapped distance between the estimate
     and the plan's true phase; ``crb`` the Cramer-Rao bound 1/(M * f) for
     the plan's window count and schedule-averaged per-window Fisher
-    information.
+    information ``fisher_per_window``.
     """
 
     phi_hat: float
@@ -101,60 +102,136 @@ class EstimateReport:
     crb: float
     n_heralded: int
     n_vacuum: int
+    fisher_per_window: float
+
+
+def _sample_cnot(plan: ExperimentPlan, rng) -> list[DetectionRecord]:
+    n_settings = len(plan.delta_schedule)
+    slots: list[DetectionRecord | None] = [None] * plan.n_windows
+    for s, delta in enumerate(plan.delta_schedule):
+        positions = range(s, plan.n_windows, n_settings)
+        n_s = len(positions)
+        if n_s == 0:
+            continue
+        config = ProtocolConfig(delta, plan.eta, plan.variant)
+        sampled = sample_cnot_windows(plan.source, config, n_s, rng)
+        for pos, (_, _, record) in zip(positions, sampled):
+            slots[pos] = record
+    return slots  # type: ignore[return-value]
+
+
+def _choice_tables(tables: list[dict]) -> list[tuple[list, np.ndarray]]:
+    """(labels, normalized probabilities) of each outcome table."""
+    out = []
+    for table in tables:
+        labels = list(table.keys())
+        probs = np.array([table[k] for k in labels])
+        out.append((labels, probs / probs.sum()))
+    return out
+
+
+def _sample_direct(plan: ExperimentPlan, rng) -> list[DetectionRecord]:
+    window = TimeBinConfig(1)
+    tables = _choice_tables(
+        [direct_distribution(plan.source, delta, plan.swap_bases) for delta in plan.delta_schedule]
+    )
+    slots = []
+    for w in range(plan.n_windows):
+        if sample_arrival(window, plan.source.epsilon, rng) is None:
+            slots.append(DetectionRecord(Herald.VACUUM))
+            continue
+        labels, probs = tables[w % len(tables)]
+        idx = int(rng.choice(len(labels), p=probs))
+        slots.append(DetectionRecord(Herald.PHOTON_ARRIVED, labels=labels[idx]))
+    return slots
+
+
+def _two_photons(counts) -> bool:
+    """Herald rule of the baseline: any photon beyond the ancilla's shows up."""
+    return sum(counts) == 2
+
+
+def _sample_gottesman(plan: ExperimentPlan, rng) -> list[DetectionRecord]:
+    tables = _choice_tables([gottesman_distribution(plan.source, d) for d in plan.delta_schedule])
+    slots = []
+    for w in range(plan.n_windows):
+        labels, probs = tables[w % len(tables)]
+        counts = labels[int(rng.choice(len(labels), p=probs))]
+        herald = Herald.PHOTON_ARRIVED if _two_photons(counts) else Herald.VACUUM
+        slots.append(DetectionRecord(herald, counts=counts))
+    return slots
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """Registry entry of one measurement protocol.
+
+    ``run(source, delta, eta, variant, swap_bases)`` is the circuit's outcome
+    table, ``outcomes(n_max)`` the label set of its outcome model,
+    ``heralded`` the herald rule.  A ``conditioned`` table is conditioned on a photon arrival; a
+    circuit that ``models_loss`` has a law that depends on eta.
+    ``reference`` is the closed-form table, if any; ``sample`` draws records.
+    """
+
+    name: str
+    run: Callable[..., dict]
+    outcomes: Callable[[int], tuple]
+    heralded: Callable[[tuple], bool]
+    sample: Callable[[ExperimentPlan, np.random.Generator], list]
+    conditioned: bool = False
+    models_loss: bool = False
+    reference: Callable[..., dict] | None = None
+
+
+PROTOCOLS = {
+    entry.name: entry
+    for entry in (
+        Protocol(
+            "cnot",
+            run=lambda source, delta, eta, variant, swap: cnot_distribution(
+                source, ProtocolConfig(delta, eta, variant)
+            ),
+            outcomes=lambda n_max: tuple(basis_labels(6, n_max)),
+            heralded=lambda label: classify_herald(label) is Herald.PHOTON_ARRIVED,
+            sample=_sample_cnot,
+            models_loss=True,
+            reference=lambda source, delta, eta, swap: analytic.cnot_outcome_table(
+                source.phi, source.g, source.epsilon, delta, eta
+            ),
+        ),
+        Protocol(
+            "direct",
+            run=lambda source, delta, eta, variant, swap: direct_distribution(source, delta, swap),
+            outcomes=lambda n_max: ((1, 1), (1, -1), (-1, 1), (-1, -1)),
+            heralded=lambda label: True,
+            sample=_sample_direct,
+            conditioned=True,
+            reference=lambda source, delta, eta, swap: analytic.direct_outcome_table(
+                source.phi, source.g, delta, swap
+            ),
+        ),
+        Protocol(
+            "gottesman",
+            run=lambda source, delta, eta, variant, swap: gottesman_distribution(source, delta),
+            outcomes=lambda n_max: tuple(basis_labels(4, n_max)),
+            heralded=_two_photons,
+            sample=_sample_gottesman,
+        ),
+    )
+}
+
+
+def get_protocol(name: str) -> Protocol:
+    """The registry entry of ``name``; a ValueError names the known ones."""
+    try:
+        return PROTOCOLS[name]
+    except KeyError:
+        raise ValueError(f"unknown protocol {name!r}; expected one of {tuple(PROTOCOLS)}") from None
 
 
 def run_experiment(plan: ExperimentPlan) -> list[DetectionRecord]:
     """Sample ``plan.n_windows`` independent windows, deterministic per seed."""
-    rng = np.random.default_rng(plan.seed)
-    n_settings = len(plan.delta_schedule)
-    slots: list[DetectionRecord | None] = [None] * plan.n_windows
-
-    if plan.protocol == "cnot":
-        for s, delta in enumerate(plan.delta_schedule):
-            positions = range(s, plan.n_windows, n_settings)
-            n_s = len(positions)
-            if n_s == 0:
-                continue
-            config = ProtocolConfig(delta, plan.eta, plan.variant)
-            sampled = sample_cnot_windows(plan.source, config, n_s, rng)
-            for pos, (_, _, record) in zip(positions, sampled):
-                slots[pos] = record
-        return slots  # type: ignore[return-value]
-
-    if plan.protocol == "direct":
-        window = TimeBinConfig(1)
-        tables = {
-            s: direct_distribution(plan.source, delta, plan.swap_bases)
-            for s, delta in enumerate(plan.delta_schedule)
-        }
-        for w in range(plan.n_windows):
-            arrival = sample_arrival(window, plan.source.epsilon, rng)
-            if arrival is None:
-                slots[w] = DetectionRecord(Herald.VACUUM)
-                continue
-            table = tables[w % n_settings]
-            labels = list(table.keys())
-            probs = np.array([table[k] for k in labels])
-            idx = int(rng.choice(len(labels), p=probs / probs.sum()))
-            slots[w] = DetectionRecord(Herald.PHOTON_ARRIVED, labels=labels[idx])
-        return slots  # type: ignore[return-value]
-
-    # gottesman: count records; a window is heralded when any photon beyond
-    # the ancilla's shows up, i.e. total counts = 2
-    tables = {
-        s: gottesman_distribution(plan.source, delta)
-        for s, delta in enumerate(plan.delta_schedule)
-    }
-    for s in tables:
-        labels = list(tables[s].keys())
-        probs = np.array([tables[s][k] for k in labels])
-        tables[s] = (labels, probs / probs.sum())
-    for w in range(plan.n_windows):
-        labels, probs = tables[w % n_settings]
-        counts = labels[int(rng.choice(len(labels), p=probs))]
-        herald = Herald.PHOTON_ARRIVED if sum(counts) == 2 else Herald.VACUUM
-        slots[w] = DetectionRecord(herald, counts=counts)
-    return slots  # type: ignore[return-value]
+    return get_protocol(plan.protocol).sample(plan, np.random.default_rng(plan.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +292,6 @@ class FringeTable:
         return probs / total[..., None]
 
 
-def _heralded_distribution(protocol: str, source: StellarSource, setting) -> dict:
-    """Unnormalized heralded-class outcome table, by running the circuit."""
-    delta, _, eta, variant, swap, _ = setting
-    if protocol == "cnot":
-        full = cnot_distribution(source, ProtocolConfig(delta, eta, variant))
-        return {k: v for k, v in full.items() if classify_herald(k) is Herald.PHOTON_ARRIVED}
-    if protocol == "direct":
-        return direct_distribution(source, delta, swap)
-    full = gottesman_distribution(source, delta)
-    return {k: v for k, v in full.items() if sum(k) == 2}
-
-
 @lru_cache(maxsize=64)
 def _fringe_table(protocol: str, setting) -> FringeTable:
     """Compile the setting (delta, epsilon, eta, variant, swap, n_max) from
@@ -236,16 +301,17 @@ def _fringe_table(protocol: str, setting) -> FringeTable:
     are dropped.  A subnormal epsilon is refused: the heralded probabilities
     are of order epsilon and keep no relative precision to condition on.
     """
-    _, epsilon, _, _, _, n_max = setting
+    entry = get_protocol(protocol)
+    delta, epsilon, eta, variant, swap, n_max = setting
     if 0.0 < epsilon < sys.float_info.min:
         raise NumericalInvariantError(
             f"arrival probability {epsilon!r} is subnormal; the heralded class "
             "cannot be conditioned on"
         )
-    runs = [
-        _heralded_distribution(protocol, StellarSource(phi, g, epsilon, n_max), setting)
-        for g, phi in _COMPILE_POINTS
-    ]
+    runs = []
+    for g, phi in _COMPILE_POINTS:
+        table = entry.run(StellarSource(phi, g, epsilon, n_max), delta, eta, variant, swap)
+        runs.append({k: v for k, v in table.items() if entry.heralded(k)})
     labels = tuple(
         sorted(k for k in set().union(*runs) if any(run.get(k, 0.0) != 0.0 for run in runs))
     )
@@ -375,10 +441,16 @@ def mle_phase(records: list[DetectionRecord], plan: ExperimentPlan) -> EstimateR
 
     phi_hat = wrap_phase(_golden_max(loglik, center - step, center + step))
     err = wrap_phase(phi_hat - source.phi)
-    crb = crb_report(plan.protocol, source, plan.delta_schedule, plan.eta).crb_for(
-        plan.n_windows
+    info = crb_report(
+        plan.protocol,
+        source,
+        plan.delta_schedule,
+        plan.eta,
+        variant=plan.variant,
+        swap_bases=plan.swap_bases,
     )
-    return EstimateReport(phi_hat, err * err, crb, n_heralded, n_vacuum)
+    crb = info.crb_for(plan.n_windows)
+    return EstimateReport(phi_hat, err * err, crb, n_heralded, n_vacuum, info.fisher_per_window)
 
 
 # ---------------------------------------------------------------------------
@@ -407,32 +479,20 @@ class CrbReport:
         return 1.0 / (n_windows * self.fisher_per_window)
 
 
-def _window_model(protocol: str, delta: float, epsilon: float, eta: float, n_max: int) -> OutcomeModel:
-    if protocol == "cnot":
-        labels = tuple(basis_labels(6, n_max))
+def window_fisher(protocol: str, setting, at: tuple[float, float], wrt=("phi",)) -> FisherMatrix:
+    """Per-window classical Fisher matrix at ``at = (phi, g)`` of the circuit
+    of one setting (delta, epsilon, eta, variant, swap, n_max); a table
+    conditioned on arrival is scaled by epsilon."""
+    entry = get_protocol(protocol)
+    delta, epsilon, eta, variant, swap, n_max = setting
 
-        def dist(phi: float, g: float) -> dict:
-            return cnot_distribution(
-                StellarSource(phi, g, epsilon, n_max), ProtocolConfig(delta, eta)
-            )
+    def dist(phi: float, g: float) -> dict:
+        return entry.run(StellarSource(phi, g, epsilon, n_max), delta, eta, variant, swap)
 
-        return OutcomeModel(dist, labels, units="per_window", name=f"cnot(delta={delta})")
-    if protocol == "gottesman":
-        labels = tuple(basis_labels(4, n_max))
-
-        def dist(phi: float, g: float) -> dict:
-            return gottesman_distribution(StellarSource(phi, g, epsilon, n_max), delta)
-
-        return OutcomeModel(dist, labels, units="per_window", name=f"gottesman(delta={delta})")
-    if protocol == "direct":
-        labels = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-        def dist(phi: float, g: float) -> dict:
-            return direct_distribution(StellarSource(phi, g, epsilon, n_max), delta)
-
-        # conditional on arrival; scale by epsilon below for per-window units
-        return OutcomeModel(dist, labels, units="per_event", name=f"direct(delta={delta})")
-    raise ValueError(f"unknown protocol {protocol!r}")
+    units = "per_event" if entry.conditioned else "per_window"
+    model = OutcomeModel(dist, entry.outcomes(n_max), units=units, name=f"{protocol}(delta={delta})")
+    info = classical_fisher(model, at, wrt)
+    return FisherMatrix(epsilon * info.matrix) if entry.conditioned else info
 
 
 def crb_report(
@@ -441,22 +501,22 @@ def crb_report(
     delta_schedule,
     eta: float = 1.0,
     include_contaminated: bool = False,
+    *,
+    variant: Variant = Variant.CNOT_SEQUENCE,
+    swap_bases: bool = False,
 ) -> CrbReport:
-    """Average the per-window phase information over the setting schedule."""
-    if protocol not in KNOWN_PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
+    """Average the per-window phase information over the setting schedule;
+    ``variant`` and ``swap_bases`` complete the setting as in a plan."""
+    entry = get_protocol(protocol)
     at = (source.phi, source.g)
     per_setting: dict[float, float] = {}
     contaminated: list[float] = []
     for delta in delta_schedule:
-        clean = _window_model(protocol, delta, source.epsilon, 1.0, source.n_max)
-        info = classical_fisher(clean, at, wrt=("phi",)).phi_phi
-        if clean.units == "per_event":
-            info *= source.epsilon
-        per_setting[float(delta)] = eta * info
-        if include_contaminated and protocol == "cnot" and eta < 1.0:
-            lossy = _window_model(protocol, delta, source.epsilon, eta, source.n_max)
-            contaminated.append(classical_fisher(lossy, at, wrt=("phi",)).phi_phi)
+        setting = (delta, source.epsilon, 1.0, variant, swap_bases, source.n_max)
+        per_setting[float(delta)] = eta * window_fisher(protocol, setting, at).phi_phi
+        if include_contaminated and entry.models_loss and eta < 1.0:
+            lossy = (delta, source.epsilon, eta, variant, swap_bases, source.n_max)
+            contaminated.append(window_fisher(protocol, lossy, at).phi_phi)
     mean = float(np.mean(list(per_setting.values())))
     lossy_mean = float(np.mean(contaminated)) if contaminated else None
     return CrbReport(per_setting, mean, lossy_mean)

@@ -106,8 +106,22 @@ def _shift(at: tuple[float, float], param: str, h: float) -> tuple[float, float]
     return (phi + h, g) if param == "phi" else (phi, g + h)
 
 
-def _derivative(model: OutcomeModel, at: tuple[float, float], param: str, h: float) -> np.ndarray:
-    """Central difference with one Richardson extrapolation level."""
+def _derivative(
+    model: OutcomeModel, at: tuple[float, float], param: str, h: float, p0: np.ndarray
+) -> np.ndarray:
+    """Central difference with one Richardson extrapolation level.
+
+    Within ``h`` of an end of g's domain [0, 1], where the central stencil
+    would leave it, the g difference is one-sided towards the interior, from
+    ``p0`` at ``at``, again with one Richardson level.
+    """
+    if param == "g" and not h <= at[1] <= 1.0 - h:
+        side = 1.0 if at[1] < h else -1.0
+
+        def one_sided(step: float) -> np.ndarray:
+            return side * (model.probs(*_shift(at, param, side * step)) - p0) / step
+
+        return 2.0 * one_sided(h / 2.0) - one_sided(h)
 
     def central(step: float) -> np.ndarray:
         hi = model.probs(*_shift(at, param, +step))
@@ -148,7 +162,7 @@ def classical_fisher(
     keep = p0 >= PROB_FLOOR
     grads: dict[str, np.ndarray] = {}
     for param in wrt:
-        dp = _derivative(model, at, param, step)
+        dp = _derivative(model, at, param, step, p0)
         bad = ~keep & (np.abs(dp) >= DERIVATIVE_FLOOR)
         if np.any(bad):
             labels = [model.outcomes[i] for i in np.flatnonzero(bad)]

@@ -17,7 +17,7 @@ entering opposite ports bunch as ``i (|20> + |02>) / sqrt(2)``.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, factorial, sqrt
 from typing import Sequence
@@ -242,10 +242,7 @@ def rotated_basis(mode: int, delta: float, n_max: int) -> MeasurementBasis:
 
 def x_basis(mode: int, n_max: int) -> MeasurementBasis:
     """Dual-rail X measurement, the delta = 0 rotated basis."""
-    basis = rotated_basis(mode, 0.0, n_max)
-    return MeasurementBasis(
-        basis.target_modes, basis.projectors, basis.outcomes, n_max, basis.valid_mask, "x"
-    )
+    return replace(rotated_basis(mode, 0.0, n_max), name="x")
 
 
 def parity_basis(mode_a: int, mode_b: int, n_max: int) -> MeasurementBasis:
@@ -266,7 +263,9 @@ def parity_basis(mode_a: int, mode_b: int, n_max: int) -> MeasurementBasis:
     )
 
 
-def measurement_distribution(state, basis: MeasurementBasis, *, atol: float = NORM_ATOL) -> np.ndarray:
+def measurement_distribution(
+    state: StateVector, basis: MeasurementBasis, *, atol: float = NORM_ATOL
+) -> np.ndarray:
     """Outcome probabilities of a projective measurement."""
     _check_basis_support(state, basis, atol)
     probs = np.empty(len(basis.projectors))
@@ -280,20 +279,9 @@ def measure_in_basis(state: StateVector, basis: MeasurementBasis, rng=None, *, a
     if not isinstance(state, StateVector):
         raise TypeError("basis sampling requires a StateVector")
     rng = np.random.default_rng(rng)
-    _check_basis_support(state, basis, atol)
-    weights = np.array(
-        [_projection_weight(state, basis.target_modes, p) for p in basis.projectors]
-    )
-    total = weights.sum()
-    idx = int(rng.choice(len(weights), p=weights / total))
-    op = ModeUnitary(
-        basis.target_modes, basis.projectors[idx], basis.n_max, None, basis.name
-    )
-    projected = _apply_stack(op, state.amplitudes.reshape(-1, 1), state.mode_count)
-    post = StateVector(
-        projected.reshape(-1) / np.sqrt(weights[idx]), state.mode_count, state.n_max
-    )
-    return basis.outcomes[idx], post
+    weights = measurement_distribution(state, basis, atol=atol)
+    outcome = basis.outcomes[int(rng.choice(len(weights), p=weights / weights.sum()))]
+    return outcome, project(state, basis, outcome, atol=atol)[1]
 
 
 def project(state: StateVector, basis: MeasurementBasis, outcome, *, atol: float = NORM_ATOL):
@@ -324,16 +312,7 @@ def project(state: StateVector, basis: MeasurementBasis, outcome, *, atol: float
 
 
 def _check_basis_support(state, basis: MeasurementBasis, atol: float) -> None:
-    if basis.valid_mask.all():
-        return
-    probe = ModeUnitary(
-        basis.target_modes,
-        np.zeros_like(basis.projectors[0]),
-        basis.n_max,
-        basis.valid_mask,
-        basis.name,
-    )
-    mass = _invalid_mass(probe, state.probabilities(), state.mode_count)
+    mass = _invalid_mass(basis, state)
     if mass > atol:
         raise InvalidSubspaceError(
             f"{basis.name or 'basis'} measurement on modes {basis.target_modes} is "
@@ -341,11 +320,7 @@ def _check_basis_support(state, basis: MeasurementBasis, atol: float) -> None:
         )
 
 
-def _projection_weight(state, target_modes: tuple[int, ...], proj: np.ndarray) -> float:
-    if isinstance(state, StateVector):
-        op = ModeUnitary(target_modes, proj, state.n_max)
-        projected = _apply_stack(op, state.amplitudes.reshape(-1, 1), state.mode_count)
-        return float(np.vdot(state.amplitudes, projected.reshape(-1)).real)
+def _projection_weight(state: StateVector, target_modes: tuple[int, ...], proj: np.ndarray) -> float:
     op = ModeUnitary(target_modes, proj, state.n_max)
-    half = _apply_stack(op, state.matrix, state.mode_count)
-    return float(np.real(np.trace(half)))
+    projected = _apply_stack(op, state.amplitudes.reshape(-1, 1), state.mode_count)
+    return float(np.vdot(state.amplitudes, projected.reshape(-1)).real)

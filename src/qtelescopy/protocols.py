@@ -162,10 +162,7 @@ def _cnot_gate_sequence(delta: float, n_max: int):
         cnot_fock(STAR_R, EXTRA_R, n_max),
         cnot_fock(ANC_R, EXTRA_R, n_max),
         cnot_fock(EXTRA_R, ANC_R, n_max),
-        cz_fock(EXTRA_L, STAR_L, n_max),
-        beam_splitter(STAR_L, ANC_L, n_max),
-        beam_splitter(STAR_R, ANC_R, n_max),
-    )
+    ) + _cnot_closing_gates(n_max)
 
 
 def _cnot_closing_gates(n_max: int):
@@ -328,13 +325,17 @@ def direct_distribution(
 
     Conditioned on a photon arrival: the left lab measures its port in the
     X basis and the right lab in the delta-rotated basis (swappable).
-    Outcomes are labeled by the +-1 eigenvalues, left first.
+    Outcomes are labeled by the +-1 eigenvalues, left first.  The two
+    single-photon fringe branches weigh (1 +- g)/2 for every epsilon > 0;
+    at epsilon = 0 no photon arrives and the table is empty.
     """
+    if source.epsilon == 0.0:
+        return {}
     basis_l, basis_r = _direct_bases(delta, source.n_max, swap_bases)
-    branches = source.pure_branches()[1:]  # the two single-photon fringe branches
-    weight_sum = sum(w for w, _ in branches)
+    fringe_branches = [psi for _, psi in source.pure_branches()[1:]]
+    weights = ((1.0 + source.g) / 2.0, (1.0 - source.g) / 2.0)
     table: dict[tuple[int, int], float] = {}
-    for w, psi in branches:
+    for w, psi in zip(weights, fringe_branches):
         if w == 0.0:
             continue
         for left in (+1, -1):
@@ -344,7 +345,7 @@ def direct_distribution(
             for right in (+1, -1):
                 p_r, _ = project(post, basis_r, right)
                 key = (left, right)
-                table[key] = table.get(key, 0.0) + (w / weight_sum) * p_l * p_r
+                table[key] = table.get(key, 0.0) + w * p_l * p_r
     return table
 
 

@@ -98,11 +98,6 @@ class StellarSource:
         return ("vacuum", "plus", "minus")[idx], branches[idx][1]
 
 
-def stellar_density(source: StellarSource) -> DensityOperator:
-    """Full two-mode window state of ``source`` (vacuum plus one-photon block)."""
-    return source.density_operator()
-
-
 def single_photon_conditional(source: StellarSource, normalized: bool = True) -> np.ndarray:
     """One-photon 2x2 block of the window state, basis (|10>, |01>).
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,22 +106,12 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def tensor(self, other: "StateVector") -> "StateVector":
         if other.n_max != self.n_max:
             raise ValueError("tensor factors must share the same cutoff")
         return StateVector(
             np.kron(self.amplitudes, other.amplitudes),
             self.mode_count + other.mode_count,
-            self.n_max,
-        )
-
-    def to_density(self) -> "DensityOperator":
-        return DensityOperator(
-            np.outer(self.amplitudes, self.amplitudes.conj()),
-            self.mode_count,
             self.n_max,
         )
 
@@ -141,33 +131,6 @@ class DensityOperator:
             raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
         object.__setattr__(self, "matrix", mat)
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def probabilities(self) -> np.ndarray:
-        return np.clip(np.real(np.diagonal(self.matrix)), 0.0, None)
-
-    def tensor(self, other: "DensityOperator") -> "DensityOperator":
-        if other.n_max != self.n_max:
-            raise ValueError("tensor factors must share the same cutoff")
-        return DensityOperator(
-            np.kron(self.matrix, other.matrix),
-            self.mode_count + other.mode_count,
-            self.n_max,
-        )
-
-    @staticmethod
-    def mixture(pairs: Iterable[tuple[float, "DensityOperator"]]) -> "DensityOperator":
-        pairs = list(pairs)
-        if not pairs:
-            raise ValueError("empty mixture")
-        first = pairs[0][1]
-        mat = sum(w * rho.matrix for w, rho in pairs)
-        return DensityOperator(mat, first.mode_count, first.n_max)
-
 
 def vacuum(mode_count: int, n_max: int) -> StateVector:
     amps = np.zeros(space_dim(mode_count, n_max), dtype=complex)
@@ -181,16 +144,6 @@ def fock(occupations: Sequence[int], n_max: int) -> StateVector:
     amps = np.zeros(space_dim(len(occupations), n_max), dtype=complex)
     amps[basis_index(occupations, n_max)] = 1.0
     return StateVector(amps, len(occupations), n_max)
-
-
-def basis_state(occupations: Sequence[int], mode_count: int, n_max: int) -> StateVector:
-    """Unit vector on one occupation label of a ``mode_count``-mode register."""
-    occupations = tuple(int(n) for n in occupations)
-    if len(occupations) != mode_count:
-        raise ValueError(
-            f"label {occupations} has {len(occupations)} entries for {mode_count} modes"
-        )
-    return fock(occupations, n_max)
 
 
 def arrange_modes(state: StateVector, current: Sequence[int]) -> StateVector:
@@ -294,21 +247,26 @@ def _apply_stack(gate: ModeUnitary, stack: np.ndarray, mode_count: int) -> np.nd
     return t.reshape(stack.shape)
 
 
-def _invalid_mass(gate: ModeUnitary, probabilities: np.ndarray, mode_count: int) -> float:
+def _invalid_mass(gate, state: StateVector) -> float:
+    """Probability of ``state`` on the labels outside ``gate.valid_mask``;
+    ``gate`` is a :class:`ModeUnitary` or anything with its ``target_modes``,
+    ``n_max`` and ``valid_mask``, such as a measurement basis."""
     if gate.valid_mask.all():
         return 0.0
-    block, _ = _move_front(probabilities.reshape(-1, 1), gate, mode_count)
+    block, _ = _move_front(state.probabilities().reshape(-1, 1), gate, state.mode_count)
     return float(np.sum(block[~gate.valid_mask]))
 
 
-def apply_unitary(state, gate: ModeUnitary, *, atol: float = NORM_ATOL):
-    """Apply a local unitary to a :class:`StateVector` or :class:`DensityOperator`.
+def apply_unitary(state: StateVector, gate: ModeUnitary, *, atol: float = NORM_ATOL) -> StateVector:
+    """Apply a local unitary to a :class:`StateVector`.
 
     Raises :class:`InvalidSubspaceError` if the input carries probability
     above ``atol`` on labels where the gate is undefined, and
     :class:`LeakageError` if the application loses norm (weight pushed
     past the cutoff).  Exact identities are returned unchanged.
     """
+    if not isinstance(state, StateVector):
+        raise TypeError("gates act on a StateVector; mix over branches instead")
     if gate.n_max != state.n_max:
         raise ValueError("gate and state cutoffs differ")
     if any(not 0 <= m < state.mode_count for m in gate.target_modes):
@@ -318,53 +276,27 @@ def apply_unitary(state, gate: ModeUnitary, *, atol: float = NORM_ATOL):
     if gate.is_identity:
         return state
 
-    mass = _invalid_mass(gate, state.probabilities(), state.mode_count)
+    mass = _invalid_mass(gate, state)
     if mass > atol:
         raise InvalidSubspaceError(
             f"{gate.name or 'gate'} on modes {gate.target_modes} is undefined for "
             f"labels {gate.invalid_labels()}; input carries probability {mass:.3e} there"
         )
 
-    if isinstance(state, StateVector):
-        before = float(np.sum(state.probabilities()))
-        new = _apply_stack(gate, state.amplitudes.reshape(-1, 1), state.mode_count)
-        new = new.reshape(-1)
-        after = float(np.sum(np.abs(new) ** 2))
-        if before - after > atol:
-            raise LeakageError(
-                f"{gate.name or 'gate'} on modes {gate.target_modes} lost norm "
-                f"{before - after:.3e} past the cutoff n_max={state.n_max}"
-            )
-        return StateVector(new, state.mode_count, state.n_max)
-
-    if isinstance(state, DensityOperator):
-        before = float(np.real(state.trace()))
-        half = _apply_stack(gate, state.matrix, state.mode_count)
-        full = _apply_stack(gate, half.conj().T.copy(), state.mode_count).conj().T
-        after = float(np.real(np.trace(full)))
-        if before - after > atol:
-            raise LeakageError(
-                f"{gate.name or 'gate'} on modes {gate.target_modes} lost trace "
-                f"{before - after:.3e} past the cutoff n_max={state.n_max}"
-            )
-        return DensityOperator(full, state.mode_count, state.n_max)
-
-    raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
-def expand_unitary(gate: ModeUnitary, mode_count: int) -> np.ndarray:
-    """Dense matrix of a local gate on the full register."""
-    dim = space_dim(mode_count, gate.n_max)
-    return _apply_stack(gate, np.eye(dim, dtype=complex), mode_count)
+    before = float(np.sum(state.probabilities()))
+    new = _apply_stack(gate, state.amplitudes.reshape(-1, 1), state.mode_count)
+    new = new.reshape(-1)
+    after = float(np.sum(np.abs(new) ** 2))
+    if before - after > atol:
+        raise LeakageError(
+            f"{gate.name or 'gate'} on modes {gate.target_modes} lost norm "
+            f"{before - after:.3e} past the cutoff n_max={state.n_max}"
+        )
+    return StateVector(new, state.mode_count, state.n_max)
 
 
 # ---------------------------------------------------------------------------
 # measurement and reduction
-
-
-def number_distribution(state) -> np.ndarray:
-    """Probabilities of all photon-number outcomes, indexed like the basis."""
-    return state.probabilities()
 
 
 def number_measurement_distribution(
@@ -435,30 +367,18 @@ def sample_and_collapse(state: StateVector, rng=None, modes: Sequence[int] | Non
     return outcome, post
 
 
-def partial_trace(state, keep: Sequence[int]) -> DensityOperator:
+def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityOperator:
     """Reduced density operator on ``keep`` (output modes follow that order)."""
+    if not isinstance(state, StateVector):
+        raise TypeError("partial traces are taken of a StateVector")
     keep = tuple(int(m) for m in keep)
     if len(set(keep)) != len(keep):
         raise ValueError(f"repeated modes in {keep}")
     d = state.n_max + 1
-    M = state.mode_count
-
-    if isinstance(state, StateVector):
-        t = state.amplitudes.reshape((d,) * M)
-        t = np.moveaxis(t, keep, range(len(keep)))
-        block = t.reshape(d ** len(keep), -1)
-        return DensityOperator(block @ block.conj().T, len(keep), state.n_max)
-
-    if isinstance(state, DensityOperator):
-        t = state.matrix.reshape((d,) * (2 * M))
-        row = list(range(M))
-        col = [M + i if i in keep else i for i in range(M)]
-        out = [row[m] for m in keep] + [col[m] for m in keep]
-        reduced = np.einsum(t, row + col, out)
-        dk = d ** len(keep)
-        return DensityOperator(reduced.reshape(dk, dk), len(keep), state.n_max)
-
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    t = state.amplitudes.reshape((d,) * state.mode_count)
+    t = np.moveaxis(t, keep, range(len(keep)))
+    block = t.reshape(d ** len(keep), -1)
+    return DensityOperator(block @ block.conj().T, len(keep), state.n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qtelescopy import cli
+from qtelescopy import analytic, cli
 from qtelescopy.errors import ConfigError, EstimationError, NumericalInvariantError
 
 
@@ -116,6 +116,38 @@ def test_fisher_gottesman_half(tmp_path, capsys):
     assert float(rows[0]["f_phiphi"]) == pytest.approx(0.05, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "protocol,g,swap", [("cnot", 0.0, False), ("direct", 0.999995, False), ("direct", 0.5, True)]
+)
+def test_fisher_closed_forms_at_unit_interval_edges_and_swapped_bases(
+    tmp_path, capsys, protocol, g, swap
+):
+    phi, delta, eps = 0.4, 0.3, 0.1
+    cfg = _write_config(
+        tmp_path, protocol=protocol, epsilon=eps, swap_bases=swap,
+        phi_values=[phi], g_values=[g], delta_values=[delta],
+    )
+    assert cli.main(["fisher", "--config", str(cfg)]) == 0
+    row = _parse_csv(capsys.readouterr().out)[0]
+    if protocol == "cnot":
+        expected = analytic.cnot_fisher_phi(phi, g, eps, delta)
+    else:
+        expected = eps * analytic.fringe_fisher(phi - delta if swap else phi + delta, g)
+    assert float(row["f_phiphi"]) == pytest.approx(expected, abs=1e-8)
+
+
+def test_simulate_reports_swapped_direct_fisher(tmp_path):
+    schedule = [0.3, 0.3 + math.pi / 2.0]
+    cfg = _write_config(
+        tmp_path, protocol="direct", g=0.6, phi=0.7, swap_bases=True,
+        delta_schedule=schedule, n_windows=2000,
+    )
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    summary = _parse_csv((tmp_path / "out" / "summary.csv").read_text())[0]
+    expected = 0.1 * np.mean([analytic.fringe_fisher(0.7 - d, 0.6) for d in schedule])
+    assert float(summary["fisher_per_window"]) == pytest.approx(expected, abs=1e-8)
+
+
 def test_simulate_writes_trace_and_summary(tmp_path):
     cfg = _write_config(
         tmp_path, phi=0.7, delta_schedule=[0.0, math.pi / 2.0], n_windows=4000
@@ -205,6 +237,23 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 def test_out_of_range_value_exits_2(tmp_path):
     cfg = _write_config(tmp_path, epsilon=2.0)
     assert cli.main(["probs", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,overrides",
+    [
+        ("probs", {"phi": math.nan}),
+        ("probs", {"delta": math.inf}),
+        ("probs", {"epsilon": math.nan}),
+        ("probs", {"phi_values": [math.nan]}),
+        ("simulate", {"delta_schedule": [0.0, -math.inf]}),
+        ("fisher", {"g_values": [0.5, math.nan]}),
+        ("fisher", {"delta_values": [math.inf]}),
+    ],
+)
+def test_non_finite_number_exits_2(tmp_path, command, overrides):
+    cfg = _write_config(tmp_path, **overrides)
+    assert cli.main([command, "--config", str(cfg)]) == 2
 
 
 def test_unsupported_schema_version_exits_2(tmp_path):

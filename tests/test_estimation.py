@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtelescopy import estimation
-from qtelescopy.errors import EstimationError, NumericalInvariantError
+from qtelescopy.errors import EstimationError, FisherDivergenceError, NumericalInvariantError
+from qtelescopy.fisher import DERIVATIVE_FLOOR, FD_STEP, G_BOUNDARY, PROB_FLOOR
 from qtelescopy.estimation import (
     DEFAULT_SCHEDULE,
     ExperimentPlan,
@@ -218,6 +219,58 @@ def test_crb_report_exposes_contaminated_fisher():
     # background windows dilute the usable fringe, so the attainable
     # information sits below the eta-scaled accounting value
     assert rep.contaminated_fisher_per_window < rep.fisher_per_window
+
+
+def _exact_window_fisher(protocol, setting, phi, g):
+    """Fisher matrix of one setting with exact derivatives of the affine law
+    p = A + g cos(phi) B + g sin(phi) C, fitted to three circuit runs."""
+    entry = estimation.PROTOCOLS[protocol]
+    delta, epsilon, eta, variant, swap, n_max = setting
+
+    def run(at_phi, at_g):
+        table = entry.run(StellarSource(at_phi, at_g, epsilon, n_max), delta, eta, variant, swap)
+        return np.array([table.get(k, 0.0) for k in entry.outcomes(n_max)])
+
+    a = run(0.0, 0.0)
+    b, c = run(0.0, 1.0) - a, run(HALF_PI, 1.0) - a
+    grads = (g * (c * math.cos(phi) - b * math.sin(phi)), b * math.cos(phi) + c * math.sin(phi))
+    p = run(phi, g)
+    keep = p >= PROB_FLOOR
+    if any(np.any(~keep & (np.abs(dp) >= DERIVATIVE_FLOOR)) for dp in grads):
+        return None
+    mat = np.array([[np.sum(di[keep] * dj[keep] / p[keep]) for dj in grads] for di in grads])
+    return epsilon * mat if entry.conditioned else mat
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    protocol=st.sampled_from(sorted(estimation.PROTOCOLS)),
+    variant=st.sampled_from(list(Variant)),
+    swap=st.booleans(),
+    phi=st.floats(min_value=-math.pi, max_value=math.pi),
+    # the interior, and the two ends where the g stencil turns one-sided
+    g=st.one_of(
+        st.floats(min_value=0.01, max_value=0.99),
+        st.floats(min_value=0.0, max_value=FD_STEP),
+        st.floats(min_value=1.0 - FD_STEP, max_value=G_BOUNDARY, exclude_max=True),
+    ),
+    epsilon=st.floats(min_value=1e-3, max_value=1.0),
+    delta=st.floats(min_value=-math.pi, max_value=math.pi),
+    eta=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_window_fisher_matches_exact_derivatives_of_the_circuit(
+    protocol, variant, swap, phi, g, epsilon, delta, eta
+):
+    # Richardson differences of the circuit, with the full setting, against
+    # the exact derivatives of its affine law in (g cos phi, g sin phi)
+    setting = (delta, epsilon, eta, variant, swap, 2)
+    exact = _exact_window_fisher(protocol, setting, phi, g)
+    if exact is None:
+        with pytest.raises(FisherDivergenceError):
+            estimation.window_fisher(protocol, setting, (phi, g), ("phi", "g"))
+        return
+    numeric = estimation.window_fisher(protocol, setting, (phi, g), ("phi", "g")).matrix
+    np.testing.assert_allclose(numeric, exact, rtol=0.0, atol=1e-8 * max(1.0, np.abs(exact).max()))
 
 
 def test_crb_for_zero_fisher_is_infinite():

@@ -212,6 +212,17 @@ def test_direct_distribution_matches_reference(swap):
     np.testing.assert_allclose(sum(sim.values()), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("epsilon", [5e-324, 1e-321])
+def test_direct_distribution_at_subnormal_epsilon(epsilon):
+    # the fringe branches weigh (1 +- g)/2 however rarely a photon arrives
+    phi, g, delta = 1.1, 0.3, 0.4
+    sim = direct_distribution(StellarSource(phi=phi, g=g, epsilon=epsilon), delta)
+    ref = analytic.direct_outcome_table(phi, g, delta)
+    assert set(sim) == set(ref)
+    assert _maxdiff(sim, ref) < 1e-12
+    assert direct_distribution(StellarSource(phi=phi, g=g, epsilon=0.0), delta) == {}
+
+
 def test_direct_distribution_flat_at_zero_visibility():
     src = StellarSource(phi=0.9, g=0.0, epsilon=0.3)
     for p in direct_distribution(src, 0.6).values():

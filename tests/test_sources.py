@@ -29,7 +29,7 @@ def _manual_density(phi, g, epsilon):
 @pytest.mark.parametrize("phi,g,epsilon", [(0.0, 1.0, 0.1), (0.7, 0.8, 0.05), (2.5, 0.3, 0.5)])
 def test_density_operator_structure(phi, g, epsilon):
     src = sources.StellarSource(phi=phi, g=g, epsilon=epsilon)
-    rho = sources.stellar_density(src).matrix
+    rho = src.density_operator().matrix
     np.testing.assert_allclose(rho, _manual_density(phi, g, epsilon), atol=1e-14)
     np.testing.assert_allclose(np.trace(rho), 1.0, atol=1e-14)
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-14)
@@ -85,7 +85,7 @@ def test_pure_branches_reconstruct_density():
         rho += weight * np.outer(state.amplitudes, state.amplitudes.conj())
         total += weight
     np.testing.assert_allclose(total, 1.0, atol=1e-14)
-    np.testing.assert_allclose(rho, sources.stellar_density(src).matrix, atol=1e-14)
+    np.testing.assert_allclose(rho, src.density_operator().matrix, atol=1e-14)
 
 
 def test_pure_branch_weights():

@@ -100,7 +100,7 @@ def test_number_distribution_sums_to_one(rng):
     amp = rng.normal(size=27) + 1j * rng.normal(size=27)
     amp /= np.linalg.norm(amp)
     state = se.StateVector(amplitudes=amp, mode_count=3, n_max=2)
-    dist = se.number_distribution(state)
+    dist = state.probabilities()
     assert dist.shape == (27,)
     np.testing.assert_allclose(dist.sum(), 1.0, atol=1e-12)
     assert (dist >= 0).all()
