@@ -22,6 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .estimation import (
     ExperimentPlan,
     get_protocol,
     mle_phase,
+    outcome_heralds,
     run_experiment,
     window_fisher,
 )
@@ -63,6 +65,9 @@ from .sources import (
 from .state_engine import apply_unitary, fock
 
 SCHEMA_VERSION = 1
+# the unmodified memory run holds 2 + 4 * bit_length(n_bins) modes at a
+# cutoff of 1: 2^22 amplitudes (64 MiB) up to 31 bins, 2^26 (1 GiB) from 32
+MAX_N_BINS = 31
 
 
 @dataclass(frozen=True)
@@ -109,15 +114,15 @@ class RunConfig:
             raise ConfigError(
                 f"unsupported schema_version {self.schema_version}; expected {SCHEMA_VERSION}"
             )
-        for name, value, lo, hi in (
+        g_values = [(f"g_values[{i}]", g, 0.0, 1.0) for i, g in enumerate(self.g_values or ())]
+        for name, value, lo, hi in [
             ("epsilon", self.epsilon, 0.0, 1.0),
             ("g", self.g, 0.0, 1.0),
             ("eta", self.eta, 0.0, 1.0),
-        ):
+            ("n_bins", self.n_bins, 1, MAX_N_BINS),
+        ] + g_values:
             if not lo <= value <= hi:
                 raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {value}")
-        if self.n_bins < 1:
-            raise ConfigError(f"n_bins must be >= 1, got {self.n_bins}")
         if self.n_windows < 1:
             raise ConfigError(f"n_windows must be >= 1, got {self.n_windows}")
         if self.delta_schedule is not None and len(self.delta_schedule) == 0:
@@ -227,14 +232,17 @@ def _emit_table(header: list[str], rows: list[list], args, stem: str) -> None:
     _write_or_print(text, args, stem + suffix)
 
 
-def _write_or_print(text: str, args, filename: str) -> None:
+def _write_or_print(text: str | Iterable[str], args, filename: str) -> None:
+    """Write a string, or an iterable of string chunks as they come."""
+    chunks = [text] if isinstance(text, str) else text
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / filename).write_text(text)
+        with open(out_dir / filename, "w") as fh:
+            fh.writelines(chunks)
         print(f"wrote {out_dir / filename}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _label_text(label) -> str:
@@ -295,6 +303,8 @@ def _fisher_row(cfg: RunConfig, phi: float, g: float, delta: float) -> list:
 
 def cmd_fisher(args) -> int:
     cfg = load_config(args.config, args.seed)
+    if cfg.epsilon == 0.0:
+        raise ConfigError("fisher needs epsilon > 0: no photon, no information")
     phis = cfg.phi_values or (cfg.phi,)
     gs = cfg.g_values or (cfg.g,)
     deltas = cfg.delta_values or (cfg.delta,)
@@ -331,23 +341,27 @@ def cmd_simulate(args) -> int:
         variant=cfg.variant,
         swap_bases=cfg.swap_bases,
     )
-    records = run_experiment(plan)
-    report = mle_phase(records, plan)
+    outcomes = run_experiment(plan)
+    report = mle_phase(outcomes, plan)
 
-    trace_lines = []
-    for w, record in enumerate(records):
-        payload = {
-            "window": w,
-            "arrival_bin": None,
-            "herald": record.herald.value,
-            "record": list(record.counts) if record.counts is not None else (
-                list(record.labels) if record.labels is not None else None
-            ),
-            "decoded_bin": None,
-            "seed": cfg.seed,
-        }
-        trace_lines.append(json.dumps(payload, sort_keys=True))
-    _write_or_print("\n".join(trace_lines) + "\n", args, "trace.jsonl")
+    n_max = plan.source.n_max
+    # index -1 (no photon) reads the last entry of both lists
+    heralds = [h.value for h in outcome_heralds(cfg.protocol, n_max)]
+    records = [list(label) for label in get_protocol(cfg.protocol).outcomes(n_max)] + [None]
+
+    def trace_lines():
+        for w, o in enumerate(outcomes.tolist()):
+            payload = {
+                "window": w,
+                "arrival_bin": None,
+                "herald": heralds[o],
+                "record": records[o],
+                "decoded_bin": None,
+                "seed": cfg.seed,
+            }
+            yield json.dumps(payload, sort_keys=True) + "\n"
+
+    _write_or_print(trace_lines(), args, "trace.jsonl")
 
     summary = {
         "protocol": cfg.protocol,

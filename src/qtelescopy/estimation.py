@@ -7,10 +7,12 @@ photon arrival, and its window sampler.  Each protocol setting is compiled
 once, from three circuit runs of the state engine, into the exact law of its
 heralded outcomes, p_o(phi, g) = A_o + g cos(phi) B_o + g sin(phi) C_o,
 rather than simulating the circuit again for every phase it is scored at.
-The estimator maximizes the log-likelihood of the heralded records under
-that law on a dense phase grid and then refines by golden-section search on
-the same closed form.  The Cramer-Rao bound 1/(M * fisher-per-window) takes
-its Fisher information from finite differences of the setting's circuit.
+A window is the index of its outcome in the protocol's declared labels.
+The estimator counts the heralded outcomes of each setting and maximizes
+their log-likelihood under that law on a dense phase grid, then refines by
+golden-section search on the same function.  The Cramer-Rao bound
+1/(M * fisher-per-window) takes its Fisher information from finite
+differences of the setting's circuit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from . import analytic
 from .errors import EstimationError, NumericalInvariantError
 from .fisher import FisherMatrix, OutcomeModel, classical_fisher
 from .protocols import (
-    DetectionRecord,
     Herald,
     ProtocolConfig,
     Variant,
@@ -105,61 +106,43 @@ class EstimateReport:
     fisher_per_window: float
 
 
-def _sample_cnot(plan: ExperimentPlan, rng) -> list[DetectionRecord]:
+def _outcome_index(plan: ExperimentPlan) -> dict:
+    """Position of each declared outcome label of the plan's protocol."""
+    labels = get_protocol(plan.protocol).outcomes(plan.source.n_max)
+    return {label: o for o, label in enumerate(labels)}
+
+
+def _sample_cnot(plan: ExperimentPlan, rng) -> np.ndarray:
+    index = _outcome_index(plan)
     n_settings = len(plan.delta_schedule)
-    slots: list[DetectionRecord | None] = [None] * plan.n_windows
-    for s, delta in enumerate(plan.delta_schedule):
-        positions = range(s, plan.n_windows, n_settings)
-        n_s = len(positions)
-        if n_s == 0:
-            continue
+    outcomes = np.empty(plan.n_windows, dtype=np.int64)
+    # settings beyond the last window draw nothing
+    for s, delta in enumerate(plan.delta_schedule[: plan.n_windows]):
         config = ProtocolConfig(delta, plan.eta, plan.variant)
-        sampled = sample_cnot_windows(plan.source, config, n_s, rng)
-        for pos, (_, _, record) in zip(positions, sampled):
-            slots[pos] = record
-    return slots  # type: ignore[return-value]
+        sampled = sample_cnot_windows(plan.source, config, len(outcomes[s::n_settings]), rng)
+        outcomes[s::n_settings] = [index[record.counts] for _, _, record in sampled]
+    return outcomes
 
 
-def _choice_tables(tables: list[dict]) -> list[tuple[list, np.ndarray]]:
-    """(labels, normalized probabilities) of each outcome table."""
-    out = []
-    for table in tables:
-        labels = list(table.keys())
-        probs = np.array([table[k] for k in labels])
-        out.append((labels, probs / probs.sum()))
-    return out
-
-
-def _sample_direct(plan: ExperimentPlan, rng) -> list[DetectionRecord]:
+def _sample_table(plan: ExperimentPlan, rng) -> np.ndarray:
+    """One draw per window from its setting's outcome table.  A table
+    conditioned on arrival is drawn from only after a photon arrived; a
+    window without one keeps the index -1."""
+    entry = get_protocol(plan.protocol)
+    index = _outcome_index(plan)
+    tables = []
+    for delta in plan.delta_schedule:
+        table = entry.run(plan.source, delta, plan.eta, plan.variant, plan.swap_bases)
+        probs = np.array(list(table.values()))
+        tables.append(([index[label] for label in table], probs / probs.sum()))
     window = TimeBinConfig(1)
-    tables = _choice_tables(
-        [direct_distribution(plan.source, delta, plan.swap_bases) for delta in plan.delta_schedule]
-    )
-    slots = []
+    outcomes = np.full(plan.n_windows, -1, dtype=np.int64)
     for w in range(plan.n_windows):
-        if sample_arrival(window, plan.source.epsilon, rng) is None:
-            slots.append(DetectionRecord(Herald.VACUUM))
+        if entry.conditioned and sample_arrival(window, plan.source.epsilon, rng) is None:
             continue
-        labels, probs = tables[w % len(tables)]
-        idx = int(rng.choice(len(labels), p=probs))
-        slots.append(DetectionRecord(Herald.PHOTON_ARRIVED, labels=labels[idx]))
-    return slots
-
-
-def _two_photons(counts) -> bool:
-    """Herald rule of the baseline: any photon beyond the ancilla's shows up."""
-    return sum(counts) == 2
-
-
-def _sample_gottesman(plan: ExperimentPlan, rng) -> list[DetectionRecord]:
-    tables = _choice_tables([gottesman_distribution(plan.source, d) for d in plan.delta_schedule])
-    slots = []
-    for w in range(plan.n_windows):
-        labels, probs = tables[w % len(tables)]
-        counts = labels[int(rng.choice(len(labels), p=probs))]
-        herald = Herald.PHOTON_ARRIVED if _two_photons(counts) else Herald.VACUUM
-        slots.append(DetectionRecord(herald, counts=counts))
-    return slots
+        ids, probs = tables[w % len(tables)]
+        outcomes[w] = ids[rng.choice(len(ids), p=probs)]
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -167,17 +150,18 @@ class Protocol:
     """Registry entry of one measurement protocol.
 
     ``run(source, delta, eta, variant, swap_bases)`` is the circuit's outcome
-    table, ``outcomes(n_max)`` the label set of its outcome model,
-    ``heralded`` the herald rule.  A ``conditioned`` table is conditioned on a photon arrival; a
-    circuit that ``models_loss`` has a law that depends on eta.
-    ``reference`` is the closed-form table, if any; ``sample`` draws records.
+    table, ``outcomes(n_max)`` its declared labels, ``herald`` the herald
+    class of one label.  A ``conditioned`` table is conditioned on a photon
+    arrival; a circuit that ``models_loss`` has a law that depends on eta.
+    ``reference`` is the closed-form table, if any; ``sample`` draws the
+    outcome index of every window.
     """
 
     name: str
     run: Callable[..., dict]
     outcomes: Callable[[int], tuple]
-    heralded: Callable[[tuple], bool]
-    sample: Callable[[ExperimentPlan, np.random.Generator], list]
+    herald: Callable[[tuple], Herald]
+    sample: Callable[[ExperimentPlan, np.random.Generator], np.ndarray]
     conditioned: bool = False
     models_loss: bool = False
     reference: Callable[..., dict] | None = None
@@ -192,7 +176,7 @@ PROTOCOLS = {
                 source, ProtocolConfig(delta, eta, variant)
             ),
             outcomes=lambda n_max: tuple(basis_labels(6, n_max)),
-            heralded=lambda label: classify_herald(label) is Herald.PHOTON_ARRIVED,
+            herald=classify_herald,
             sample=_sample_cnot,
             models_loss=True,
             reference=lambda source, delta, eta, swap: analytic.cnot_outcome_table(
@@ -202,9 +186,9 @@ PROTOCOLS = {
         Protocol(
             "direct",
             run=lambda source, delta, eta, variant, swap: direct_distribution(source, delta, swap),
-            outcomes=lambda n_max: ((1, 1), (1, -1), (-1, 1), (-1, -1)),
-            heralded=lambda label: True,
-            sample=_sample_direct,
+            outcomes=lambda n_max: ((-1, -1), (-1, 1), (1, -1), (1, 1)),
+            herald=lambda label: Herald.PHOTON_ARRIVED,
+            sample=_sample_table,
             conditioned=True,
             reference=lambda source, delta, eta, swap: analytic.direct_outcome_table(
                 source.phi, source.g, delta, swap
@@ -214,8 +198,9 @@ PROTOCOLS = {
             "gottesman",
             run=lambda source, delta, eta, variant, swap: gottesman_distribution(source, delta),
             outcomes=lambda n_max: tuple(basis_labels(4, n_max)),
-            heralded=_two_photons,
-            sample=_sample_gottesman,
+            # any photon beyond the ancilla's shows up in the counts
+            herald=lambda counts: Herald.PHOTON_ARRIVED if sum(counts) == 2 else Herald.VACUUM,
+            sample=_sample_table,
         ),
     )
 }
@@ -229,9 +214,20 @@ def get_protocol(name: str) -> Protocol:
         raise ValueError(f"unknown protocol {name!r}; expected one of {tuple(PROTOCOLS)}") from None
 
 
-def run_experiment(plan: ExperimentPlan) -> list[DetectionRecord]:
-    """Sample ``plan.n_windows`` independent windows, deterministic per seed."""
+def run_experiment(plan: ExperimentPlan) -> np.ndarray:
+    """Sample ``plan.n_windows`` independent windows, deterministic per seed.
+
+    Returns the index of each window's outcome in the protocol's declared
+    labels ``outcomes(n_max)``, or -1 when no photon arrived.
+    """
     return get_protocol(plan.protocol).sample(plan, np.random.default_rng(plan.seed))
+
+
+def outcome_heralds(protocol: str, n_max: int) -> list[Herald]:
+    """Herald class of each declared outcome, then VACUUM, the class of
+    index -1 (no photon arrived), so that index -1 reads the last entry."""
+    entry = get_protocol(protocol)
+    return [entry.herald(label) for label in entry.outcomes(n_max)] + [Herald.VACUUM]
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +257,9 @@ class FringeTable:
 
         p_o(phi, g) = A_o + g cos(phi) B_o + g sin(phi) C_o.
 
-    ``coefficients`` holds the rows (A, B, C) over ``labels``; ``herald``
-    the same three coefficients of the heralded-class total.
+    ``coefficients`` holds the rows (A, B, C) over the protocol's declared
+    ``labels`` (zero outside the heralded class); ``herald`` the same three
+    coefficients of the heralded-class total.
     """
 
     labels: tuple
@@ -286,20 +283,16 @@ class FringeTable:
             )
         return np.maximum(probs, 0.0), total
 
-    def conditional(self, phi, g: float) -> np.ndarray:
-        """P(label | heralded) over ``labels``, one row per phase."""
-        probs, total = self.joint(phi, g)
-        return probs / total[..., None]
-
 
 @lru_cache(maxsize=64)
 def _fringe_table(protocol: str, setting) -> FringeTable:
     """Compile the setting (delta, epsilon, eta, variant, swap, n_max) from
     three circuit runs, at (g, phi) = (0, 0), (1, 0) and (1, pi/2).
 
-    Outcomes that vanish exactly at all three points vanish everywhere and
-    are dropped.  A subnormal epsilon is refused: the heralded probabilities
-    are of order epsilon and keep no relative precision to condition on.
+    Outcomes outside the heralded class, and outcomes that vanish exactly at
+    all three points (and so everywhere), keep zero coefficients.  A
+    subnormal epsilon is refused: the heralded probabilities are of order
+    epsilon and keep no relative precision to condition on.
     """
     entry = get_protocol(protocol)
     delta, epsilon, eta, variant, swap, n_max = setting
@@ -308,35 +301,32 @@ def _fringe_table(protocol: str, setting) -> FringeTable:
             f"arrival probability {epsilon!r} is subnormal; the heralded class "
             "cannot be conditioned on"
         )
-    runs = []
-    for g, phi in _COMPILE_POINTS:
-        table = entry.run(StellarSource(phi, g, epsilon, n_max), delta, eta, variant, swap)
-        runs.append({k: v for k, v in table.items() if entry.heralded(k)})
-    labels = tuple(
-        sorted(k for k in set().union(*runs) if any(run.get(k, 0.0) != 0.0 for run in runs))
-    )
-    at = np.array([[run.get(k, 0.0) for k in labels] for run in runs]).reshape(3, len(labels))
+    labels = entry.outcomes(n_max)
+    runs = [
+        entry.run(StellarSource(phi, g, epsilon, n_max), delta, eta, variant, swap)
+        for g, phi in _COMPILE_POINTS
+    ]
+    at = np.array([[run.get(k, 0.0) for k in labels] for run in runs])
+    heralded = np.array([entry.herald(k) is Herald.PHOTON_ARRIVED for k in labels])
+    keep = np.flatnonzero(heralded & np.any(at != 0.0, axis=0))
     points = np.array(_COMPILE_POINTS)
-    coefficients = np.linalg.solve(_fringe_basis(points[:, 1], points[:, 0]), at)
+    solved = np.linalg.solve(_fringe_basis(points[:, 1], points[:, 0]), at[:, keep])
+    coefficients = np.zeros_like(at)
+    coefficients[:, keep] = solved
     coefficients.setflags(write=False)
-    return FringeTable(labels, coefficients, coefficients.sum(axis=1))
+    return FringeTable(labels, coefficients, solved.sum(axis=1))
 
 
-@lru_cache(maxsize=64)
-def _grid_tables(protocol: str, setting, g: float) -> tuple[tuple, np.ndarray]:
-    """Per-setting conditional probabilities on the phase grid.
-
-    Returns (labels, matrix) with matrix[i, j] = P(labels[j] | heralded,
-    phi_grid[i]).  The likelihood reads the setting's fringe table, compiled
-    from three circuit runs, not a simulation per phase: the matrix is one
-    product of the phase grid with that table, conditioned on the heralded
-    class.  Cached so repeated estimations with the same physical
-    parameters (for example Monte-Carlo repetitions) reuse it.
-    """
-    table = _fringe_table(protocol, setting)
-    matrix = table.conditional(_phi_grid(), g)
-    matrix.setflags(write=False)
-    return table.labels, matrix
+def _log_likelihood(phi, g: float, observed) -> np.ndarray:
+    """Sum over settings of sum_o k_o log P(o | heralded, phi), at one phase
+    or along an array of phases.  ``observed`` holds (table, seen columns,
+    counts) per setting; an impossible phase scores -inf."""
+    out = 0.0
+    for table, seen, k in observed:
+        probs, total = table.joint(phi, g, seen)
+        with np.errstate(divide="ignore"):
+            out = out + np.log(probs / total[..., None]) @ k
+    return out
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
@@ -372,73 +362,51 @@ def _check_schedule_identifiable(settings) -> None:
     )
 
 
-def mle_phase(records: list[DetectionRecord], plan: ExperimentPlan) -> EstimateReport:
-    """Maximum-likelihood phase estimate from the heralded records.
+def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
+    """Maximum-likelihood phase estimate from the outcome index of every
+    window, as :func:`run_experiment` returns them.
 
-    Builds the exact conditional likelihood of every heralded record,
-    scores it on a dense phase grid, and refines the peak by
-    golden-section search.  Vacuum windows carry no phase information and
-    are counted but never scored.
+    Counts each setting's outcomes, scores the log-likelihood of the
+    heralded counts on a dense phase grid, and refines the peak by
+    golden-section search on the same function.  Vacuum windows carry no
+    phase information and are counted but never scored.
     """
-    n_settings = len(plan.delta_schedule)
-    n_heralded = 0
-    n_vacuum = 0
-    counted: dict[tuple[int, object], int] = {}
-    for w, record in enumerate(records):
-        if record.herald is Herald.PHOTON_ARRIVED:
-            n_heralded += 1
-            outcome = record.counts if record.counts is not None else record.labels
-            key = (w % n_settings, outcome)
-            counted[key] = counted.get(key, 0) + 1
-        elif record.herald is Herald.VACUUM:
-            n_vacuum += 1
+    source = plan.source
+    heralds = outcome_heralds(plan.protocol, source.n_max)
+    n_settings, n_classes = len(plan.delta_schedule), len(heralds)
+    outcomes = np.asarray(outcomes)
+    if outcomes.size and not -1 <= outcomes.min() <= outcomes.max() < n_classes - 1:
+        raise EstimationError(f"outcome indices must lie in [-1, {n_classes - 1})")
+    # window w uses setting w mod n_settings; index -1 (no photon) lands in
+    # the last column, the VACUUM class
+    cells = np.arange(outcomes.size) % n_settings * n_classes + outcomes % n_classes
+    counts = np.bincount(cells, minlength=n_settings * n_classes).reshape(n_settings, n_classes)
+    heralded = np.array([h is Herald.PHOTON_ARRIVED for h in heralds])
+    vacuum = np.array([h is Herald.VACUUM for h in heralds])
+    n_heralded = int(counts[:, heralded].sum())
+    n_vacuum = int(counts[:, vacuum].sum())
     if n_heralded == 0:
         raise EstimationError("no heralded windows: the likelihood is flat in phi")
     _check_schedule_identifiable(plan.delta_schedule)
 
-    source = plan.source
-    settings = [
-        (delta, source.epsilon, plan.eta, plan.variant, plan.swap_bases, source.n_max)
-        for delta in plan.delta_schedule
-    ]
-
-    # grid scoring, vectorized per setting
-    grid = _phi_grid()
-    total_ll = np.zeros(len(grid))
-    observed: list[tuple[FringeTable, np.ndarray, np.ndarray]] = []
-    for s, setting in enumerate(settings):
-        labels, matrix = _grid_tables(plan.protocol, setting, source.g)
-        index = {label: j for j, label in enumerate(labels)}
-        k = np.zeros(len(labels))
-        for (s_obs, outcome), count in counted.items():
-            if s_obs != s:
-                continue
-            if outcome not in index:
-                raise EstimationError(
-                    f"observed outcome {outcome!r} is impossible under the model"
-                )
-            k[index[outcome]] = count
-        with np.errstate(divide="ignore"):
-            log_matrix = np.log(matrix)
-        log_matrix = np.where(np.isfinite(log_matrix), log_matrix, -1e30)
-        total_ll += log_matrix @ k
+    observed = []
+    for s, delta in enumerate(plan.delta_schedule):
+        k = np.where(heralded, counts[s], 0)[:-1]
         seen = np.flatnonzero(k)
-        if seen.size:
-            observed.append((_fringe_table(plan.protocol, setting), seen, k[seen]))
+        if not seen.size:
+            continue
+        setting = (delta, source.epsilon, plan.eta, plan.variant, plan.swap_bases, source.n_max)
+        table = _fringe_table(plan.protocol, setting)
+        if not table.coefficients[:, seen].any(axis=0).all():
+            raise EstimationError("an observed outcome is impossible under the model")
+        observed.append((table, seen, k[seen].astype(float)))
 
-    peak = int(np.argmax(total_ll))
+    def loglik(phi):
+        return _log_likelihood(phi, source.g, observed)
+
+    grid = _phi_grid()
+    center = grid[int(np.argmax(loglik(grid)))]
     step = grid[1] - grid[0]
-    center = grid[peak]
-
-    def loglik(phi: float) -> float:
-        out = 0.0
-        for table, seen, k in observed:
-            probs, total = table.joint(phi, source.g, seen)
-            with np.errstate(divide="ignore"):
-                logs = np.log(probs / total)
-            out += float(np.where(np.isfinite(logs), logs, -1e30) @ k)
-        return out
-
     phi_hat = wrap_phase(_golden_max(loglik, center - step, center + step))
     err = wrap_phase(phi_hat - source.phi)
     info = crb_report(

@@ -107,16 +107,14 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class DetectionRecord:
-    """One window's measurement record.
+    """One window's measurement record of the six-mode circuit.
 
-    ``counts`` holds per-mode photon numbers (count-based protocols);
-    ``labels`` holds basis outcome labels (two-basis readout).  The herald
-    says whether the outer-mode comparison flags a stellar photon.
+    ``counts`` holds per-mode photon numbers.  The herald says whether the
+    outer-mode comparison flags a stellar photon.
     """
 
     herald: Herald
     counts: tuple | None = None
-    labels: tuple | None = None
 
 
 # six-mode register of the entangled-ancilla protocol

@@ -249,11 +249,20 @@ def test_out_of_range_value_exits_2(tmp_path):
         ("simulate", {"delta_schedule": [0.0, -math.inf]}),
         ("fisher", {"g_values": [0.5, math.nan]}),
         ("fisher", {"delta_values": [math.inf]}),
+        # finite, but outside the domain
+        ("fisher", {"g_values": [1.5]}),
+        ("fisher", {"g_values": [0.5, -0.2]}),
+        ("fisher", {"protocol": "cnot", "epsilon": 0.0}),
+        ("fisher", {"protocol": "direct", "epsilon": 0.0}),
+        ("fisher", {"protocol": "gottesman", "epsilon": 0.0}),
+        # refused before a register of 2^26 amplitudes per branch is built
+        ("memory-demo", {"n_bins": 32}),
     ],
 )
-def test_non_finite_number_exits_2(tmp_path, command, overrides):
+def test_non_finite_number_exits_2(tmp_path, capsys, command, overrides):
     cfg = _write_config(tmp_path, **overrides)
     assert cli.main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_unsupported_schema_version_exits_2(tmp_path):

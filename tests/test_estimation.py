@@ -1,5 +1,6 @@
 """Monte-Carlo runner and maximum-likelihood estimator tests."""
 
+import json
 import math
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtelescopy import estimation
+from qtelescopy import cli, estimation
 from qtelescopy.errors import EstimationError, FisherDivergenceError, NumericalInvariantError
 from qtelescopy.fisher import DERIVATIVE_FLOOR, FD_STEP, G_BOUNDARY, PROB_FLOOR
 from qtelescopy.estimation import (
@@ -70,31 +71,36 @@ def test_schedule_cycles_round_robin():
     assert settings_seen == [0.1, 0.2, 0.3, 0.1, 0.2, 0.3]
 
 
+def _heralds(plan, outcomes):
+    """Herald class of every window, read from its outcome index."""
+    classes = estimation.outcome_heralds(plan.protocol, plan.source.n_max)
+    return [classes[o] for o in outcomes]
+
+
 def test_run_experiment_deterministic():
     plan = _plan(n_windows=500)
-    recs_a = run_experiment(plan)
-    recs_b = run_experiment(plan)
-    assert len(recs_a) == 500
-    for ra, rb in zip(recs_a, recs_b):
-        assert ra.herald is rb.herald
-        assert ra.counts == rb.counts
+    a = run_experiment(plan)
+    b = run_experiment(plan)
+    assert len(a) == 500
+    assert _heralds(plan, a) == _heralds(plan, b)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_run_experiment_seed_changes_data():
     a = run_experiment(_plan(seed=1, n_windows=400))
     b = run_experiment(_plan(seed=2, n_windows=400))
-    assert any(ra.counts != rb.counts for ra, rb in zip(a, b))
+    assert np.any(a != b)
 
 
 def test_zero_epsilon_gives_all_vacuum():
     plan = _plan(epsilon=0.0, n_windows=300)
-    assert all(r.herald is Herald.VACUUM for r in run_experiment(plan))
+    assert all(h is Herald.VACUUM for h in _heralds(plan, run_experiment(plan)))
 
 
 def test_herald_fraction_within_three_sigma():
     n = 20_000
     plan = _plan(n_windows=n, seed=8)
-    frac = sum(r.herald is Herald.PHOTON_ARRIVED for r in run_experiment(plan)) / n
+    frac = _heralds(plan, run_experiment(plan)).count(Herald.PHOTON_ARRIVED) / n
     sigma = math.sqrt(0.1 * 0.9 / n)
     assert abs(frac - 0.1) < 3 * sigma
 
@@ -121,16 +127,17 @@ def test_mle_recovers_phase_gottesman():
 
 def test_mle_deterministic():
     plan = _plan(n_windows=5000, seed=21)
-    records = run_experiment(plan)
-    assert mle_phase(records, plan).phi_hat == mle_phase(records, plan).phi_hat
+    outcomes = run_experiment(plan)
+    assert mle_phase(outcomes, plan).phi_hat == mle_phase(outcomes, plan).phi_hat
 
 
 def test_mle_ignores_vacuum_windows():
-    # appending vacuum records must not move the estimate
+    # appending vacuum windows must not move the estimate
     plan = _plan(n_windows=4000, seed=9)
-    records = run_experiment(plan)
-    base = mle_phase(records, plan)
-    extra_vacuum = [r for r in records if r.herald is Herald.VACUUM][:200]
+    outcomes = run_experiment(plan)
+    base = mle_phase(outcomes, plan)
+    vacuum = [h is Herald.VACUUM for h in _heralds(plan, outcomes)]
+    extra_vacuum = outcomes[vacuum][:200]
     longer = ExperimentPlan(
         protocol="cnot",
         source=plan.source,
@@ -138,31 +145,31 @@ def test_mle_ignores_vacuum_windows():
         n_windows=plan.n_windows + len(extra_vacuum),
         seed=plan.seed,
     )
-    padded = mle_phase(records + extra_vacuum, longer)
+    padded = mle_phase(np.concatenate([outcomes, extra_vacuum]), longer)
     assert padded.phi_hat == base.phi_hat
     assert padded.n_heralded == base.n_heralded
 
 
 def test_mle_requires_heralded_data():
     plan = _plan(epsilon=0.0, n_windows=200)
-    records = run_experiment(plan)
+    outcomes = run_experiment(plan)
     with pytest.raises(EstimationError):
-        mle_phase(records, plan)
+        mle_phase(outcomes, plan)
 
 
 def test_single_setting_schedule_is_ambiguous():
     plan = _plan(schedule=(0.4,), n_windows=2000, seed=3)
-    records = run_experiment(plan)
+    outcomes = run_experiment(plan)
     with pytest.raises(EstimationError):
-        mle_phase(records, plan)
+        mle_phase(outcomes, plan)
 
 
 def test_antipodal_schedule_is_ambiguous():
     # {0, pi} still cannot split phi from -phi
     plan = _plan(schedule=(0.0, math.pi), n_windows=2000, seed=3)
-    records = run_experiment(plan)
+    outcomes = run_experiment(plan)
     with pytest.raises(EstimationError):
-        mle_phase(records, plan)
+        mle_phase(outcomes, plan)
 
 
 def test_estimator_consistency_rate():
@@ -329,26 +336,86 @@ def test_compiled_fringe_table_matches_circuit(protocol, eta, variant, swap, phi
     )
     if expected is None:
         with pytest.raises(NumericalInvariantError):
-            table.conditional(phi, g)
+            table.joint(phi, g)
         return
-    compiled = dict(zip(table.labels, table.conditional(phi, g)))
+    probs, total = table.joint(phi, g)
+    compiled = dict(zip(table.labels, probs / total))
     assert {k for k, v in expected.items() if v > 0.0} <= set(compiled)
     worst = max(abs(compiled.get(k, 0.0) - expected.get(k, 0.0)) for k in set(compiled) | set(expected))
     assert worst < 1e-12
 
 
-def test_grid_tables_are_the_compiled_law_on_the_grid():
+def test_log_likelihood_on_the_grid_is_the_compiled_law():
     setting = (0.4, 0.1, 1.0, Variant.CNOT_SEQUENCE, False, 2)
-    labels, matrix = estimation._grid_tables("cnot", setting, 0.8)
+    table = estimation._fringe_table("cnot", setting)
+    seen = np.flatnonzero(table.coefficients.any(axis=0))
+    observed = [(table, seen, np.arange(1.0, seen.size + 1.0))]
     grid = estimation._phi_grid()
-    assert matrix.shape == (len(grid), len(labels))
-    np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-12)
+    scores = estimation._log_likelihood(grid, 0.8, observed)
+    assert scores.shape == grid.shape
+    probs, total = table.joint(grid, 0.8)
+    conditional = probs / total[:, None]
+    np.testing.assert_allclose(conditional.sum(axis=1), 1.0, atol=1e-12)
     for i in (0, 311, 1000):
+        # the grid is the per-phase function evaluated along an array
+        single = estimation._log_likelihood(grid[i], 0.8, observed)
+        assert scores[i] == pytest.approx(single, rel=1e-12, abs=0.0)
         row = _circuit_conditional(
             "cnot", StellarSource(phi=grid[i], g=0.8, epsilon=0.1), 0.4, 1.0,
             Variant.CNOT_SEQUENCE, False,
         )
-        np.testing.assert_allclose(matrix[i], [row.get(k, 0.0) for k in labels], atol=1e-12)
+        np.testing.assert_allclose(
+            conditional[i], [row.get(k, 0.0) for k in table.labels], rtol=0.0, atol=1e-12
+        )
+
+
+def test_log_likelihood_of_an_impossible_phase_is_minus_infinity():
+    # p_a = (1 + cos phi) / 2 vanishes at phi = pi, where a was observed
+    table = estimation.FringeTable(
+        ("a", "b"), np.array([[0.5, 0.5], [0.5, -0.5], [0.0, 0.0]]), np.array([1.0, 0.0, 0.0])
+    )
+    observed = [(table, np.array([0]), np.array([3.0]))]
+    scores = estimation._log_likelihood(np.array([0.0, math.pi]), 1.0, observed)
+    assert scores[0] == pytest.approx(0.0, abs=1e-15)
+    assert scores[1] == -math.inf
+
+
+@pytest.mark.parametrize("protocol", sorted(estimation.PROTOCOLS))
+def test_outcome_indices_carry_the_herald_rule(tmp_path, protocol):
+    # a window is an index into outcomes(n_max), or -1 without a photon; the
+    # registry's herald rule gives the MLE's counts and the simulate trace
+    config = {
+        "schema_version": 1, "protocol": protocol, "phi": 0.7, "g": 1.0, "epsilon": 0.1,
+        "delta_schedule": [0.0, HALF_PI], "n_windows": 3000, "seed": 17,
+    }
+    plan = _plan(protocol=protocol, n_windows=3000, seed=17)
+    outcomes = run_experiment(plan)
+    assert outcomes.shape == (3000,) and outcomes.dtype.kind == "i"
+    entry = estimation.PROTOCOLS[protocol]
+    labels = entry.outcomes(plan.source.n_max)
+    assert outcomes.min() >= (-1 if entry.conditioned else 0) and outcomes.max() < len(labels)
+    heralds = [entry.herald(labels[o]) if o >= 0 else Herald.VACUUM for o in outcomes]
+    report = mle_phase(outcomes, plan)
+    assert report.n_heralded == heralds.count(Herald.PHOTON_ARRIVED)
+    assert report.n_vacuum == heralds.count(Herald.VACUUM)
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    lines = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+    assert [line["window"] for line in lines] == list(range(3000))
+    assert [line["herald"] for line in lines] == [h.value for h in heralds]
+    assert [line["record"] for line in lines] == [
+        list(labels[o]) if o >= 0 else None for o in outcomes
+    ]
+
+
+def test_mle_rejects_out_of_range_outcome_indices():
+    plan = _plan(n_windows=10)
+    n_labels = len(estimation.PROTOCOLS["cnot"].outcomes(plan.source.n_max))
+    for bad in (-2, n_labels):
+        with pytest.raises(EstimationError):
+            mle_phase(np.array([0] * 9 + [bad]), plan)
 
 
 def test_fringe_table_guards():
@@ -366,4 +433,4 @@ def test_fringe_table_guards():
         broken.joint(0.0, 1.0)
     empty = estimation.FringeTable(labels, np.zeros((3, 2)), np.zeros(3))
     with pytest.raises(NumericalInvariantError):
-        empty.conditional(np.linspace(0.0, 1.0, 5), 0.5)
+        empty.joint(np.linspace(0.0, 1.0, 5), 0.5)
