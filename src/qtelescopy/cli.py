@@ -125,6 +125,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {value}")
         if self.n_windows < 1:
             raise ConfigError(f"n_windows must be >= 1, got {self.n_windows}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0 or null, got {self.seed}")
         if self.delta_schedule is not None and len(self.delta_schedule) == 0:
             raise ConfigError("delta_schedule, when given, must not be empty")
         try:
@@ -345,21 +347,24 @@ def cmd_simulate(args) -> int:
     report = mle_phase(outcomes, plan)
 
     n_max = plan.source.n_max
-    # index -1 (no photon) reads the last entry of both lists
-    heralds = [h.value for h in outcome_heralds(cfg.protocol, n_max)]
+    # every trace line up to its window number, per outcome index and with
+    # index -1 (no photon) last; "window" sorts after the other keys
     records = [list(label) for label in get_protocol(cfg.protocol).outcomes(n_max)] + [None]
+    prefixes = []
+    for herald, record in zip(outcome_heralds(cfg.protocol, n_max), records):
+        payload = {
+            "window": 0,
+            "arrival_bin": None,
+            "herald": herald.value,
+            "record": record,
+            "decoded_bin": None,
+            "seed": cfg.seed,
+        }
+        prefixes.append(json.dumps(payload, sort_keys=True)[: -len("0}")])
 
     def trace_lines():
         for w, o in enumerate(outcomes.tolist()):
-            payload = {
-                "window": w,
-                "arrival_bin": None,
-                "herald": heralds[o],
-                "record": records[o],
-                "decoded_bin": None,
-                "seed": cfg.seed,
-            }
-            yield json.dumps(payload, sort_keys=True) + "\n"
+            yield prefixes[o] + str(w) + "}\n"
 
     _write_or_print(trace_lines(), args, "trace.jsonl")
 

@@ -45,6 +45,8 @@ PHI_GRID_POINTS = 1024
 GOLDEN_TOL = 1e-10
 # compiled probabilities below this are a broken circuit, not round-off
 NEGATIVE_PROB_TOL = 1e-12
+# how far a sampled table may sum from 1, as numpy's Generator.choice allows
+CHOICE_ATOL = math.sqrt(np.finfo(float).eps)
 
 
 def wrap_phase(phi: float) -> float:
@@ -124,24 +126,58 @@ def _sample_cnot(plan: ExperimentPlan, rng) -> np.ndarray:
     return outcomes
 
 
+def _choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The cumulative table ``Generator.choice`` draws from, after its checks:
+    the normalized table must be finite, nonnegative and sum to 1 within
+    sqrt(eps)."""
+    with np.errstate(all="ignore"):
+        p = probs / probs.sum()
+    if not (
+        p.size
+        and np.isfinite(p).all()
+        and (p >= 0.0).all()
+        and abs(math.fsum(p) - 1.0) <= CHOICE_ATOL
+    ):
+        raise NumericalInvariantError(
+            f"outcome table {probs.tolist()!r} is not a probability distribution"
+        )
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _sample_table(plan: ExperimentPlan, rng) -> np.ndarray:
-    """One draw per window from its setting's outcome table.  A table
-    conditioned on arrival is drawn from only after a photon arrived; a
-    window without one keeps the index -1."""
+    """One uniform per window, resolved against its setting's outcome table
+    as ``Generator.choice`` would, one setting at a time.  A table
+    conditioned on arrival is drawn from only after a photon arrived, at the
+    same point in the RNG stream; a window without one keeps the index -1."""
     entry = get_protocol(plan.protocol)
     index = _outcome_index(plan)
     tables = []
     for delta in plan.delta_schedule:
         table = entry.run(plan.source, delta, plan.eta, plan.variant, plan.swap_bases)
-        probs = np.array(list(table.values()))
-        tables.append(([index[label] for label in table], probs / probs.sum()))
-    window = TimeBinConfig(1)
+        ids = np.array([index[label] for label in table])
+        tables.append((ids, np.array(list(table.values()))))
+    if entry.conditioned:
+        window, epsilon, draw = TimeBinConfig(1), plan.source.epsilon, rng.random
+        uniforms = np.fromiter(
+            (
+                draw() if sample_arrival(window, epsilon, rng) is not None else math.nan
+                for _ in range(plan.n_windows)
+            ),
+            dtype=float,
+            count=plan.n_windows,
+        )
+    else:
+        uniforms = rng.random(plan.n_windows)
     outcomes = np.full(plan.n_windows, -1, dtype=np.int64)
-    for w in range(plan.n_windows):
-        if entry.conditioned and sample_arrival(window, plan.source.epsilon, rng) is None:
-            continue
-        ids, probs = tables[w % len(tables)]
-        outcomes[w] = ids[rng.choice(len(ids), p=probs)]
+    n_settings = len(tables)
+    for s, (ids, probs) in enumerate(tables):
+        u = uniforms[s::n_settings]
+        drawn = ~np.isnan(u)
+        if drawn.any():
+            cdf = _choice_cdf(probs)
+            outcomes[s::n_settings][drawn] = ids[cdf.searchsorted(u[drawn], side="right")]
     return outcomes
 
 

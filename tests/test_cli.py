@@ -1,6 +1,7 @@
 """Command-line front-end tests: config handling, outputs, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,8 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from qtelescopy import analytic, cli
+from qtelescopy import analytic, cli, estimation
 from qtelescopy.errors import ConfigError, EstimationError, NumericalInvariantError
+from qtelescopy.protocols import Herald
+from qtelescopy.sources import StellarSource
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -169,6 +172,62 @@ def test_simulate_writes_trace_and_summary(tmp_path):
     assert int(summary["n_heralded"]) + int(summary["n_vacuum"]) == 4000
 
 
+@pytest.mark.parametrize("protocol", ["cnot", "direct", "gottesman"])
+@pytest.mark.parametrize("seed", [7, None])
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_simulate_trace_lines_are_sorted_json_of_each_window(
+    tmp_path, capsys, protocol, seed, to_stdout
+):
+    schedule = [0.0, math.pi / 2.0, 1.0]
+    cfg = _write_config(
+        tmp_path, protocol=protocol, seed=seed, g=0.8, delta_schedule=schedule, n_windows=600
+    )
+    argv = ["simulate", "--config", str(cfg), "--format", "json"]
+    if not to_stdout:
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    if to_stdout:
+        printed = capsys.readouterr().out.splitlines(keepends=True)
+        lines, rest = printed[:600], printed[600:]
+        assert rest[0] == "{\n"
+    else:
+        lines = (tmp_path / "out" / "trace.jsonl").read_text().splitlines(keepends=True)
+    assert len(lines) == 600
+
+    entry = estimation.PROTOCOLS[protocol]
+    labels = entry.outcomes(2)
+    outcomes = []
+    for w, line in enumerate(lines):
+        record = json.loads(line)["record"]
+        o = labels.index(tuple(record)) if record is not None else -1
+        payload = {
+            "window": w,
+            "arrival_bin": None,
+            "herald": (entry.herald(labels[o]) if o >= 0 else Herald.VACUUM).value,
+            "record": record,
+            "decoded_bin": None,
+            "seed": seed,
+        }
+        assert line == json.dumps(payload, sort_keys=True) + "\n"
+        outcomes.append(o)
+    if seed is not None:
+        plan = estimation.ExperimentPlan(
+            protocol, StellarSource(0.3, 0.8, 0.1), tuple(schedule), 600, seed=seed
+        )
+        np.testing.assert_array_equal(outcomes, estimation.run_experiment(plan))
+
+
+def test_simulate_refuses_a_sampler_table_that_is_not_a_distribution(
+    tmp_path, capsys, monkeypatch
+):
+    broken = {(1, 1): -0.1, (1, -1): 1.1}
+    entry = dataclasses.replace(estimation.PROTOCOLS["direct"], run=lambda *args: broken)
+    monkeypatch.setitem(estimation.PROTOCOLS, "direct", entry)
+    cfg = _write_config(tmp_path, protocol="direct", n_windows=100)
+    assert cli.main(["simulate", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith("numerical invariant violated:")
+
+
 def test_simulate_deterministic_outputs(tmp_path):
     cfg = _write_config(
         tmp_path, phi=0.7, delta_schedule=[0.0, math.pi / 2.0], n_windows=2000
@@ -257,11 +316,14 @@ def test_out_of_range_value_exits_2(tmp_path):
         ("fisher", {"protocol": "gottesman", "epsilon": 0.0}),
         # refused before a register of 2^26 amplitudes per branch is built
         ("memory-demo", {"n_bins": 32}),
+        # refused before any random generator is built
+        ("simulate", {"protocol": "direct", "seed": -1, "n_windows": 100}),
+        ("simulate --seed -1", {"protocol": "direct", "n_windows": 100}),
     ],
 )
 def test_non_finite_number_exits_2(tmp_path, capsys, command, overrides):
     cfg = _write_config(tmp_path, **overrides)
-    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert cli.main([*command.split(), "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 

@@ -1,5 +1,6 @@
 """Monte-Carlo runner and maximum-likelihood estimator tests."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from qtelescopy.protocols import (
     direct_distribution,
     gottesman_distribution,
 )
-from qtelescopy.sources import StellarSource
+from qtelescopy.sources import StellarSource, TimeBinConfig, sample_arrival
 
 HALF_PI = math.pi / 2.0
 
@@ -103,6 +104,70 @@ def test_herald_fraction_within_three_sigma():
     frac = _heralds(plan, run_experiment(plan)).count(Herald.PHOTON_ARRIVED) / n
     sigma = math.sqrt(0.1 * 0.9 / n)
     assert abs(frac - 0.1) < 3 * sigma
+
+
+def _per_window_outcomes(plan):
+    """Per-window oracle of the table sampler: ``sample_arrival`` first when
+    the table is conditioned on arrival, then one ``Generator.choice``."""
+    entry = estimation.PROTOCOLS[plan.protocol]
+    index = {label: o for o, label in enumerate(entry.outcomes(plan.source.n_max))}
+    tables = [
+        entry.run(plan.source, delta, plan.eta, plan.variant, plan.swap_bases)
+        for delta in plan.delta_schedule
+    ]
+    rng = np.random.default_rng(plan.seed)
+    outcomes = []
+    for w in range(plan.n_windows):
+        if entry.conditioned and sample_arrival(TimeBinConfig(1), plan.source.epsilon, rng) is None:
+            outcomes.append(-1)
+            continue
+        table = tables[w % len(tables)]
+        probs = np.array(list(table.values()))
+        outcomes.append(index[list(table)[rng.choice(len(table), p=probs / probs.sum())]])
+    return np.array(outcomes)
+
+
+@pytest.mark.parametrize(
+    "protocol,swap,epsilon",
+    [
+        ("direct", False, 0.1),
+        ("direct", False, 0.5),
+        ("direct", False, 1.0),
+        ("direct", True, 0.1),
+        ("direct", True, 0.5),
+        ("direct", True, 1.0),
+        ("gottesman", False, 0.3),
+    ],
+)
+@pytest.mark.parametrize("n_windows", [2, 3001])
+def test_table_sampler_matches_per_window_choice(protocol, swap, epsilon, n_windows):
+    # three settings: 3001 windows end mid-cycle, 2 never reach the last one
+    plan = ExperimentPlan(
+        protocol, StellarSource(phi=0.9, g=0.7, epsilon=epsilon), (0.2, 1.1, 2.5),
+        n_windows, seed=n_windows + int(100 * epsilon), swap_bases=swap,
+    )
+    np.testing.assert_array_equal(run_experiment(plan), _per_window_outcomes(plan))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {(1, 1): -0.1, (1, -1): 1.1},
+        {(1, 1): math.nan, (1, -1): 1.0},
+        # the total overflows, so the normalized table sums to 0
+        {(1, 1): 1e308, (1, -1): 1e308},
+        {},
+    ],
+    ids=["negative", "nan", "overflow", "empty"],
+)
+def test_table_sampler_refuses_a_table_that_is_not_a_distribution(monkeypatch, table):
+    entry = dataclasses.replace(estimation.PROTOCOLS["direct"], run=lambda *args: dict(table))
+    monkeypatch.setitem(estimation.PROTOCOLS, "direct", entry)
+    with pytest.raises(NumericalInvariantError):
+        run_experiment(_plan(protocol="direct", n_windows=100))
+    # a table that is never drawn from is never checked
+    no_photon = run_experiment(_plan(protocol="direct", epsilon=0.0, n_windows=100))
+    np.testing.assert_array_equal(no_photon, np.full(100, -1))
 
 
 def test_mle_recovers_phase_cnot():
