@@ -81,6 +81,8 @@ class ExperimentPlan:
         object.__setattr__(self, "delta_schedule", schedule)
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         object.__setattr__(self, "variant", Variant.parse(self.variant))
 
     def setting_for(self, window: int) -> float:

@@ -29,6 +29,7 @@ from .state_engine import (
     ModeUnitary,
     NORM_ATOL,
     StateVector,
+    _apply_one_mode,
     _apply_stack,
     _invalid_mass,
     basis_index,
@@ -70,10 +71,7 @@ def _lift_matrix(u: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
                     * sqrt(factorial(k) * factorial(l) / (factorial(m) * factorial(n)))
                 )
                 amp[(k, l)] += coeff
-        kept = 0.0
-        for (k, l), a in amp.items():
-            if k <= n_max and l <= n_max:
-                kept += abs(a) ** 2
+        kept = sum(abs(a) ** 2 for (k, l), a in amp.items() if k <= n_max and l <= n_max)
         if kept < 1.0 - _LIFT_ATOL:
             mask[j] = False
             continue
@@ -136,7 +134,9 @@ def _qubit_gate(
     mask = _qubit_mask(k, n_max)
     for label, (image, phase) in perm_phase.items():
         mat[basis_index(image, n_max), basis_index(label, n_max)] = phase
-    return ModeUnitary(tuple(modes), mat, n_max, mask, name)
+    # a table that covers every label (n_max = 1) is a signed permutation
+    perm = tuple((a, b, p) for a, (b, p) in perm_phase.items()) if mask.all() else ()
+    return ModeUnitary(tuple(modes), mat, n_max, mask, name, perm)
 
 
 def not_fock(mode: int, n_max: int) -> ModeUnitary:
@@ -208,19 +208,9 @@ class MeasurementBasis:
 
 def number_basis(mode: int, n_max: int) -> MeasurementBasis:
     """Photon-number measurement of a single mode."""
-    projs = []
-    for n in range(n_max + 1):
-        p = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        p[n, n] = 1.0
-        projs.append(p)
-    return MeasurementBasis(
-        (mode,),
-        tuple(projs),
-        tuple(range(n_max + 1)),
-        n_max,
-        np.ones(n_max + 1, dtype=bool),
-        "number",
-    )
+    projs = tuple(np.diag(row) for row in np.eye(n_max + 1, dtype=complex))
+    mask = np.ones(n_max + 1, dtype=bool)
+    return MeasurementBasis((mode,), projs, tuple(range(n_max + 1)), n_max, mask, "number")
 
 
 def rotated_basis(mode: int, delta: float, n_max: int) -> MeasurementBasis:
@@ -247,20 +237,10 @@ def x_basis(mode: int, n_max: int) -> MeasurementBasis:
 
 def parity_basis(mode_a: int, mode_b: int, n_max: int) -> MeasurementBasis:
     """Total photon-number parity of a mode pair: outcomes 0 (even), 1 (odd)."""
-    labs = labels_array(2, n_max)
-    totals = labs.sum(axis=1)
-    projs = []
-    for par in (0, 1):
-        projs.append(np.diag((totals % 2 == par).astype(complex)))
-    dim = space_dim(2, n_max)
-    return MeasurementBasis(
-        (mode_a, mode_b),
-        tuple(projs),
-        (0, 1),
-        n_max,
-        np.ones(dim, dtype=bool),
-        "parity",
-    )
+    totals = labels_array(2, n_max).sum(axis=1)
+    projs = tuple(np.diag((totals % 2 == par).astype(complex)) for par in (0, 1))
+    mask = np.ones(len(totals), dtype=bool)
+    return MeasurementBasis((mode_a, mode_b), projs, (0, 1), n_max, mask, "parity")
 
 
 def measurement_distribution(
@@ -268,10 +248,8 @@ def measurement_distribution(
 ) -> np.ndarray:
     """Outcome probabilities of a projective measurement."""
     _check_basis_support(state, basis, atol)
-    probs = np.empty(len(basis.projectors))
-    for i, proj in enumerate(basis.projectors):
-        probs[i] = _projection_weight(state, basis.target_modes, proj)
-    return probs
+    amps, modes = state.amplitudes, basis.target_modes
+    return np.array([np.vdot(amps, _projected(state, modes, p)) for p in basis.projectors]).real
 
 
 def measure_in_basis(state: StateVector, basis: MeasurementBasis, rng=None, *, atol: float = NORM_ATOL):
@@ -298,17 +276,11 @@ def project(state: StateVector, basis: MeasurementBasis, outcome, *, atol: float
         idx = basis.outcomes.index(outcome)
     except ValueError:
         raise ValueError(f"{outcome!r} is not an outcome of {basis.name or 'this basis'}")
-    weight = _projection_weight(state, basis.target_modes, basis.projectors[idx])
+    projected = _projected(state, basis.target_modes, basis.projectors[idx])
+    weight = float(np.vdot(state.amplitudes, projected).real)
     if weight <= 0.0:
         return 0.0, None
-    op = ModeUnitary(
-        basis.target_modes, basis.projectors[idx], basis.n_max, None, basis.name
-    )
-    projected = _apply_stack(op, state.amplitudes.reshape(-1, 1), state.mode_count)
-    post = StateVector(
-        projected.reshape(-1) / np.sqrt(weight), state.mode_count, state.n_max
-    )
-    return float(weight), post
+    return weight, StateVector(projected / np.sqrt(weight), state.mode_count, state.n_max)
 
 
 def _check_basis_support(state, basis: MeasurementBasis, atol: float) -> None:
@@ -320,7 +292,9 @@ def _check_basis_support(state, basis: MeasurementBasis, atol: float) -> None:
         )
 
 
-def _projection_weight(state: StateVector, target_modes: tuple[int, ...], proj: np.ndarray) -> float:
+def _projected(state: StateVector, target_modes: tuple[int, ...], proj: np.ndarray) -> np.ndarray:
+    """Amplitudes of ``proj`` applied on ``target_modes``; one mode needs no copy."""
+    if len(target_modes) == 1:
+        return _apply_one_mode(proj, target_modes[0], state.amplitudes, state.n_max + 1)
     op = ModeUnitary(target_modes, proj, state.n_max)
-    projected = _apply_stack(op, state.amplitudes.reshape(-1, 1), state.mode_count)
-    return float(np.vdot(state.amplitudes, projected.reshape(-1)).real)
+    return _apply_stack(op, state.amplitudes.reshape(-1, 1), state.mode_count).reshape(-1)

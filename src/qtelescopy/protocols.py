@@ -23,7 +23,7 @@ oracles.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -622,13 +622,23 @@ class _BranchEnsemble:
     source).  Each measurement is sampled from the mixture distribution,
     then every branch is collapsed on the common outcome and its weight is
     updated by Bayes' rule, so later conditional distributions are exact.
+
+    A rank-1 one-mode projection leaves each branch in the product
+    ``|v> (x) phi``, and no gate follows a measurement, so the measured mode
+    leaves the branches and only ``phi`` is kept; ``modes`` lists the
+    register mode held at each remaining factor position.
     """
 
     def __init__(self, branches: list[tuple[float, StateVector]], rng):
         self.branches = branches
         self.rng = rng
+        self.modes = list(range(branches[0][1].mode_count))
+
+    def _local(self, basis: MeasurementBasis) -> MeasurementBasis:
+        return replace(basis, target_modes=tuple(self.modes.index(m) for m in basis.target_modes))
 
     def distribution(self, basis: MeasurementBasis) -> np.ndarray:
+        basis = self._local(basis)
         mixed = None
         for weight, state in self.branches:
             probs = weight * measurement_distribution(state, basis)
@@ -640,11 +650,23 @@ class _BranchEnsemble:
         total = mixed.sum()
         idx = int(self.rng.choice(len(mixed), p=mixed / total))
         outcome = basis.outcomes[idx]
+        local = self._local(basis)
+        proj = basis.projectors[idx]
+        drop = len(local.target_modes) == 1 and np.linalg.matrix_rank(proj) == 1
+        # proj = |v><v| leaves |v> (x) phi: read phi off the largest entry v_j
+        j = int(np.argmax(proj.diagonal().real))
         updated = []
         for weight, state in self.branches:
-            p_branch, post = project(state, basis, outcome)
-            if post is not None:
-                updated.append((weight * p_branch, post))
+            p_branch, post = project(state, local, outcome)
+            if post is None:
+                continue
+            if drop:
+                d, m = state.n_max + 1, local.target_modes[0]
+                phi = post.amplitudes.reshape(d**m, d, -1)[:, j] / np.sqrt(proj[j, j].real)
+                post = StateVector(phi.reshape(-1), state.mode_count - 1, state.n_max)
+            updated.append((weight * p_branch, post))
+        if drop:
+            self.modes.remove(basis.target_modes[0])
         norm = sum(w for w, _ in updated)
         self.branches = [(w / norm, s) for w, s in updated]
         return outcome

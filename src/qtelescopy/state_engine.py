@@ -7,6 +7,14 @@ order with mode 0 as the most significant digit: the flat index of the
 occupation tuple ``(n_0, ..., n_{M-1})`` is
 ``sum(n_m * (n_max + 1) ** (M - 1 - m))``, which is exactly the order
 produced by :func:`numpy.ndindex`.
+
+A gate that is a signed permutation of all its local labels (the Fock-qubit
+gates at ``n_max = 1``) carries that table in ``ModeUnitary.perm``, set where
+it is built, and moves slices of a ``(d,) * mode_count`` view; other gates
+multiply their matrix into the target modes.  One-mode projectors act on the
+``(d**m, d, rest)`` view of mode ``m``.  A rank-1 one-mode projection leaves
+the product of its vector and a state of the other modes, so a caller that
+applies no gate after it may drop the measured mode and keep that factor.
 """
 
 from __future__ import annotations
@@ -189,6 +197,8 @@ class ModeUnitary:
     order.  ``valid_mask`` flags the local input labels on which the block
     is defined; columns for invalid labels must be zero.  States carrying
     more than ``NORM_ATOL`` probability on invalid labels are rejected.
+    ``perm``, when given, restates ``matrix`` as ``(label, image, phase)``
+    entries that cover every local label: a signed permutation.
     """
 
     target_modes: tuple[int, ...]
@@ -196,6 +206,7 @@ class ModeUnitary:
     n_max: int
     valid_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
     name: str = ""
+    perm: tuple = ()
 
     def __post_init__(self):
         targets = tuple(int(m) for m in self.target_modes)
@@ -227,24 +238,46 @@ class ModeUnitary:
         return [tuple(row) for row in labs[~self.valid_mask]]
 
 
-def _move_front(stack: np.ndarray, gate: ModeUnitary, mode_count: int) -> np.ndarray:
-    """View a ``(dim, batch)`` stack as ``(d**k, rest)`` with targets leading."""
-    d = gate.n_max + 1
-    k = len(gate.target_modes)
-    t = stack.reshape((d,) * mode_count + (-1,))
-    t = np.moveaxis(t, gate.target_modes, range(k))
-    return t.reshape(d**k, -1), t.shape[k:]
+def _move_front(stack: np.ndarray, modes: Sequence[int], d: int, mode_count: int):
+    """View a ``(dim, batch)`` stack as ``(d**k, rest)`` with ``modes`` leading."""
+    t = np.moveaxis(stack.reshape((d,) * mode_count + (-1,)), modes, range(len(modes)))
+    return t.reshape(d ** len(modes), -1), t.shape[len(modes):]
 
 
 def _apply_stack(gate: ModeUnitary, stack: np.ndarray, mode_count: int) -> np.ndarray:
     """Apply ``gate`` along the state index of a ``(dim, batch)`` stack."""
     d = gate.n_max + 1
     k = len(gate.target_modes)
-    block, rest_shape = _move_front(stack, gate, mode_count)
+    block, rest_shape = _move_front(stack, gate.target_modes, d, mode_count)
     out = gate.matrix @ block
     t = out.reshape((d,) * k + rest_shape)
     t = np.moveaxis(t, range(k), gate.target_modes)
     return t.reshape(stack.shape)
+
+
+def _permute(gate: ModeUnitary, amps: np.ndarray, mode_count: int) -> np.ndarray:
+    """Apply a signed-permutation gate as slice moves on a ``(d,) * mode_count`` view."""
+    # the trailing axis keeps a slice that fixes every mode a view, not a scalar
+    t = amps.reshape((gate.n_max + 1,) * mode_count + (1,))
+    out = t.copy()
+    for label, image, phase in gate.perm:
+        if label == image and phase == 1.0:
+            continue
+        src, dst = [slice(None)] * mode_count, [slice(None)] * mode_count
+        for m, a, b in zip(gate.target_modes, label, image):
+            src[m], dst[m] = a, b
+        np.multiply(t[tuple(src)], phase, out=out[tuple(dst)])
+    return out.reshape(-1)
+
+
+def _apply_one_mode(op: np.ndarray, mode: int, amps: np.ndarray, d: int) -> np.ndarray:
+    """Apply a ``(d, d)`` operator to ``mode`` on the ``(d**mode, d, rest)`` view."""
+    v = amps.reshape(d**mode, d, -1)
+    if v.shape[2] == 1:
+        # the last mode: one matrix product, not one matrix-vector product per
+        # row, which is slower and rounds differently
+        return (op @ v[:, :, 0].T).T.reshape(-1)
+    return np.matmul(op, v).reshape(-1)
 
 
 def _invalid_mass(gate, state: StateVector) -> float:
@@ -253,7 +286,8 @@ def _invalid_mass(gate, state: StateVector) -> float:
     ``n_max`` and ``valid_mask``, such as a measurement basis."""
     if gate.valid_mask.all():
         return 0.0
-    block, _ = _move_front(state.probabilities().reshape(-1, 1), gate, state.mode_count)
+    probs = state.probabilities().reshape(-1, 1)
+    block, _ = _move_front(probs, gate.target_modes, gate.n_max + 1, state.mode_count)
     return float(np.sum(block[~gate.valid_mask]))
 
 
@@ -283,10 +317,13 @@ def apply_unitary(state: StateVector, gate: ModeUnitary, *, atol: float = NORM_A
             f"labels {gate.invalid_labels()}; input carries probability {mass:.3e} there"
         )
 
-    before = float(np.sum(state.probabilities()))
-    new = _apply_stack(gate, state.amplitudes.reshape(-1, 1), state.mode_count)
+    before = float(np.vdot(state.amplitudes, state.amplitudes).real)
+    if gate.perm:
+        new = _permute(gate, state.amplitudes, state.mode_count)
+    else:
+        new = _apply_stack(gate, state.amplitudes.reshape(-1, 1), state.mode_count)
     new = new.reshape(-1)
-    after = float(np.sum(np.abs(new) ** 2))
+    after = float(np.vdot(new, new).real)
     if before - after > atol:
         raise LeakageError(
             f"{gate.name or 'gate'} on modes {gate.target_modes} lost norm "
@@ -307,20 +344,14 @@ def number_measurement_distribution(
     Returns a map from occupation tuples (in the order of ``modes``) to
     probabilities; exact zeros are omitted.
     """
-    d = state.n_max + 1
-    if modes is None:
-        modes = tuple(range(state.mode_count))
-    else:
-        modes = tuple(int(m) for m in modes)
+    modes = tuple(range(state.mode_count)) if modes is None else tuple(int(m) for m in modes)
     if not modes:
         raise ValueError("at least one mode must be measured")
     if len(set(modes)) != len(modes):
         raise ValueError(f"repeated modes in {modes}")
-    k = len(modes)
-    t = state.probabilities().reshape((d,) * state.mode_count)
-    t = np.moveaxis(t, modes, range(k))
-    marginal = t.reshape(d**k, -1).sum(axis=1)
-    labs = basis_labels(k, state.n_max)
+    probs = state.probabilities().reshape(-1, 1)
+    marginal = _move_front(probs, modes, state.n_max + 1, state.mode_count)[0].sum(axis=1)
+    labs = basis_labels(len(modes), state.n_max)
     return {lab: float(p) for lab, p in zip(labs, marginal) if p > 0.0}
 
 
@@ -342,16 +373,9 @@ def sample_and_collapse(state: StateVector, rng=None, modes: Sequence[int] | Non
         raise TypeError("sampling requires a StateVector; mix over branches instead")
     rng = np.random.default_rng(rng)
     d = state.n_max + 1
-    if modes is None:
-        modes = tuple(range(state.mode_count))
-    else:
-        modes = tuple(int(m) for m in modes)
+    modes = tuple(range(state.mode_count)) if modes is None else tuple(int(m) for m in modes)
     k = len(modes)
-
-    t = state.amplitudes.reshape((d,) * state.mode_count)
-    t = np.moveaxis(t, modes, range(k))
-    rest_shape = t.shape[k:]
-    block = t.reshape(d**k, -1)
+    block, rest_shape = _move_front(state.amplitudes.reshape(-1, 1), modes, d, state.mode_count)
     marginal = np.sum(np.abs(block) ** 2, axis=1)
     total = marginal.sum()
     if not np.isclose(total, 1.0, atol=1e-9):
@@ -374,10 +398,7 @@ def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityOperator:
     keep = tuple(int(m) for m in keep)
     if len(set(keep)) != len(keep):
         raise ValueError(f"repeated modes in {keep}")
-    d = state.n_max + 1
-    t = state.amplitudes.reshape((d,) * state.mode_count)
-    t = np.moveaxis(t, keep, range(len(keep)))
-    block = t.reshape(d ** len(keep), -1)
+    block, _ = _move_front(state.amplitudes.reshape(-1, 1), keep, state.n_max + 1, state.mode_count)
     return DensityOperator(block @ block.conj().T, len(keep), state.n_max)
 
 

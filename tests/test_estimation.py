@@ -64,6 +64,8 @@ def test_plan_validation():
         ExperimentPlan("cnot", src, (0.0,), 0, seed=1)
     with pytest.raises(ValueError):
         ExperimentPlan("unknown", src, (0.0,), 100, seed=1)
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentPlan("direct", src, (0.0,), 100, seed=-1)
 
 
 def test_schedule_cycles_round_robin():

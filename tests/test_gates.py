@@ -322,3 +322,92 @@ def test_phase_shift_composition(theta):
     once = se.apply_unitary(state, one)
     twice = se.apply_unitary(se.apply_unitary(state, half), half)
     np.testing.assert_allclose(once.amplitudes, twice.amplitudes, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# kernels against dense operators
+
+
+def _dense_apply(op, targets, psi, mode_count, n_max):
+    """``op`` on ``targets`` applied to the register state ``psi`` by the dense
+    matrix ``kron(op, I)``, which acts with the targets as the leading modes:
+    ``psi`` is reordered into that layout and the result back out of it."""
+    rest = [m for m in range(mode_count) if m not in targets]
+    front = np.kron(op, np.eye((n_max + 1) ** len(rest)))
+    order = _flat_index(se.labels_array(mode_count, n_max)[:, [*targets, *rest]], n_max)
+    leading = np.empty_like(psi)
+    leading[order] = psi
+    return (front @ leading)[order]
+
+
+def _flat_index(labels, n_max):
+    """Flat index of every row of occupation labels (first column most significant)."""
+    return np.ravel_multi_index(labels.T, (n_max + 1,) * labels.shape[1])
+
+
+# name: (number of target modes, constructor call on targets, n_max and a generator)
+_KERNEL_GATES = {
+    "not_fock": (1, lambda t, n, rng: gates.not_fock(t[0], n)),
+    "z_fock": (1, lambda t, n, rng: gates.z_fock(t[0], n)),
+    "cnot_fock": (2, lambda t, n, rng: gates.cnot_fock(t[0], t[1], n)),
+    "cz_fock": (2, lambda t, n, rng: gates.cz_fock(t[0], t[1], n)),
+    "beam_splitter": (2, lambda t, n, rng: gates.beam_splitter(t[0], t[1], n)),
+    "phase_shift": (1, lambda t, n, rng: gates.phase_shift(t[0], rng.uniform(-4, 4), n)),
+}
+_KERNEL_BASES = {
+    "x_basis": (1, lambda t, n, rng: gates.x_basis(t[0], n)),
+    "rotated_basis": (1, lambda t, n, rng: gates.rotated_basis(t[0], rng.uniform(-4, 4), n)),
+    "number_basis": (1, lambda t, n, rng: gates.number_basis(t[0], n)),
+    "parity_basis": (2, lambda t, n, rng: gates.parity_basis(t[0], t[1], n)),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_kernels_match_dense_operators(n_max, mode_count, seed):
+    # 3^8 amplitudes would need a 0.7 GB dense operator: n_max = 2 stops at 6 modes
+    mode_count = min(mode_count, 8 if n_max == 1 else 6)
+    rng = np.random.default_rng(seed)
+    dim = se.space_dim(mode_count, n_max)
+    raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    raw /= np.linalg.norm(raw)
+    labs = se.labels_array(mode_count, n_max)
+    for name, (arity, build) in {**_KERNEL_GATES, **_KERNEL_BASES}.items():
+        # one-mode operators on every mode, the last one included; pairs in
+        # random order, adjacent or not
+        choices = [(m,) for m in range(mode_count)] if arity == 1 else [
+            tuple(int(m) for m in rng.choice(mode_count, size=2, replace=False)) for _ in range(3)
+        ]
+        for targets in choices:
+            op = build(targets, n_max, rng)
+            valid = op.valid_mask[_flat_index(labs[:, list(targets)], n_max)]
+            raw_state = se.StateVector(raw, mode_count, n_max)
+            psi = np.where(valid, raw, 0.0)
+            psi /= np.linalg.norm(psi)
+            state = se.StateVector(psi, mode_count, n_max)
+            if name in _KERNEL_GATES:
+                if np.sum(np.abs(raw[~valid]) ** 2) > se.NORM_ATOL:
+                    with pytest.raises(InvalidSubspaceError):
+                        se.apply_unitary(raw_state, op)
+                out = se.apply_unitary(state, op)
+                expected = _dense_apply(op.matrix, targets, psi, mode_count, n_max)
+                np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+                continue
+            if np.sum(np.abs(raw[~valid]) ** 2) > se.NORM_ATOL:
+                with pytest.raises(InvalidSubspaceError):
+                    gates.measurement_distribution(raw_state, op)
+                with pytest.raises(InvalidSubspaceError):
+                    gates.project(raw_state, op, op.outcomes[0])
+            projected = [_dense_apply(p, targets, psi, mode_count, n_max) for p in op.projectors]
+            weights = [np.vdot(psi, p_psi).real for p_psi in projected]
+            probs = gates.measurement_distribution(state, op)
+            np.testing.assert_allclose(probs, weights, rtol=0, atol=1e-12)
+            for outcome, p_psi, w in zip(op.outcomes, projected, weights):
+                p_out, post = gates.project(state, op, outcome)
+                assert abs(p_out - w) < 1e-12
+                if post is None:
+                    assert w < 1e-12
+                else:
+                    np.testing.assert_allclose(
+                        post.amplitudes * np.sqrt(p_out), p_psi, rtol=0, atol=1e-12
+                    )

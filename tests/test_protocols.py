@@ -332,12 +332,19 @@ def test_unmodified_memory_round_trip(arrival):
     assert res.decoded == arrival
 
 
-def test_unmodified_final_distribution_obeys_sign_rule():
-    # P(+/-) = (1 +/- (-1)^{n_minus} g cos(phi + delta)) / 2
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("n_bins", [3, 7, 15])
+def test_unmodified_final_distribution_obeys_sign_rule(n_bins, swap):
+    # P(+/-) = (1 +/- (-1)^{n_minus} g cos(phi +/- delta)) / 2, where the
+    # swapped readout measures the left memory qubit and flips delta; every
+    # measured mode leaves the register, so a wrong remap of the remaining
+    # modes shows up here
     src = StellarSource(phi=0.4, g=0.9, epsilon=0.1)
-    for arrival in range(1, 8):
-        res = run_memory_unmodified(7, arrival, src, delta=0.3, rng_seed=arrival)
-        ref = analytic.memory_final_probs(res.n_minus, 0.4, 0.9, 0.3)
+    for arrival in range(1, n_bins + 1):
+        res = run_memory_unmodified(n_bins, arrival, src, 0.3, rng_seed=arrival, swap_bases=swap)
+        ref = analytic.memory_final_probs(res.n_minus, 0.4, 0.9, -0.3 if swap else 0.3)
+        assert res.decoded == arrival
+        assert set(res.final_distribution) == set(ref)
         assert _maxdiff(res.final_distribution, ref) < 1e-12
 
 
