@@ -67,9 +67,9 @@ from .state_engine import apply_unitary, fock
 SCHEMA_VERSION = 1
 # the unmodified memory run holds 2 + 4 * bit_length(n_bins) modes at a
 # cutoff of 1: 2^22 amplitudes (64 MiB) up to 31 bins, 2^26 (1 GiB) from 32.
-# Its peak memory is set by the gate stage, which keeps about three such
-# arrays (two branches and one gate output); each readout then halves the
-# branches, because measured modes leave the register
+# Its peak memory is reached in the first readout, which keeps about three
+# such arrays (the two fringe branches and one projected branch); each
+# readout then halves the branches, because measured modes leave the register
 MAX_N_BINS = 31
 
 

@@ -511,18 +511,21 @@ def crb_report(
     variant: Variant = Variant.CNOT_SEQUENCE,
     swap_bases: bool = False,
 ) -> CrbReport:
-    """Average the per-window phase information over the setting schedule;
-    ``variant`` and ``swap_bases`` complete the setting as in a plan."""
+    """Average the per-window phase information over the entries of the
+    setting schedule, so a repeated delta counts once per entry; each
+    distinct delta is computed once.  ``variant`` and ``swap_bases``
+    complete the setting as in a plan."""
     entry = get_protocol(protocol)
     at = (source.phi, source.g)
+    schedule = [float(delta) for delta in delta_schedule]
     per_setting: dict[float, float] = {}
-    contaminated: list[float] = []
-    for delta in delta_schedule:
+    contaminated: dict[float, float] = {}
+    for delta in dict.fromkeys(schedule):
         setting = (delta, source.epsilon, 1.0, variant, swap_bases, source.n_max)
-        per_setting[float(delta)] = eta * window_fisher(protocol, setting, at).phi_phi
+        per_setting[delta] = eta * window_fisher(protocol, setting, at).phi_phi
         if include_contaminated and entry.models_loss and eta < 1.0:
             lossy = (delta, source.epsilon, eta, variant, swap_bases, source.n_max)
-            contaminated.append(window_fisher(protocol, lossy, at).phi_phi)
-    mean = float(np.mean(list(per_setting.values())))
-    lossy_mean = float(np.mean(contaminated)) if contaminated else None
+            contaminated[delta] = window_fisher(protocol, lossy, at).phi_phi
+    mean = float(np.mean([per_setting[d] for d in schedule]))
+    lossy_mean = float(np.mean([contaminated[d] for d in schedule])) if contaminated else None
     return CrbReport(per_setting, mean, lossy_mean)

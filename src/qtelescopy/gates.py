@@ -280,7 +280,8 @@ def project(state: StateVector, basis: MeasurementBasis, outcome, *, atol: float
     weight = float(np.vdot(state.amplitudes, projected).real)
     if weight <= 0.0:
         return 0.0, None
-    return weight, StateVector(projected / np.sqrt(weight), state.mode_count, state.n_max)
+    projected /= np.sqrt(weight)
+    return weight, StateVector(projected, state.mode_count, state.n_max)
 
 
 def _check_basis_support(state, basis: MeasurementBasis, atol: float) -> None:

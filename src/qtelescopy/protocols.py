@@ -43,6 +43,7 @@ from .gates import (
     rotated_basis,
     two_mode_unitary,
     x_basis,
+    z_fock,
 )
 from .sources import NO_PHOTON, StellarSource
 from .state_engine import (
@@ -241,18 +242,23 @@ def cnot_branches(source: StellarSource, config: ProtocolConfig) -> list[tuple[s
     return rows
 
 
-def cnot_distribution(source: StellarSource, config: ProtocolConfig) -> dict:
-    """Window outcome distribution over six-mode count tuples."""
+def _mixture(rows, register: str) -> dict:
+    """Sum ``(weight, outcome table)`` rows of a source mixture; the total must be one."""
     merged: dict = {}
-    for _, _, weight, table in cnot_branches(source, config):
+    for weight, table in rows:
         for label, p in table.items():
             merged[label] = merged.get(label, 0.0) + weight * p
     total = sum(merged.values())
     if abs(total - 1.0) > 1e-10:
         raise NumericalInvariantError(
-            f"six-mode outcome probabilities sum to {total!r}; circuit wiring is leaking"
+            f"{register} outcome probabilities sum to {total!r}; circuit wiring is leaking"
         )
     return merged
+
+
+def cnot_distribution(source: StellarSource, config: ProtocolConfig) -> dict:
+    """Window outcome distribution over six-mode count tuples."""
+    return _mixture(((w, table) for _, _, w, table in cnot_branches(source, config)), "six-mode")
 
 
 def run_cnot_window(source: StellarSource, config: ProtocolConfig, rng=None) -> DetectionRecord:
@@ -310,6 +316,12 @@ def sample_cnot_windows(
 # direct two-basis readout
 
 
+def _fringe_branches(source: StellarSource) -> list[tuple[float, StateVector]]:
+    """The two one-photon fringe eigenstates with their conditional weights (1 +- g)/2."""
+    _, (_, psi_plus), (_, psi_minus) = source.pure_branches()
+    return [((1.0 + source.g) / 2.0, psi_plus), ((1.0 - source.g) / 2.0, psi_minus)]
+
+
 def _direct_bases(delta: float, n_max: int, swap_bases: bool) -> tuple[MeasurementBasis, MeasurementBasis]:
     if swap_bases:
         return rotated_basis(0, delta, n_max), x_basis(1, n_max)
@@ -330,10 +342,8 @@ def direct_distribution(
     if source.epsilon == 0.0:
         return {}
     basis_l, basis_r = _direct_bases(delta, source.n_max, swap_bases)
-    fringe_branches = [psi for _, psi in source.pure_branches()[1:]]
-    weights = ((1.0 + source.g) / 2.0, (1.0 - source.g) / 2.0)
     table: dict[tuple[int, int], float] = {}
-    for w, psi in zip(weights, fringe_branches):
+    for w, psi in _fringe_branches(source):
         if w == 0.0:
             continue
         for left in (+1, -1):
@@ -352,8 +362,8 @@ def run_direct_window(
 ) -> tuple[int, int]:
     """Sample one conditioned direct-readout outcome pair."""
     rng = np.random.default_rng(rng)
-    weights = np.array([(1.0 + source.g) / 2.0, (1.0 - source.g) / 2.0])
-    psi = source.pure_branches()[1 + int(rng.choice(2, p=weights))][1]
+    fringe = _fringe_branches(source)
+    psi = fringe[int(rng.choice(2, p=np.array([w for w, _ in fringe])))][1]
     basis_l, basis_r = _direct_bases(delta, source.n_max, swap_bases)
     left, post = measure_in_basis(psi, basis_l, rng)
     right, _ = measure_in_basis(post, basis_r, rng)
@@ -396,21 +406,14 @@ def gottesman_distribution(
     gates.append(beam_splitter(STAR_L4, ANC_L4, n_max))
     gates.append(beam_splitter(STAR_R4, ANC_R4, n_max))
 
-    merged: dict = {}
-    for weight, star in source.pure_branches():
-        if weight == 0.0:
-            continue
+    def table(star: StateVector) -> dict:
         state = tensor_at([(star, (STAR_L4, STAR_R4)), (anc, (ANC_L4, ANC_R4))])
         for gate in gates:
             state = apply_unitary(state, gate)
-        for label, p in number_measurement_distribution(state).items():
-            merged[label] = merged.get(label, 0.0) + weight * p
-    total = sum(merged.values())
-    if abs(total - 1.0) > 1e-10:
-        raise NumericalInvariantError(
-            f"four-mode outcome probabilities sum to {total!r}; circuit wiring is leaking"
-        )
-    return merged
+        return number_measurement_distribution(state)
+
+    rows = ((w, table(star)) for w, star in source.pure_branches() if w != 0.0)
+    return _mixture(rows, "four-mode")
 
 
 def linear_bound_search(
@@ -539,6 +542,15 @@ def _sample_pair_x_outcomes(pair: np.ndarray, rng) -> tuple[int, int]:
     return combos[idx]
 
 
+def _decoded_bin(x_outcomes):
+    """Fold per-pair X results ``(left, right)``, most significant pair first,
+    into the decoded bin as :func:`decode_time_bin` describes."""
+    n = 0
+    for x_l, x_r in x_outcomes:
+        n = (n << 1) | int(x_l != x_r)
+    return NO_PHOTON if n == 0 else n
+
+
 def decode_time_bin(register: BellRegister, rng=None):
     """Read the stamped bin back out with local X measurements.
 
@@ -547,14 +559,7 @@ def decode_time_bin(register: BellRegister, rng=None):
     (digit 1).  Returns the decoded bin, or ``None`` when every digit is 0.
     """
     rng = np.random.default_rng(rng)
-    digits = []
-    for pair in register.pairs:
-        x_l, x_r = _sample_pair_x_outcomes(pair, rng)
-        digits.append(0 if x_l == x_r else 1)
-    n = 0
-    for digit in digits:
-        n = (n << 1) | digit
-    return NO_PHOTON if n == 0 else n
+    return _decoded_bin(_sample_pair_x_outcomes(pair, rng) for pair in register.pairs)
 
 
 @dataclass(frozen=True)
@@ -623,10 +628,11 @@ class _BranchEnsemble:
     then every branch is collapsed on the common outcome and its weight is
     updated by Bayes' rule, so later conditional distributions are exact.
 
-    A rank-1 one-mode projection leaves each branch in the product
-    ``|v> (x) phi``, and no gate follows a measurement, so the measured mode
-    leaves the branches and only ``phi`` is kept; ``modes`` lists the
-    register mode held at each remaining factor position.
+    Every readout is a one-mode basis of rank-1 projectors (the x and rotated
+    bases at n_max = 1).  Such a projection ``|v><v|`` leaves each branch in
+    the product ``|v> (x) phi``, and no gate follows a measurement, so the
+    measured mode leaves the branches and only ``phi`` is kept; ``modes``
+    lists the register mode held at each remaining factor position.
     """
 
     def __init__(self, branches: list[tuple[float, StateVector]], rng):
@@ -652,21 +658,18 @@ class _BranchEnsemble:
         outcome = basis.outcomes[idx]
         local = self._local(basis)
         proj = basis.projectors[idx]
-        drop = len(local.target_modes) == 1 and np.linalg.matrix_rank(proj) == 1
         # proj = |v><v| leaves |v> (x) phi: read phi off the largest entry v_j
         j = int(np.argmax(proj.diagonal().real))
+        d, m = basis.n_max + 1, local.target_modes[0]
         updated = []
         for weight, state in self.branches:
             p_branch, post = project(state, local, outcome)
             if post is None:
                 continue
-            if drop:
-                d, m = state.n_max + 1, local.target_modes[0]
-                phi = post.amplitudes.reshape(d**m, d, -1)[:, j] / np.sqrt(proj[j, j].real)
-                post = StateVector(phi.reshape(-1), state.mode_count - 1, state.n_max)
+            phi = post.amplitudes.reshape(d**m, d, -1)[:, j] / np.sqrt(proj[j, j].real)
+            post = StateVector(phi.reshape(-1), state.mode_count - 1, state.n_max)
             updated.append((weight * p_branch, post))
-        if drop:
-            self.modes.remove(basis.target_modes[0])
+        self.modes.remove(basis.target_modes[0])
         norm = sum(w for w, _ in updated)
         self.branches = [(w / norm, s) for w, s in updated]
         return outcome
@@ -712,7 +715,6 @@ def run_memory_unmodified(
     mem_r = [2 + n_pairs + i for i in range(n_pairs)]
     pair_l = [2 + 2 * n_pairs + 2 * i for i in range(n_pairs)]
     pair_r = [3 + 2 * n_pairs + 2 * i for i in range(n_pairs)]
-    mode_count = 2 + 4 * n_pairs
 
     pair_state = StateVector(
         (fock((0, 0), n_max).amplitudes + fock((1, 1), n_max).amplitudes) / np.sqrt(2.0),
@@ -720,40 +722,28 @@ def run_memory_unmodified(
         n_max,
     )
 
-    branches = []
-    for sign, weight in ((+1.0, (1.0 + source.g) / 2.0), (-1.0, (1.0 - source.g) / 2.0)):
-        if weight == 0.0:
-            continue
-        phase = sign * np.exp(-1j * source.phi)
-        star = StateVector(
-            (fock((1, 0), n_max).amplitudes + phase * fock((0, 1), n_max).amplitudes)
-            / np.sqrt(2.0),
-            2,
-            n_max,
-        )
-        factors = [(star, (star_l, star_r))]
-        factors += [(pair_state, (pair_l[i], pair_r[i])) for i in range(n_pairs)]
-        factors += [(vacuum(2 * n_pairs, n_max), tuple(mem_l + mem_r))]
-        state = tensor_at(factors)
-        for i in affected:
-            state = apply_unitary(state, cnot_fock(star_l, mem_l[i], n_max))
-            state = apply_unitary(state, cnot_fock(star_r, mem_r[i], n_max))
-        for i in range(n_pairs):
-            state = apply_unitary(state, cz_fock(mem_l[i], pair_l[i], n_max))
-            state = apply_unitary(state, cz_fock(mem_r[i], pair_r[i], n_max))
-        branches.append((weight, state))
-
+    (w_plus, star), (w_minus, _) = _fringe_branches(replace(source, n_max=n_max))
+    factors = [(star, (star_l, star_r))]
+    factors += [(pair_state, (pair_l[i], pair_r[i])) for i in range(n_pairs)]
+    factors += [(vacuum(2 * n_pairs, n_max), tuple(mem_l + mem_r))]
+    state = tensor_at(factors)
+    for i in affected:
+        state = apply_unitary(state, cnot_fock(star_l, mem_l[i], n_max))
+        state = apply_unitary(state, cnot_fock(star_r, mem_r[i], n_max))
+    for i in range(n_pairs):
+        state = apply_unitary(state, cz_fock(mem_l[i], pair_l[i], n_max))
+        state = apply_unitary(state, cz_fock(mem_r[i], pair_r[i], n_max))
+    branches = [(w_plus, state)]
+    if w_minus != 0.0:
+        # psi_- = Z psi_+ on star_r, and that Z commutes with the gate stage:
+        # star_r is only ever the control of a CNOT
+        branches.append((w_minus, apply_unitary(state, z_fock(star_r, n_max))))
     ensemble = _BranchEnsemble(branches, rng)
 
-    decoded_digits = []
-    for i in range(n_pairs):
-        x_l = ensemble.measure(x_basis(pair_l[i], n_max))
-        x_r = ensemble.measure(x_basis(pair_r[i], n_max))
-        decoded_digits.append(0 if x_l == x_r else 1)
-    decoded = 0
-    for digit in decoded_digits:
-        decoded = (decoded << 1) | digit
-    decoded = NO_PHOTON if decoded == 0 else decoded
+    decoded = _decoded_bin(
+        (ensemble.measure(x_basis(pair_l[i], n_max)), ensemble.measure(x_basis(pair_r[i], n_max)))
+        for i in range(n_pairs)
+    )
 
     final_mode = mem_l[last] if swap_bases else mem_r[last]
     x_modes = [star_l, star_r]

@@ -53,7 +53,9 @@ def basis_index(occupations: Sequence[int], n_max: int) -> int:
 
 def basis_label(index: int, mode_count: int, n_max: int) -> tuple[int, ...]:
     """Occupation tuple for a flat basis index."""
-    d = n_max + 1
+    d, dim = n_max + 1, space_dim(mode_count, n_max)
+    if not 0 <= index < dim:
+        raise ValueError(f"basis index {index} is outside [0, {dim}) on a {dim}-dimensional register")
     digits = []
     for _ in range(mode_count):
         digits.append(index % d)

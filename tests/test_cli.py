@@ -140,15 +140,17 @@ def test_fisher_closed_forms_at_unit_interval_edges_and_swapped_bases(
 
 
 def test_simulate_reports_swapped_direct_fisher(tmp_path):
-    schedule = [0.3, 0.3 + math.pi / 2.0]
-    cfg = _write_config(
-        tmp_path, protocol="direct", g=0.6, phi=0.7, swap_bases=True,
-        delta_schedule=schedule, n_windows=2000,
-    )
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    summary = _parse_csv((tmp_path / "out" / "summary.csv").read_text())[0]
-    expected = 0.1 * np.mean([analytic.fringe_fisher(0.7 - d, 0.6) for d in schedule])
-    assert float(summary["fisher_per_window"]) == pytest.approx(expected, abs=1e-8)
+    # the schedule average counts a repeated delta once per entry
+    for k, schedule in enumerate([[0.3, 0.3 + math.pi / 2.0], [0.3, 0.3, 0.3 + math.pi / 2.0]]):
+        cfg = _write_config(
+            tmp_path, protocol="direct", g=0.6, phi=0.7, swap_bases=True,
+            delta_schedule=schedule, n_windows=2000,
+        )
+        out = tmp_path / f"out{k}"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = _parse_csv((out / "summary.csv").read_text())[0]
+        expected = 0.1 * np.mean([analytic.fringe_fisher(0.7 - d, 0.6) for d in schedule])
+        assert float(summary["fisher_per_window"]) == pytest.approx(expected, abs=1e-8)
 
 
 def test_simulate_writes_trace_and_summary(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtelescopy import cli, estimation
+from qtelescopy import analytic, cli, estimation
 from qtelescopy.errors import EstimationError, FisherDivergenceError, NumericalInvariantError
 from qtelescopy.fisher import DERIVATIVE_FLOOR, FD_STEP, G_BOUNDARY, PROB_FLOOR
 from qtelescopy.estimation import (
@@ -284,6 +284,33 @@ def test_crb_monotonicity_cnot_dominates_baseline():
                 f_cnot = crb_report("cnot", src, (delta,)).fisher_per_window
                 f_base = crb_report("gottesman", src, (delta,)).fisher_per_window
                 assert f_cnot >= f_base - 1e-9
+
+
+def test_crb_report_averages_over_schedule_entries(monkeypatch):
+    # a repeated delta weighs once per entry but runs the circuit once
+    src = StellarSource(phi=0.7, g=0.8, epsilon=0.1)
+    calls = []
+    window_fisher = estimation.window_fisher
+
+    def counted(protocol, setting, at, wrt=("phi",)):
+        calls.append(setting[0])
+        return window_fisher(protocol, setting, at, wrt)
+
+    monkeypatch.setattr(estimation, "window_fisher", counted)
+    rep = crb_report("direct", src, (0.0, 0.0, HALF_PI))
+    f = {d: 0.1 * analytic.fringe_fisher(0.7 + d, 0.8) for d in (0.0, HALF_PI)}
+    assert sorted(calls) == [0.0, HALF_PI]
+    assert rep.per_setting == pytest.approx(f, abs=1e-8)
+    assert rep.fisher_per_window == pytest.approx((2 * f[0.0] + f[HALF_PI]) / 3, abs=1e-8)
+    lossy = {
+        d: crb_report("cnot", src, (d,), eta=0.6, include_contaminated=True)
+        for d in (0.0, HALF_PI)
+    }
+    rep = crb_report("cnot", src, (0.0, 0.0, HALF_PI), eta=0.6, include_contaminated=True)
+    assert rep.contaminated_fisher_per_window == pytest.approx(
+        (2 * lossy[0.0].contaminated_fisher_per_window
+         + lossy[HALF_PI].contaminated_fisher_per_window) / 3, abs=1e-12
+    )
 
 
 def test_crb_report_exposes_contaminated_fisher():

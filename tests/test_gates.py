@@ -250,6 +250,7 @@ def test_project_enumerates_branches():
     amp[0] = 1.0 / math.sqrt(2.0)
     amp[1] = np.exp(1j * phi) / math.sqrt(2.0)
     state = se.StateVector(amplitudes=amp, mode_count=1, n_max=N_MAX)
+    before = state.amplitudes.copy()
     basis = gates.x_basis(0, N_MAX)
     total = 0.0
     for outcome in basis.outcomes:
@@ -260,6 +261,8 @@ def test_project_enumerates_branches():
                 np.linalg.norm(post.amplitudes), 1.0, atol=1e-10
             )
     np.testing.assert_allclose(total, 1.0, atol=1e-12)
+    # the post-measurement state is normalized in place, never the input
+    assert np.array_equal(state.amplitudes, before)
 
 
 def test_project_onto_null_branch_returns_none():

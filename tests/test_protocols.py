@@ -338,14 +338,16 @@ def test_unmodified_final_distribution_obeys_sign_rule(n_bins, swap):
     # P(+/-) = (1 +/- (-1)^{n_minus} g cos(phi +/- delta)) / 2, where the
     # swapped readout measures the left memory qubit and flips delta; every
     # measured mode leaves the register, so a wrong remap of the remaining
-    # modes shows up here
-    src = StellarSource(phi=0.4, g=0.9, epsilon=0.1)
-    for arrival in range(1, n_bins + 1):
-        res = run_memory_unmodified(n_bins, arrival, src, 0.3, rng_seed=arrival, swap_bases=swap)
-        ref = analytic.memory_final_probs(res.n_minus, 0.4, 0.9, -0.3 if swap else 0.3)
-        assert res.decoded == arrival
-        assert set(res.final_distribution) == set(ref)
-        assert _maxdiff(res.final_distribution, ref) < 1e-12
+    # modes shows up here, and g in {0, 1} pins the weight of the minus
+    # fringe branch, which is derived from the plus branch
+    for g in (0.0, 0.9, 1.0):
+        src = StellarSource(phi=0.4, g=g, epsilon=0.1)
+        for arrival in range(1, n_bins + 1):
+            res = run_memory_unmodified(n_bins, arrival, src, 0.3, rng_seed=arrival, swap_bases=swap)
+            ref = analytic.memory_final_probs(res.n_minus, 0.4, g, -0.3 if swap else 0.3)
+            assert res.decoded == arrival
+            assert set(res.final_distribution) == set(ref)
+            assert _maxdiff(res.final_distribution, ref) < 1e-12
 
 
 def test_unmodified_swap_bases_flips_fringe_sign():

@@ -29,6 +29,12 @@ def test_basis_label_round_trip_all_indices():
         assert se.basis_index(se.basis_label(idx, 3, 2), 2) == idx
 
 
+@pytest.mark.parametrize("index", [9, -1, 100])
+def test_basis_label_refuses_out_of_range_index(index):
+    with pytest.raises(ValueError, match=rf"basis index {index} .*\[0, 9\)"):
+        se.basis_label(index, 2, 2)
+
+
 def test_basis_labels_enumeration_order():
     assert se.basis_labels(2, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     labels = se.basis_labels(3, 2)
