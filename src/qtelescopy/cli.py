@@ -65,12 +65,15 @@ from .sources import (
 from .state_engine import apply_unitary, fock
 
 SCHEMA_VERSION = 1
-# the unmodified memory run holds 2 + 4 * bit_length(n_bins) modes at a
-# cutoff of 1: 2^22 amplitudes (64 MiB) up to 31 bins, 2^26 (1 GiB) from 32.
-# Its peak memory is reached in the first readout, which keeps about three
-# such arrays (the two fringe branches and one projected branch); each
-# readout then halves the branches, because measured modes leave the register
+# the unmodified memory run holds one state of 2 + 4 * bit_length(n_bins)
+# modes at cutoff 1: 2^22 amplitudes (64 MiB) up to 31 bins, 2^26 (1 GiB) from
+# 32.  It peaks in the first pair readout, holding the register, its projection
+# and the kept half (161 MiB traced at 31 bins); each readout halves the
+# register, and the fringe ancilla doubles it only after the pair readouts
 MAX_N_BINS = 31
+# beyond 2^52 rad consecutive floats lie more than 1 rad apart, so a value
+# there names no phase (and its multiples overflow near 1e308)
+MAX_ANGLE = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -117,21 +120,26 @@ class RunConfig:
             raise ConfigError(
                 f"unsupported schema_version {self.schema_version}; expected {SCHEMA_VERSION}"
             )
-        g_values = [(f"g_values[{i}]", g, 0.0, 1.0) for i, g in enumerate(self.g_values or ())]
-        for name, value, lo, hi in [
-            ("epsilon", self.epsilon, 0.0, 1.0),
-            ("g", self.g, 0.0, 1.0),
-            ("eta", self.eta, 0.0, 1.0),
-            ("n_bins", self.n_bins, 1, MAX_N_BINS),
-        ] + g_values:
-            if not lo <= value <= hi:
-                raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {value}")
+        unit, angle = (0.0, 1.0), (-MAX_ANGLE, MAX_ANGLE)
+        bounds = {
+            "epsilon": unit, "g": unit, "eta": unit, "n_bins": (1, MAX_N_BINS),
+            "phi": angle, "delta": angle, "delta_schedule": angle,
+            "phi_values": angle, "g_values": unit, "delta_values": angle,
+        }
+        for key, (lo, hi) in bounds.items():
+            value = getattr(self, key)
+            if value == ():
+                raise ConfigError(f"{key}, when given, must not be empty")
+            named = {key: value}
+            if isinstance(value, tuple):
+                named = {f"{key}[{i}]": v for i, v in enumerate(value)}
+            for name, v in named.items():
+                if v is not None and not lo <= v <= hi:
+                    raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {v}")
         if self.n_windows < 1:
             raise ConfigError(f"n_windows must be >= 1, got {self.n_windows}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be >= 0 or null, got {self.seed}")
-        if self.delta_schedule is not None and len(self.delta_schedule) == 0:
-            raise ConfigError("delta_schedule, when given, must not be empty")
         try:
             get_protocol(self.protocol)
             Variant.parse(self.variant)
@@ -438,7 +446,7 @@ def cmd_memory_demo(args) -> int:
 
     source = cfg.source()
     sample_bin = min(3, n_bins)
-    run = run_memory_unmodified(n_bins, sample_bin, source, cfg.delta, rng_seed)
+    run = run_memory_unmodified(n_bins, sample_bin, source, cfg.delta, rng_seed, cfg.swap_bases)
     lines.append(
         f"unmodified sample run (bin {sample_bin}): decoded={run.decoded}, "
         f"n_minus={run.n_minus}, final outcome={run.outcome:+d}"

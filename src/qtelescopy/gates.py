@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidSubspaceError
+from .errors import InvalidSubspaceError, NumericalInvariantError
 from .state_engine import (
     ModeUnitary,
     NORM_ATOL,
@@ -253,11 +253,15 @@ def measurement_distribution(
 
 
 def measure_in_basis(state: StateVector, basis: MeasurementBasis, rng=None, *, atol: float = NORM_ATOL):
-    """Sample one outcome and collapse. Returns ``(outcome, post_state)``."""
+    """Sample one outcome and collapse. Returns ``(outcome, post_state)``.
+    A weight at most ``atol`` below zero is round-off and counts as zero."""
     if not isinstance(state, StateVector):
         raise TypeError("basis sampling requires a StateVector")
     rng = np.random.default_rng(rng)
     weights = measurement_distribution(state, basis, atol=atol)
+    if weights.min() < -atol:
+        raise NumericalInvariantError(f"outcome weight {weights.min()!r} is negative")
+    weights = np.maximum(weights, 0.0)
     outcome = basis.outcomes[int(rng.choice(len(weights), p=weights / weights.sum()))]
     return outcome, project(state, basis, outcome, atol=atol)[1]
 

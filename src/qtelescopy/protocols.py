@@ -297,8 +297,7 @@ def sample_cnot_windows(
     weights = np.array([w for _, _, w, _ in branches])
     picks = rng.choice(len(branches), size=n_windows, p=weights / weights.sum())
     pick_counts = np.bincount(picks, minlength=len(branches))
-    slots: list[tuple[str, bool, DetectionRecord] | None] = [None] * n_windows
-    positions_by_branch = [np.flatnonzero(picks == b) for b in range(len(branches))]
+    slots = np.empty(n_windows, dtype=object)
     for b, (name, present, _, table) in enumerate(branches):
         n_b = int(pick_counts[b])
         if n_b == 0:
@@ -306,10 +305,13 @@ def sample_cnot_windows(
         labels = list(table.keys())
         probs = np.array([table[lab] for lab in labels])
         outcome_ids = rng.choice(len(labels), size=n_b, p=probs / probs.sum())
-        for pos, oid in zip(positions_by_branch[b], outcome_ids):
-            counts = labels[oid]
-            slots[pos] = (name, present, DetectionRecord(classify_herald(counts), counts=counts))
-    return slots  # type: ignore[return-value]
+        # a record depends only on (branch, label); filled one by one, since
+        # numpy would read a list of 3-tuples as a 2-D array
+        records = np.empty(len(labels), dtype=object)
+        for k, counts in enumerate(labels):
+            records[k] = (name, present, DetectionRecord(classify_herald(counts), counts=counts))
+        slots[picks == b] = records[outcome_ids]
+    return slots.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -620,59 +622,24 @@ def run_memory_modified(
     )
 
 
-class _BranchEnsemble:
-    """Parallel pure-state branches of a mixed register under shared outcomes.
+def _read(state: StateVector, modes: list, basis: MeasurementBasis, rng):
+    """Sample a one-mode readout at the mode's current position, then drop the mode.
 
-    The window state is a two-branch mixture (the fringe eigenstates of the
-    source).  Each measurement is sampled from the mixture distribution,
-    then every branch is collapsed on the common outcome and its weight is
-    updated by Bayes' rule, so later conditional distributions are exact.
-
-    Every readout is a one-mode basis of rank-1 projectors (the x and rotated
-    bases at n_max = 1).  Such a projection ``|v><v|`` leaves each branch in
-    the product ``|v> (x) phi``, and no gate follows a measurement, so the
-    measured mode leaves the branches and only ``phi`` is kept; ``modes``
-    lists the register mode held at each remaining factor position.
+    ``modes`` lists the register mode held at each factor position of
+    ``state``.  Every readout here is a rank-1 projector ``|v><v|`` (the x and
+    rotated bases at n_max = 1), which leaves the product ``|v> (x) phi``;
+    no gate acts on a measured mode afterwards, so only ``phi`` is kept.
     """
-
-    def __init__(self, branches: list[tuple[float, StateVector]], rng):
-        self.branches = branches
-        self.rng = rng
-        self.modes = list(range(branches[0][1].mode_count))
-
-    def _local(self, basis: MeasurementBasis) -> MeasurementBasis:
-        return replace(basis, target_modes=tuple(self.modes.index(m) for m in basis.target_modes))
-
-    def distribution(self, basis: MeasurementBasis) -> np.ndarray:
-        basis = self._local(basis)
-        mixed = None
-        for weight, state in self.branches:
-            probs = weight * measurement_distribution(state, basis)
-            mixed = probs if mixed is None else mixed + probs
-        return mixed
-
-    def measure(self, basis: MeasurementBasis):
-        mixed = self.distribution(basis)
-        total = mixed.sum()
-        idx = int(self.rng.choice(len(mixed), p=mixed / total))
-        outcome = basis.outcomes[idx]
-        local = self._local(basis)
-        proj = basis.projectors[idx]
-        # proj = |v><v| leaves |v> (x) phi: read phi off the largest entry v_j
-        j = int(np.argmax(proj.diagonal().real))
-        d, m = basis.n_max + 1, local.target_modes[0]
-        updated = []
-        for weight, state in self.branches:
-            p_branch, post = project(state, local, outcome)
-            if post is None:
-                continue
-            phi = post.amplitudes.reshape(d**m, d, -1)[:, j] / np.sqrt(proj[j, j].real)
-            post = StateVector(phi.reshape(-1), state.mode_count - 1, state.n_max)
-            updated.append((weight * p_branch, post))
-        self.modes.remove(basis.target_modes[0])
-        norm = sum(w for w, _ in updated)
-        self.branches = [(w / norm, s) for w, s in updated]
-        return outcome
+    (mode,) = basis.target_modes
+    m = modes.index(mode)
+    outcome, post = measure_in_basis(state, replace(basis, target_modes=(m,)), rng)
+    proj = basis.projectors[basis.outcomes.index(outcome)]
+    # read phi off the largest entry v_j
+    j = int(np.argmax(proj.diagonal().real))
+    d = basis.n_max + 1
+    phi = post.amplitudes.reshape(d**m, d, -1)[:, j] / np.sqrt(proj[j, j].real)
+    modes.remove(mode)
+    return outcome, StateVector(phi.reshape(-1), state.mode_count - 1, state.n_max)
 
 
 def run_memory_unmodified(
@@ -693,6 +660,12 @@ def run_memory_unmodified(
     except one are then measured in X; the number of -1 results, n_minus,
     fixes the fringe sign of the last qubit, which is read in the
     delta-rotated basis.
+
+    The window is one pure state.  The two fringe branches of the source
+    differ only by a Z on the right star mode, which commutes with the gate
+    stage and the pair readouts, so those run on the plus branch alone.
+    Before the star modes are read, one leading ancilla mode purifies the
+    mixture as ``sqrt(w+)|0>psi + sqrt(w-)|1>Z psi``; it is never read.
     """
     _validate_arrival(n_bins, arrival)
     rng = np.random.default_rng(rng_seed)
@@ -733,17 +706,19 @@ def run_memory_unmodified(
     for i in range(n_pairs):
         state = apply_unitary(state, cz_fock(mem_l[i], pair_l[i], n_max))
         state = apply_unitary(state, cz_fock(mem_r[i], pair_r[i], n_max))
-    branches = [(w_plus, state)]
-    if w_minus != 0.0:
-        # psi_- = Z psi_+ on star_r, and that Z commutes with the gate stage:
-        # star_r is only ever the control of a CNOT
-        branches.append((w_minus, apply_unitary(state, z_fock(star_r, n_max))))
-    ensemble = _BranchEnsemble(branches, rng)
+    modes = list(range(state.mode_count))
+    x_outcomes = []
+    for i in range(n_pairs):
+        x_l, state = _read(state, modes, x_basis(pair_l[i], n_max), rng)
+        x_r, state = _read(state, modes, x_basis(pair_r[i], n_max), rng)
+        x_outcomes.append((x_l, x_r))
+    decoded = _decoded_bin(x_outcomes)
 
-    decoded = _decoded_bin(
-        (ensemble.measure(x_basis(pair_l[i], n_max)), ensemble.measure(x_basis(pair_r[i], n_max)))
-        for i in range(n_pairs)
-    )
+    # purify the fringe mixture: psi_- is psi_+ with a Z on star_r
+    minus = apply_unitary(state, z_fock(modes.index(star_r), n_max)).amplitudes
+    amps = np.concatenate([np.sqrt(w_plus) * state.amplitudes, np.sqrt(w_minus) * minus])
+    state = StateVector(amps, state.mode_count + 1, n_max)
+    modes.insert(0, None)
 
     final_mode = mem_l[last] if swap_bases else mem_r[last]
     x_modes = [star_l, star_r]
@@ -752,15 +727,16 @@ def run_memory_unmodified(
 
     n_minus = 0
     for mode in x_modes:
-        if ensemble.measure(x_basis(mode, n_max)) == -1:
-            n_minus += 1
+        x, state = _read(state, modes, x_basis(mode, n_max), rng)
+        n_minus += x == -1
 
     final_basis = rotated_basis(final_mode, delta, n_max)
-    mixed = ensemble.distribution(final_basis)
+    local = replace(final_basis, target_modes=(modes.index(final_mode),))
+    probs = measurement_distribution(state, local)
     final_distribution = {
-        outcome: float(p) for outcome, p in zip(final_basis.outcomes, mixed / mixed.sum())
+        outcome: float(p) for outcome, p in zip(final_basis.outcomes, probs / probs.sum())
     }
-    outcome = ensemble.measure(final_basis)
+    outcome, _ = _read(state, modes, final_basis, rng)
     return MemoryRunResult(decoded, outcome, n_minus, final_distribution)
 
 

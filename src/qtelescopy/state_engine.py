@@ -14,7 +14,7 @@ it is built, and moves slices of a ``(d,) * mode_count`` view; other gates
 multiply their matrix into the target modes.  One-mode projectors act on the
 ``(d**m, d, rest)`` view of mode ``m``.  A rank-1 one-mode projection leaves
 the product of its vector and a state of the other modes, so a caller that
-applies no gate after it may drop the measured mode and keep that factor.
+never gates the measured mode again may drop it and keep that factor.
 """
 
 from __future__ import annotations

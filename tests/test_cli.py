@@ -1,17 +1,22 @@
 """Command-line front-end tests: config handling, outputs, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtelescopy import analytic, cli, estimation
 from qtelescopy.errors import ConfigError, EstimationError, NumericalInvariantError
-from qtelescopy.protocols import Herald
+from qtelescopy.protocols import Herald, run_memory_unmodified
 from qtelescopy.sources import StellarSource
 
 
@@ -316,7 +321,7 @@ def test_out_of_range_value_exits_2(tmp_path):
         ("fisher", {"protocol": "cnot", "epsilon": 0.0}),
         ("fisher", {"protocol": "direct", "epsilon": 0.0}),
         ("fisher", {"protocol": "gottesman", "epsilon": 0.0}),
-        # refused before a register of 2^26 amplitudes per branch is built
+        # refused before a register of 2^26 amplitudes is built
         ("memory-demo", {"n_bins": 32}),
         # refused before any random generator is built
         ("simulate", {"protocol": "direct", "seed": -1, "n_windows": 100}),
@@ -389,3 +394,93 @@ def test_run_config_rejects_bad_protocol():
             {"schema_version": 1, "protocol": "teleport", "epsilon": 0.1,
              "g": 1.0, "phi": 0.3, "delta": 0.2}
         )
+
+
+@pytest.mark.parametrize("key", ["phi_values", "g_values", "delta_values"])
+def test_empty_value_list_exits_2(tmp_path, capsys, key):
+    # an empty list used to fall back to the scalar and print one row
+    cfg = _write_config(tmp_path, protocol="direct", **{key: []})
+    assert cli.main(["fisher", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {key}, when given, must not be empty\n"
+
+
+@pytest.mark.parametrize(
+    "command,overrides",
+    [
+        # phase_shift used to overflow to nan here and the sampler to raise
+        ("simulate", {"delta_schedule": [1e308, 0.0], "n_windows": 9, "seed": 1}),
+        ("probs", {"delta": -1.7976931348623157e308}),
+        ("probs", {"phi": 2.0**53}),
+        ("fisher", {"phi_values": [0.3, -1e300]}),
+        ("fisher", {"delta_values": [1e17]}),
+    ],
+)
+def test_angle_beyond_float_resolution_exits_2(tmp_path, capsys, command, overrides):
+    cfg = _write_config(tmp_path, **overrides)
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    cfg = _write_config(tmp_path, phi=cli.MAX_ANGLE, delta=-cli.MAX_ANGLE)
+    assert cli.main(["probs", "--config", str(cfg)]) == 0
+
+
+def test_memory_demo_passes_swap_bases(tmp_path, capsys):
+    # at seed 0 the swapped readout ends on the other outcome
+    lines = []
+    for swap in (False, True):
+        cfg = _write_config(tmp_path, n_bins=7, seed=0, swap_bases=swap)
+        assert cli.main(["memory-demo", "--config", str(cfg)]) == 0
+        run = run_memory_unmodified(7, 3, StellarSource(0.3, 1.0, 0.1), 0.2, 0, swap_bases=swap)
+        line = f"n_minus={run.n_minus}, final outcome={run.outcome:+d}"
+        assert line in capsys.readouterr().out
+        lines.append(line)
+    assert lines[0] != lines[1]
+
+
+def test_memory_demo_at_a_deterministic_fringe(tmp_path, capsys):
+    # g = 1 and delta = -phi make one final outcome impossible; its weight
+    # comes out as a round-off negative that used to reach rng.choice
+    cfg = _write_config(tmp_path, g=1.0, phi=1.0, delta=-1.0, n_bins=3, seed=0)
+    assert cli.main(["memory-demo", "--config", str(cfg)]) == 0
+    assert "final outcome" in capsys.readouterr().out
+
+
+_EDGE_NUMBERS = [
+    0.0, -0.0, 0.5, 1.0, -1.0, 1.0 - 2.0**-53, 5e-324, 2.2250738585072014e-308,
+    math.pi, -math.pi, 2.0**52, 1e300, -1.7976931348623157e308, math.nan, math.inf, -math.inf,
+]
+_NUMBERS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(_EDGE_NUMBERS), st.floats())
+_UNIT = st.one_of(st.floats(0.0, 1.0), _NUMBERS)
+_CONFIGS = st.fixed_dictionaries(
+    {"schema_version": st.just(1), "protocol": st.sampled_from(["cnot", "direct", "gottesman"])},
+    optional={
+        "epsilon": _UNIT,
+        "g": _UNIT,
+        "phi": _NUMBERS,
+        "delta": _NUMBERS,
+        "delta_schedule": st.one_of(st.none(), st.lists(_NUMBERS, max_size=3)),
+        "eta": _UNIT,
+        "variant": st.sampled_from(["cnot_sequence", "parity_feed_forward", "CnotSequence"]),
+        "swap_bases": st.booleans(),
+        "n_bins": st.integers(0, 7),
+        "n_windows": st.integers(0, 200),
+        "seed": st.one_of(st.none(), st.integers(-1, 2**64 - 1)),
+        "phi_values": st.one_of(st.none(), st.lists(_NUMBERS, max_size=2)),
+        "g_values": st.one_of(st.none(), st.lists(_UNIT, max_size=2)),
+        "delta_values": st.one_of(st.none(), st.lists(_NUMBERS, max_size=2)),
+    },
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    raw=_CONFIGS,
+    command=st.sampled_from(["probs", "fisher", "simulate", "memory-demo", "validate"]),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_every_schema_valid_config_exits_with_a_documented_code(raw, command, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, "--config", str(path), "--format", fmt, "--out", tmp])
+    assert code in (0, 1, 2, 3)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qtelescopy import gates, state_engine as se
-from qtelescopy.errors import InvalidSubspaceError
+from qtelescopy.errors import InvalidSubspaceError, NumericalInvariantError
 
 N_MAX = 2
 
@@ -286,6 +286,17 @@ def test_measure_in_basis_deterministic_per_seed():
     runs_b = [gates.measure_in_basis(state, basis, rng=np.random.default_rng(s))[0]
               for s in range(20)]
     assert runs_a == runs_b
+
+
+def test_measure_in_basis_clamps_round_off_and_refuses_negative_weights(monkeypatch):
+    state = se.fock((1,), 1)
+    basis = gates.x_basis(0, 1)
+    # a round-off negative on an impossible outcome counts as zero
+    monkeypatch.setattr(gates, "measurement_distribution", lambda *a, **k: np.array([1.0, -1e-17]))
+    assert all(gates.measure_in_basis(state, basis, rng=s)[0] == +1 for s in range(20))
+    monkeypatch.setattr(gates, "measurement_distribution", lambda *a, **k: np.array([1.0, -1e-6]))
+    with pytest.raises(NumericalInvariantError, match="negative"):
+        gates.measure_in_basis(state, basis, rng=0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -338,8 +338,8 @@ def test_unmodified_final_distribution_obeys_sign_rule(n_bins, swap):
     # P(+/-) = (1 +/- (-1)^{n_minus} g cos(phi +/- delta)) / 2, where the
     # swapped readout measures the left memory qubit and flips delta; every
     # measured mode leaves the register, so a wrong remap of the remaining
-    # modes shows up here, and g in {0, 1} pins the weight of the minus
-    # fringe branch, which is derived from the plus branch
+    # modes shows up here, and g in {0, 0.9, 1} pins the weights of the
+    # fringe mixture, which an ancilla purifies after the pair readouts
     for g in (0.0, 0.9, 1.0):
         src = StellarSource(phi=0.4, g=g, epsilon=0.1)
         for arrival in range(1, n_bins + 1):
@@ -348,6 +348,22 @@ def test_unmodified_final_distribution_obeys_sign_rule(n_bins, swap):
             assert res.decoded == arrival
             assert set(res.final_distribution) == set(ref)
             assert _maxdiff(res.final_distribution, ref) < 1e-12
+
+
+def test_samplers_draw_a_deterministic_fringe():
+    # at g = 1 and delta = -phi the fringe is deterministic: the impossible
+    # outcome's weight can come out as a round-off negative, which the
+    # readouts count as zero instead of passing it to rng.choice
+    for phi in np.linspace(-math.pi, math.pi, 31):
+        src = StellarSource(phi=phi, g=1.0, epsilon=0.1)
+        for seed in range(3):
+            left, right = run_direct_window(src, -phi, rng=seed)
+            assert left == right
+            left, right = run_memory_modified(3, 2, src, -phi, rng_seed=seed).outcome
+            assert left == right
+            for arrival in (1, 2, 3):
+                res = run_memory_unmodified(3, arrival, src, -phi, rng_seed=seed)
+                assert res.outcome == (-1) ** res.n_minus
 
 
 def test_unmodified_swap_bases_flips_fringe_sign():
