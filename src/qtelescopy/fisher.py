@@ -7,7 +7,8 @@ eigendecomposition.  Parameter order is fixed to ``(phi, g)`` throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,15 +55,19 @@ class OutcomeModel:
         labels = tuple(sorted(distribution(*anchor).keys()))
         return cls(distribution, labels, units, name)
 
+    @cached_property
+    def _position(self) -> dict:
+        return {label: i for i, label in enumerate(self.outcomes)}
+
     def probs(self, phi: float, g: float) -> np.ndarray:
         table = self.distribution(phi, g)
-        extra = set(table) - set(self.outcomes)
-        if extra:
+        p = np.zeros(len(self.outcomes))
+        try:
+            p[[self._position[label] for label in table]] = list(table.values())
+        except KeyError as exc:
             raise NumericalInvariantError(
-                f"model {self.name or '?'} produced outcomes {sorted(extra)} "
-                "outside its declared label set"
-            )
-        p = np.array([table.get(label, 0.0) for label in self.outcomes], dtype=float)
+                f"model {self.name or '?'} produced outcome {exc} outside its declared label set"
+            ) from None
         if np.any(p < -1e-12):
             raise NumericalInvariantError(f"negative probability in model {self.name or '?'}")
         if abs(p.sum() - 1.0) > 1e-10:

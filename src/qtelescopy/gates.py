@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import comb, factorial, sqrt
+from math import comb, factorial, isfinite, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -29,8 +29,8 @@ from .state_engine import (
     ModeUnitary,
     NORM_ATOL,
     StateVector,
+    _apply_block,
     _apply_one_mode,
-    _apply_stack,
     _invalid_mass,
     basis_index,
     labels_array,
@@ -108,7 +108,9 @@ def beam_splitter(mode_a: int, mode_b: int, n_max: int) -> ModeUnitary:
 
 
 def phase_shift(mode: int, theta: float, n_max: int) -> ModeUnitary:
-    """Single-mode phase shift |n> -> exp(i n theta) |n>."""
+    """Single-mode phase shift |n> -> exp(i n theta) |n>, for finite n_max * theta."""
+    if not isfinite(float(theta) * n_max):
+        raise ValueError(f"phase shift {theta!r} times {n_max} photons is not a finite angle")
     phases = np.exp(1j * theta * np.arange(n_max + 1))
     return ModeUnitary((mode,), np.diag(phases), n_max, None, "phase_shift")
 
@@ -301,5 +303,4 @@ def _projected(state: StateVector, target_modes: tuple[int, ...], proj: np.ndarr
     """Amplitudes of ``proj`` applied on ``target_modes``; one mode needs no copy."""
     if len(target_modes) == 1:
         return _apply_one_mode(proj, target_modes[0], state.amplitudes, state.n_max + 1)
-    op = ModeUnitary(target_modes, proj, state.n_max)
-    return _apply_stack(op, state.amplitudes.reshape(-1, 1), state.mode_count).reshape(-1)
+    return _apply_block(proj, target_modes, state)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -151,6 +152,7 @@ def _cnot_input_state(star: StateVector, ancilla_present: bool) -> StateVector:
     return tensor_at([(anc, (EXTRA_L, ANC_L, ANC_R, EXTRA_R)), (star, (STAR_L, STAR_R))])
 
 
+@lru_cache(maxsize=64)
 def _cnot_gate_sequence(delta: float, n_max: int):
     """Coherent wiring: phase, photon-number CNOT chains, CZ, beam splitters."""
     return (
@@ -164,6 +166,7 @@ def _cnot_gate_sequence(delta: float, n_max: int):
     ) + _cnot_closing_gates(n_max)
 
 
+@lru_cache(maxsize=None)
 def _cnot_closing_gates(n_max: int):
     return (
         cz_fock(EXTRA_L, STAR_L, n_max),

@@ -11,7 +11,9 @@ produced by :func:`numpy.ndindex`.
 A gate that is a signed permutation of all its local labels (the Fock-qubit
 gates at ``n_max = 1``) carries that table in ``ModeUnitary.perm``, set where
 it is built, and moves slices of a ``(d,) * mode_count`` view; other gates
-multiply their matrix into the target modes.  One-mode projectors act on the
+multiply their matrix into the target modes through ``_gather``, a cached
+table of flat indices with those modes leading; readouts and reductions on a
+mode subset use the same table.  One-mode projectors act on the
 ``(d**m, d, rest)`` view of mode ``m``.  A rank-1 one-mode projection leaves
 the product of its vector and a state of the other modes, so a caller that
 never gates the measured mode again may drop it and keep that factor.
@@ -20,7 +22,7 @@ never gates the measured mode again may drop it and keep that factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -199,6 +201,7 @@ class ModeUnitary:
     order.  ``valid_mask`` flags the local input labels on which the block
     is defined; columns for invalid labels must be zero.  States carrying
     more than ``NORM_ATOL`` probability on invalid labels are rejected.
+    Both arrays are read-only, so one gate may be shared by many circuits.
     ``perm``, when given, restates ``matrix`` as ``(label, image, phase)``
     entries that cover every local label: a signed permutation.
     """
@@ -214,7 +217,7 @@ class ModeUnitary:
         targets = tuple(int(m) for m in self.target_modes)
         if len(set(targets)) != len(targets):
             raise ValueError(f"repeated target modes {targets}")
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         dloc = space_dim(len(targets), self.n_max)
         if mat.shape != (dloc, dloc):
             raise ValueError(f"matrix shape {mat.shape} does not match {len(targets)} modes")
@@ -222,39 +225,41 @@ class ModeUnitary:
         if mask is None:
             mask = np.ones(dloc, dtype=bool)
         else:
-            mask = np.asarray(mask, dtype=bool)
+            mask = np.array(mask, dtype=bool)
             if mask.shape != (dloc,):
                 raise ValueError("valid_mask length does not match the local dimension")
+        mat.setflags(write=False)
+        mask.setflags(write=False)
         object.__setattr__(self, "target_modes", targets)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "valid_mask", mask)
 
-    @property
+    @cached_property
     def is_identity(self) -> bool:
-        return bool(self.valid_mask.all()) and np.array_equal(
-            self.matrix, np.eye(self.matrix.shape[0])
-        )
+        return bool(self.valid_mask.all()) and np.array_equal(self.matrix, np.eye(len(self.matrix)))
 
     def invalid_labels(self) -> list[tuple[int, ...]]:
         labs = labels_array(len(self.target_modes), self.n_max)
         return [tuple(row) for row in labs[~self.valid_mask]]
 
 
-def _move_front(stack: np.ndarray, modes: Sequence[int], d: int, mode_count: int):
-    """View a ``(dim, batch)`` stack as ``(d**k, rest)`` with ``modes`` leading."""
-    t = np.moveaxis(stack.reshape((d,) * mode_count + (-1,)), modes, range(len(modes)))
-    return t.reshape(d ** len(modes), -1), t.shape[len(modes):]
+@lru_cache(maxsize=256)
+def _gather(modes: tuple[int, ...], d: int, mode_count: int) -> np.ndarray:
+    """Read-only ``(d**k, d**(mode_count - k))`` table of flat indices with the
+    ``k`` modes ``modes`` leading: ``amps[table]`` moves them to the front, and
+    assigning through the table moves them back."""
+    t = np.arange(d**mode_count).reshape((d,) * mode_count)
+    table = np.moveaxis(t, modes, range(len(modes))).reshape(d ** len(modes), -1)
+    table.setflags(write=False)
+    return table
 
 
-def _apply_stack(gate: ModeUnitary, stack: np.ndarray, mode_count: int) -> np.ndarray:
-    """Apply ``gate`` along the state index of a ``(dim, batch)`` stack."""
-    d = gate.n_max + 1
-    k = len(gate.target_modes)
-    block, rest_shape = _move_front(stack, gate.target_modes, d, mode_count)
-    out = gate.matrix @ block
-    t = out.reshape((d,) * k + rest_shape)
-    t = np.moveaxis(t, range(k), gate.target_modes)
-    return t.reshape(stack.shape)
+def _apply_block(matrix: np.ndarray, modes: tuple[int, ...], state: StateVector) -> np.ndarray:
+    """Amplitudes of ``state`` with a ``(d**k, d**k)`` block applied to its modes ``modes``."""
+    table = _gather(modes, state.n_max + 1, state.mode_count)
+    out = np.empty_like(state.amplitudes)
+    out[table] = matrix @ state.amplitudes[table]
+    return out
 
 
 def _permute(gate: ModeUnitary, amps: np.ndarray, mode_count: int) -> np.ndarray:
@@ -288,9 +293,9 @@ def _invalid_mass(gate, state: StateVector) -> float:
     ``n_max`` and ``valid_mask``, such as a measurement basis."""
     if gate.valid_mask.all():
         return 0.0
-    probs = state.probabilities().reshape(-1, 1)
-    block, _ = _move_front(probs, gate.target_modes, gate.n_max + 1, state.mode_count)
-    return float(np.sum(block[~gate.valid_mask]))
+    table = _gather(gate.target_modes, gate.n_max + 1, state.mode_count)
+    outside = state.amplitudes[table[~gate.valid_mask]]
+    return float(np.vdot(outside, outside).real)
 
 
 def apply_unitary(state: StateVector, gate: ModeUnitary, *, atol: float = NORM_ATOL) -> StateVector:
@@ -323,13 +328,12 @@ def apply_unitary(state: StateVector, gate: ModeUnitary, *, atol: float = NORM_A
     if gate.perm:
         new = _permute(gate, state.amplitudes, state.mode_count)
     else:
-        new = _apply_stack(gate, state.amplitudes.reshape(-1, 1), state.mode_count)
-    new = new.reshape(-1)
+        new = _apply_block(gate.matrix, gate.target_modes, state)
     after = float(np.vdot(new, new).real)
-    if before - after > atol:
+    if not before - after <= atol:  # a nan norm fails this test too
         raise LeakageError(
-            f"{gate.name or 'gate'} on modes {gate.target_modes} lost norm "
-            f"{before - after:.3e} past the cutoff n_max={state.n_max}"
+            f"{gate.name or 'gate'} on modes {gate.target_modes} took the squared norm from "
+            f"{before!r} to {after!r}: lost past the cutoff n_max={state.n_max}, or not finite"
         )
     return StateVector(new, state.mode_count, state.n_max)
 
@@ -351,10 +355,10 @@ def number_measurement_distribution(
         raise ValueError("at least one mode must be measured")
     if len(set(modes)) != len(modes):
         raise ValueError(f"repeated modes in {modes}")
-    probs = state.probabilities().reshape(-1, 1)
-    marginal = _move_front(probs, modes, state.n_max + 1, state.mode_count)[0].sum(axis=1)
-    labs = basis_labels(len(modes), state.n_max)
-    return {lab: float(p) for lab, p in zip(labs, marginal) if p > 0.0}
+    marginal = state.probabilities()[_gather(modes, state.n_max + 1, state.mode_count)].sum(axis=1)
+    labs = _label_tuples(len(modes), state.n_max)
+    seen = np.flatnonzero(marginal > 0.0)
+    return dict(zip([labs[i] for i in seen.tolist()], marginal[seen].tolist()))
 
 
 def mode_occupations(state) -> np.ndarray:
@@ -376,21 +380,18 @@ def sample_and_collapse(state: StateVector, rng=None, modes: Sequence[int] | Non
     rng = np.random.default_rng(rng)
     d = state.n_max + 1
     modes = tuple(range(state.mode_count)) if modes is None else tuple(int(m) for m in modes)
-    k = len(modes)
-    block, rest_shape = _move_front(state.amplitudes.reshape(-1, 1), modes, d, state.mode_count)
+    table = _gather(modes, d, state.mode_count)
+    block = state.amplitudes[table]
     marginal = np.sum(np.abs(block) ** 2, axis=1)
     total = marginal.sum()
     if not np.isclose(total, 1.0, atol=1e-9):
         raise ValueError(f"state is not normalized (norm^2 = {total})")
-    idx = int(rng.choice(d**k, p=marginal / total))
-    outcome = basis_label(idx, k, state.n_max)
+    idx = int(rng.choice(len(block), p=marginal / total))
+    outcome = basis_label(idx, len(modes), state.n_max)
 
-    collapsed = np.zeros_like(block)
-    collapsed[idx] = block[idx] / np.sqrt(marginal[idx])
-    t = collapsed.reshape((d,) * k + rest_shape)
-    t = np.moveaxis(t, range(k), modes)
-    post = StateVector(t.reshape(-1), state.mode_count, state.n_max)
-    return outcome, post
+    collapsed = np.zeros_like(state.amplitudes)
+    collapsed[table[idx]] = block[idx] / np.sqrt(marginal[idx])
+    return outcome, StateVector(collapsed, state.mode_count, state.n_max)
 
 
 def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityOperator:
@@ -400,7 +401,7 @@ def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityOperator:
     keep = tuple(int(m) for m in keep)
     if len(set(keep)) != len(keep):
         raise ValueError(f"repeated modes in {keep}")
-    block, _ = _move_front(state.amplitudes.reshape(-1, 1), keep, state.n_max + 1, state.mode_count)
+    block = state.amplitudes[_gather(keep, state.n_max + 1, state.mode_count)]
     return DensityOperator(block @ block.conj().T, len(keep), state.n_max)
 
 

@@ -164,6 +164,13 @@ def test_beam_splitter_rejects_state_past_cutoff():
         se.apply_unitary(se.fock((2, 1), N_MAX), gates.beam_splitter(0, 1, N_MAX))
 
 
+@pytest.mark.parametrize("theta", [1e308, -1e308, math.inf, math.nan])
+def test_phase_shift_refuses_a_non_finite_phase(theta):
+    # 1e308 overflows only on the two-photon entry of the phase table
+    with pytest.raises(ValueError, match="not a finite angle"):
+        gates.phase_shift(0, theta, N_MAX)
+
+
 def test_gate_construction_rejects_bad_modes():
     with pytest.raises(ValueError):
         gates.beam_splitter(0, 0, N_MAX)
@@ -386,6 +393,7 @@ def test_kernels_match_dense_operators(n_max, mode_count, seed):
     raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     raw /= np.linalg.norm(raw)
     labs = se.labels_array(mode_count, n_max)
+    raw_state = se.StateVector(raw, mode_count, n_max)
     for name, (arity, build) in {**_KERNEL_GATES, **_KERNEL_BASES}.items():
         # one-mode operators on every mode, the last one included; pairs in
         # random order, adjacent or not
@@ -395,7 +403,7 @@ def test_kernels_match_dense_operators(n_max, mode_count, seed):
         for targets in choices:
             op = build(targets, n_max, rng)
             valid = op.valid_mask[_flat_index(labs[:, list(targets)], n_max)]
-            raw_state = se.StateVector(raw, mode_count, n_max)
+            assert abs(se._invalid_mass(op, raw_state) - np.sum(np.abs(raw[~valid]) ** 2)) < 1e-12
             psi = np.where(valid, raw, 0.0)
             psi /= np.linalg.norm(psi)
             state = se.StateVector(psi, mode_count, n_max)
@@ -425,3 +433,20 @@ def test_kernels_match_dense_operators(n_max, mode_count, seed):
                     np.testing.assert_allclose(
                         post.amplitudes * np.sqrt(p_out), p_psi, rtol=0, atol=1e-12
                     )
+    # readouts and reductions on random mode subsets in random order
+    for _ in range(3):
+        modes = tuple(int(m) for m in rng.permutation(mode_count)[: rng.integers(1, mode_count + 1)])
+        rest = [m for m in range(mode_count) if m not in modes]
+        leading = np.empty_like(raw)
+        leading[_flat_index(labs[:, [*modes, *rest]], n_max)] = raw
+        block = leading.reshape((n_max + 1) ** len(modes), -1)
+        marginal = np.sum(np.abs(block) ** 2, axis=1)
+        table = se.number_measurement_distribution(raw_state, modes)
+        assert list(table) == se.basis_labels(len(modes), n_max)
+        np.testing.assert_allclose(list(table.values()), marginal, rtol=0, atol=1e-12)
+        rho = se.partial_trace(raw_state, modes)
+        np.testing.assert_allclose(rho.matrix, block @ block.conj().T, rtol=0, atol=1e-12)
+        outcome, post = se.sample_and_collapse(raw_state, rng, modes)
+        pinned = np.all(labs[:, list(modes)] == outcome, axis=1)
+        expected = np.where(pinned, raw, 0.0) / np.sqrt(marginal[se.basis_index(outcome, n_max)])
+        np.testing.assert_allclose(post.amplitudes, expected, rtol=0, atol=1e-12)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtelescopy import analytic, protocols, sources
+from qtelescopy import analytic, protocols, sources, state_engine
 from qtelescopy.protocols import (
     Herald,
     MemoryRunResult,
@@ -186,6 +186,32 @@ def test_sampled_heralds_match_branch_truth():
         assert present  # eta = 1
         photon = name in ("plus", "minus")
         assert (rec.herald is Herald.PHOTON_ARRIVED) == photon
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_cnot_distribution_refuses_a_non_finite_readout_phase(variant):
+    source = StellarSource(0.7, 1.0, 0.1)
+    with pytest.raises(ValueError, match="not a finite angle"):
+        cnot_distribution(source, ProtocolConfig(1e308, variant=variant))
+
+
+def test_cached_gate_sequence_is_shared_and_read_only():
+    sequence = protocols._cnot_gate_sequence(0.3, 2)
+    assert protocols._cnot_gate_sequence(0.3, 2) is sequence
+    assert sequence[-3:] == protocols._cnot_closing_gates(2)
+    for gate in sequence:
+        with pytest.raises(ValueError, match="read-only"):
+            gate.matrix[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            gate.valid_mask[0] = False
+
+
+def test_memory_window_builds_no_gather_table():
+    # a gather table of the 18-mode register would hold 2 MiB of indices;
+    # its gates are signed permutations and its readouts one-mode views
+    misses = state_engine._gather.cache_info().misses
+    run_memory_unmodified(15, 11, StellarSource(0.4, 0.9, 0.1), 0.3, rng_seed=2)
+    assert state_engine._gather.cache_info().misses == misses
 
 
 def test_protocol_config_validation():

@@ -168,6 +168,13 @@ def test_sample_and_collapse_deterministic_per_seed():
     assert out_a == out_b
 
 
+def test_apply_unitary_refuses_a_non_finite_result():
+    # a nan norm fails every comparison, so the guard must not read "lost > atol"
+    gate = se.ModeUnitary((0,), np.diag([1.0, np.nan, 1.0]), 2, name="broken")
+    with pytest.raises(LeakageError, match="broken"):
+        se.apply_unitary(se.fock((1,), 2), gate)
+
+
 def test_partial_trace_of_product_state_is_pure():
     state = se.fock((1, 0, 2), 2)
     reduced = se.partial_trace(state, keep=(0, 2))
