@@ -21,6 +21,7 @@ from .errors import (
     LeakageError,
     NumericalInvariantError,
     QTelescopyError,
+    QubitRegisterError,
 )
 from .estimation import (
     DEFAULT_SCHEDULE,
@@ -96,20 +97,17 @@ from .sources import (
 from .state_engine import (
     DensityOperator,
     ModeUnitary,
+    QubitRegister,
     StateVector,
     apply_unitary,
     basis_index,
     basis_label,
     basis_labels,
-    dump_state,
     fock,
-    load_state,
     mode_occupations,
     number_measurement_distribution,
-    parse_state,
     partial_trace,
     sample_and_collapse,
-    save_state,
     space_dim,
     tensor_at,
     vacuum,

@@ -66,10 +66,9 @@ from .state_engine import apply_unitary, fock
 
 SCHEMA_VERSION = 1
 # the unmodified memory run holds one state of 2 + 4 * bit_length(n_bins)
-# modes at cutoff 1: 2^22 amplitudes (64 MiB) up to 31 bins, 2^26 (1 GiB) from
-# 32.  It peaks in the first pair readout, holding the register, its projection
-# and the kept half (161 MiB traced at 31 bins); each readout halves the
-# register, and the fringe ancilla doubles it only after the pair readouts
+# modes at cutoff 1 on its support, at most 2 * 2^bit_length(n_bins)
+# amplitudes (64 at 31 bins).  Its int64 labels would take up to 62 modes,
+# i.e. up to 2^15 - 1 bins; the validated range stays at 31 bins
 MAX_N_BINS = 31
 # beyond 2^52 rad consecutive floats lie more than 1 rad apart, so a value
 # there names no phase (and its multiples overflow near 1e308)

@@ -43,3 +43,7 @@ class GBoundaryError(NumericalInvariantError):
 
 class EstimationError(QTelescopyError):
     """The requested estimate is not identifiable from the records."""
+
+
+class QubitRegisterError(QTelescopyError, TypeError):
+    """A gate or readout a QubitRegister cannot apply on its support."""

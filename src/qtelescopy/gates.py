@@ -24,10 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidSubspaceError, NumericalInvariantError
+from .errors import InvalidSubspaceError, NumericalInvariantError, QubitRegisterError
 from .state_engine import (
     ModeUnitary,
     NORM_ATOL,
+    QubitRegister,
     StateVector,
     _apply_block,
     _apply_one_mode,
@@ -141,18 +142,21 @@ def _qubit_gate(
     return ModeUnitary(tuple(modes), mat, n_max, mask, name, perm)
 
 
+@lru_cache(maxsize=1024)
 def not_fock(mode: int, n_max: int) -> ModeUnitary:
     """Create or destroy the photon on a dual-rail mode: |0> <-> |1>."""
     table = {(0,): ((1,), 1.0), (1,): ((0,), 1.0)}
     return _qubit_gate(table, (mode,), n_max, "not_fock")
 
 
+@lru_cache(maxsize=1024)
 def z_fock(mode: int, n_max: int) -> ModeUnitary:
     """Phase flip on a dual-rail mode: |1> -> -|1>."""
     table = {(0,): ((0,), 1.0), (1,): ((1,), -1.0)}
     return _qubit_gate(table, (mode,), n_max, "z_fock")
 
 
+@lru_cache(maxsize=1024)
 def cnot_fock(control: int, target: int, n_max: int) -> ModeUnitary:
     """Photon created or destroyed in ``target`` iff ``control`` holds one.
 
@@ -168,6 +172,7 @@ def cnot_fock(control: int, target: int, n_max: int) -> ModeUnitary:
     return _qubit_gate(table, (control, target), n_max, "cnot_fock")
 
 
+@lru_cache(maxsize=1024)
 def cz_fock(mode_a: int, mode_b: int, n_max: int) -> ModeUnitary:
     """Controlled phase flip: |11> -> -|11> on a dual-rail mode pair."""
     table = {
@@ -227,11 +232,13 @@ def rotated_basis(mode: int, delta: float, n_max: int) -> MeasurementBasis:
         p[0, 0] = p[1, 1] = 0.5
         p[1, 0] = sign * 0.5 * np.exp(1j * delta)
         p[0, 1] = sign * 0.5 * np.exp(-1j * delta)
+        p.setflags(write=False)
         projs.append(p)
     mask = _qubit_mask(1, n_max)
     return MeasurementBasis((mode,), tuple(projs), (+1, -1), n_max, mask, "rotated")
 
 
+@lru_cache(maxsize=1024)
 def x_basis(mode: int, n_max: int) -> MeasurementBasis:
     """Dual-rail X measurement, the delta = 0 rotated basis."""
     return replace(rotated_basis(mode, 0.0, n_max), name="x")
@@ -245,20 +252,17 @@ def parity_basis(mode_a: int, mode_b: int, n_max: int) -> MeasurementBasis:
     return MeasurementBasis((mode_a, mode_b), projs, (0, 1), n_max, mask, "parity")
 
 
-def measurement_distribution(
-    state: StateVector, basis: MeasurementBasis, *, atol: float = NORM_ATOL
-) -> np.ndarray:
+def measurement_distribution(state, basis: MeasurementBasis, *, atol: float = NORM_ATOL) -> np.ndarray:
     """Outcome probabilities of a projective measurement."""
-    _check_basis_support(state, basis, atol)
-    amps, modes = state.amplitudes, basis.target_modes
-    return np.array([np.vdot(amps, _projected(state, modes, p)) for p in basis.projectors]).real
+    state, modes = _readout(state, basis, atol)
+    return np.array([np.vdot(state.amplitudes, _projected(state, modes, p)) for p in basis.projectors]).real
 
 
-def measure_in_basis(state: StateVector, basis: MeasurementBasis, rng=None, *, atol: float = NORM_ATOL):
+def measure_in_basis(state, basis: MeasurementBasis, rng=None, *, atol: float = NORM_ATOL):
     """Sample one outcome and collapse. Returns ``(outcome, post_state)``.
     A weight at most ``atol`` below zero is round-off and counts as zero."""
-    if not isinstance(state, StateVector):
-        raise TypeError("basis sampling requires a StateVector")
+    if not isinstance(state, (StateVector, QubitRegister)):
+        raise TypeError("basis sampling requires a StateVector or a QubitRegister")
     rng = np.random.default_rng(rng)
     weights = measurement_distribution(state, basis, atol=atol)
     if weights.min() < -atol:
@@ -268,26 +272,37 @@ def measure_in_basis(state: StateVector, basis: MeasurementBasis, rng=None, *, a
     return outcome, project(state, basis, outcome, atol=atol)[1]
 
 
-def project(state: StateVector, basis: MeasurementBasis, outcome, *, atol: float = NORM_ATOL):
+def project(state, basis: MeasurementBasis, outcome, *, atol: float = NORM_ATOL):
     """Project onto one declared outcome without sampling.
 
     Returns ``(probability, normalized post-measurement state)``; the state
     is ``None`` when the outcome has zero weight.  Useful for enumerating
     measurement branches deterministically.
     """
-    if not isinstance(state, StateVector):
-        raise TypeError("branch projection requires a StateVector")
-    _check_basis_support(state, basis, atol)
+    if not isinstance(state, (StateVector, QubitRegister)):
+        raise TypeError("branch projection requires a StateVector or a QubitRegister")
+    state, modes = _readout(state, basis, atol)
     try:
         idx = basis.outcomes.index(outcome)
     except ValueError:
         raise ValueError(f"{outcome!r} is not an outcome of {basis.name or 'this basis'}")
-    projected = _projected(state, basis.target_modes, basis.projectors[idx])
+    projected = _projected(state, modes, basis.projectors[idx])
     weight = float(np.vdot(state.amplitudes, projected).real)
     if weight <= 0.0:
         return 0.0, None
     projected /= np.sqrt(weight)
-    return weight, StateVector(projected, state.mode_count, state.n_max)
+    return weight, replace(state, amplitudes=projected)
+
+
+def _readout(state, basis: MeasurementBasis, atol: float):
+    """The state a readout of ``basis`` reads, and the modes it reads there: a
+    :class:`QubitRegister` is read in its ``paired`` layout, where the measured mode leads."""
+    _check_basis_support(state, basis, atol)
+    if not isinstance(state, QubitRegister):
+        return state, basis.target_modes
+    if basis.n_max != 1 or len(basis.target_modes) != 1:
+        raise QubitRegisterError(f"{basis.name or 'basis'} on {basis.target_modes} is not a one-mode readout at cutoff 1")
+    return state.paired(basis.target_modes[0]), (0,)
 
 
 def _check_basis_support(state, basis: MeasurementBasis, atol: float) -> None:
@@ -299,7 +314,7 @@ def _check_basis_support(state, basis: MeasurementBasis, atol: float) -> None:
         )
 
 
-def _projected(state: StateVector, target_modes: tuple[int, ...], proj: np.ndarray) -> np.ndarray:
+def _projected(state, target_modes: tuple[int, ...], proj: np.ndarray) -> np.ndarray:
     """Amplitudes of ``proj`` applied on ``target_modes``; one mode needs no copy."""
     if len(target_modes) == 1:
         return _apply_one_mode(proj, target_modes[0], state.amplitudes, state.n_max + 1)

@@ -23,6 +23,7 @@ oracles.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
@@ -48,13 +49,13 @@ from .gates import (
 )
 from .sources import NO_PHOTON, StellarSource
 from .state_engine import (
+    QubitRegister,
     StateVector,
     apply_unitary,
     fock,
     number_measurement_distribution,
     sample_and_collapse,
     tensor_at,
-    vacuum,
 )
 
 
@@ -497,9 +498,17 @@ def pairs_for_bins(n_bins: int) -> int:
 
     Equals ceil(log2(N + 1)), computed exactly as the bit length of N.
     """
+    n_bins = _integer(n_bins, "n_bins")
     if n_bins < 1:
         raise ValueError(f"need at least one bin, got {n_bins}")
-    return int(n_bins).bit_length()
+    return n_bins.bit_length()
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a bool, or anything without ``__index__``, is refused, not truncated."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def bell_register(n_pairs: int) -> BellRegister:
@@ -524,7 +533,7 @@ def encode_time_bin_modified(register: BellRegister, arrival) -> BellRegister:
     """
     if arrival is NO_PHOTON:
         return register
-    n = int(arrival)
+    n = _integer(arrival, "arrival bin")
     if not 1 <= n < 2**register.n_pairs:
         raise ValueError(f"arrival bin {n} is out of range for {register.n_pairs} pairs")
     digits = bin_digits(n, register.n_pairs)
@@ -587,14 +596,15 @@ class MemoryRunResult:
     final_distribution: dict | None
 
 
-def _validate_arrival(n_bins: int, arrival) -> None:
-    if n_bins < 1:
-        raise ValueError(f"need at least one bin, got {n_bins}")
+def _validate_arrival(n_bins: int, arrival):
+    """The arrival bin as an int (or NO_PHOTON), after checking it and ``n_bins``."""
+    pairs_for_bins(n_bins)
     if arrival is NO_PHOTON:
-        return
-    n = int(arrival)
+        return arrival
+    n = _integer(arrival, "arrival bin")
     if not 1 <= n <= n_bins:
         raise ValueError(f"arrival bin {n} is outside 1..{n_bins}")
+    return n
 
 
 def run_memory_modified(
@@ -612,7 +622,7 @@ def run_memory_modified(
     same |Phi-> state, the stellar photon is left untouched and its two
     ports are then measured exactly as in the direct readout.
     """
-    _validate_arrival(n_bins, arrival)
+    arrival = _validate_arrival(n_bins, arrival)
     rng = np.random.default_rng(rng_seed)
     register = bell_register(pairs_for_bins(n_bins))
     register = encode_time_bin_modified(register, arrival)
@@ -625,24 +635,23 @@ def run_memory_modified(
     )
 
 
-def _read(state: StateVector, modes: list, basis: MeasurementBasis, rng):
-    """Sample a one-mode readout at the mode's current position, then drop the mode.
+def _read(state: QubitRegister, modes: list, mode: int, rng, basis: MeasurementBasis | None = None):
+    """Sample a one-mode readout of register mode ``mode``, then drop the mode.
 
-    ``modes`` lists the register mode held at each factor position of
-    ``state``.  Every readout here is a rank-1 projector ``|v><v|`` (the x and
-    rotated bases at n_max = 1), which leaves the product ``|v> (x) phi``;
-    no gate acts on a measured mode afterwards, so only ``phi`` is kept.
+    ``modes`` lists the register mode held at each position of ``state``;
+    ``basis`` acts at ``mode``'s position, and is X by default.  Every readout
+    here is a rank-1 projector ``|v><v|``, which leaves ``|v> (x) phi``; no
+    gate acts on a measured mode afterwards, so only ``phi`` is kept, read
+    off the mode's slice at the largest entry ``v_j``.
     """
-    (mode,) = basis.target_modes
     m = modes.index(mode)
-    outcome, post = measure_in_basis(state, replace(basis, target_modes=(m,)), rng)
+    basis = x_basis(m, 1) if basis is None else basis
+    outcome, post = measure_in_basis(state, basis, rng)
     proj = basis.projectors[basis.outcomes.index(outcome)]
-    # read phi off the largest entry v_j
     j = int(np.argmax(proj.diagonal().real))
-    d = basis.n_max + 1
-    phi = post.amplitudes.reshape(d**m, d, -1)[:, j] / np.sqrt(proj[j, j].real)
+    phi = post.slice(m, j)
     modes.remove(mode)
-    return outcome, StateVector(phi.reshape(-1), state.mode_count - 1, state.n_max)
+    return outcome, replace(phi, amplitudes=phi.amplitudes / np.sqrt(proj[j, j].real))
 
 
 def run_memory_unmodified(
@@ -664,13 +673,14 @@ def run_memory_unmodified(
     fixes the fringe sign of the last qubit, which is read in the
     delta-rotated basis.
 
-    The window is one pure state.  The two fringe branches of the source
-    differ only by a Z on the right star mode, which commutes with the gate
-    stage and the pair readouts, so those run on the plus branch alone.
-    Before the star modes are read, one leading ancilla mode purifies the
-    mixture as ``sqrt(w+)|0>psi + sqrt(w-)|1>Z psi``; it is never read.
+    The window is one pure state on a :class:`QubitRegister`: at most
+    2 * 2^n_pairs amplitudes.  The two fringe branches of the source differ
+    only by a Z on the right star mode, which commutes with the gate stage
+    and the pair readouts, so those run on the plus branch alone.  Before
+    the star modes are read, one leading ancilla mode purifies the mixture
+    as ``sqrt(w+)|0>psi + sqrt(w-)|1>Z psi``; it is never read.
     """
-    _validate_arrival(n_bins, arrival)
+    arrival = _validate_arrival(n_bins, arrival)
     rng = np.random.default_rng(rng_seed)
     n_pairs = pairs_for_bins(n_bins)
 
@@ -680,7 +690,7 @@ def run_memory_unmodified(
         decoded = decode_time_bin(bell_register(n_pairs), rng)
         return MemoryRunResult(decoded, None, 0, None)
 
-    digits = bin_digits(int(arrival), n_pairs)
+    digits = bin_digits(arrival, n_pairs)
     affected = [i for i, d in enumerate(digits) if d == 1]
     last = affected[-1]
 
@@ -692,17 +702,11 @@ def run_memory_unmodified(
     pair_l = [2 + 2 * n_pairs + 2 * i for i in range(n_pairs)]
     pair_r = [3 + 2 * n_pairs + 2 * i for i in range(n_pairs)]
 
-    pair_state = StateVector(
-        (fock((0, 0), n_max).amplitudes + fock((1, 1), n_max).amplitudes) / np.sqrt(2.0),
-        2,
-        n_max,
-    )
-
     (w_plus, star), (w_minus, _) = _fringe_branches(replace(source, n_max=n_max))
+    # the memory qubits, named by no factor, start in vacuum
     factors = [(star, (star_l, star_r))]
-    factors += [(pair_state, (pair_l[i], pair_r[i])) for i in range(n_pairs)]
-    factors += [(vacuum(2 * n_pairs, n_max), tuple(mem_l + mem_r))]
-    state = tensor_at(factors)
+    factors += [(StateVector(BELL_PLUS, 2, n_max), (pair_l[i], pair_r[i])) for i in range(n_pairs)]
+    state = QubitRegister.place(factors, 2 + 4 * n_pairs)
     for i in affected:
         state = apply_unitary(state, cnot_fock(star_l, mem_l[i], n_max))
         state = apply_unitary(state, cnot_fock(star_r, mem_r[i], n_max))
@@ -712,15 +716,18 @@ def run_memory_unmodified(
     modes = list(range(state.mode_count))
     x_outcomes = []
     for i in range(n_pairs):
-        x_l, state = _read(state, modes, x_basis(pair_l[i], n_max), rng)
-        x_r, state = _read(state, modes, x_basis(pair_r[i], n_max), rng)
+        x_l, state = _read(state, modes, pair_l[i], rng)
+        x_r, state = _read(state, modes, pair_r[i], rng)
         x_outcomes.append((x_l, x_r))
     decoded = _decoded_bin(x_outcomes)
 
     # purify the fringe mixture: psi_- is psi_+ with a Z on star_r
-    minus = apply_unitary(state, z_fock(modes.index(star_r), n_max)).amplitudes
-    amps = np.concatenate([np.sqrt(w_plus) * state.amplitudes, np.sqrt(w_minus) * minus])
-    state = StateVector(amps, state.mode_count + 1, n_max)
+    minus = apply_unitary(state, z_fock(modes.index(star_r), n_max))
+    state = QubitRegister(
+        np.concatenate([state.labels, minus.labels | (1 << state.mode_count)]),
+        np.concatenate([np.sqrt(w_plus) * state.amplitudes, np.sqrt(w_minus) * minus.amplitudes]),
+        state.mode_count + 1,
+    )
     modes.insert(0, None)
 
     final_mode = mem_l[last] if swap_bases else mem_r[last]
@@ -730,16 +737,15 @@ def run_memory_unmodified(
 
     n_minus = 0
     for mode in x_modes:
-        x, state = _read(state, modes, x_basis(mode, n_max), rng)
+        x, state = _read(state, modes, mode, rng)
         n_minus += x == -1
 
-    final_basis = rotated_basis(final_mode, delta, n_max)
-    local = replace(final_basis, target_modes=(modes.index(final_mode),))
-    probs = measurement_distribution(state, local)
+    final_basis = rotated_basis(modes.index(final_mode), delta, n_max)
+    probs = measurement_distribution(state, final_basis)
     final_distribution = {
         outcome: float(p) for outcome, p in zip(final_basis.outcomes, probs / probs.sum())
     }
-    outcome, _ = _read(state, modes, final_basis, rng)
+    outcome, _ = _read(state, modes, final_mode, rng, final_basis)
     return MemoryRunResult(decoded, outcome, n_minus, final_distribution)
 
 

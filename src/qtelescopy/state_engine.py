@@ -10,27 +10,28 @@ produced by :func:`numpy.ndindex`.
 
 A gate that is a signed permutation of all its local labels (the Fock-qubit
 gates at ``n_max = 1``) carries that table in ``ModeUnitary.perm``, set where
-it is built, and moves slices of a ``(d,) * mode_count`` view; other gates
-multiply their matrix into the target modes through ``_gather``, a cached
-table of flat indices with those modes leading; readouts and reductions on a
-mode subset use the same table.  One-mode projectors act on the
-``(d**m, d, rest)`` view of mode ``m``.  A rank-1 one-mode projection leaves
-the product of its vector and a state of the other modes, so a caller that
-never gates the measured mode again may drop it and keep that factor.
+it is built, which a :class:`QubitRegister` (a cutoff-1 state held on its
+support) applies as XORs and sign flips of its labels; on a dense register
+gates multiply their matrix into the target modes through ``_gather``, a
+cached table of flat indices with those modes leading; readouts and
+reductions on a mode subset use the same table.  One-mode projectors act on
+the ``(d**m, d, rest)`` view of mode ``m``.  A rank-1 one-mode projection
+leaves the product of its vector and a state of the other modes, so a caller
+that never gates the measured mode again may drop it and keep that factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import CutoffError, InvalidSubspaceError, LeakageError
+from .errors import CutoffError, InvalidSubspaceError, LeakageError, QubitRegisterError
 
-AMPLITUDE_DUMP_CUTOFF = 1e-14
 NORM_ATOL = 1e-10
+MAX_QUBIT_MODES = 62  # int64 labels: a bit per mode, one above them for a new leading mode, the sign bit
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +107,6 @@ class StateVector:
             )
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n, self.mode_count, self.n_max)
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -126,6 +118,82 @@ class StateVector:
             self.mode_count + other.mode_count,
             self.n_max,
         )
+
+
+@dataclass(frozen=True, eq=False)
+class QubitRegister:
+    """Pure state of ``mode_count`` modes at cutoff 1, held on its support.
+
+    ``labels`` are the flat indices of ``amplitudes``, distinct int64 bitmasks
+    with mode ``m`` at bit ``mode_count - 1 - m``: the register is the
+    :class:`StateVector` with ``amplitudes`` at ``labels`` and zeros elsewhere.
+    Its arrays are never changed in place.
+    """
+
+    labels: np.ndarray
+    amplitudes: np.ndarray
+    mode_count: int
+    n_max: ClassVar[int] = 1
+    _paired: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        labels, amps = np.asarray(self.labels, np.int64), np.asarray(self.amplitudes, complex)
+        if not 0 <= self.mode_count <= MAX_QUBIT_MODES or labels.ndim != 1 or labels.shape != amps.shape:
+            raise ValueError(f"need one label per amplitude on 0 to {MAX_QUBIT_MODES} modes, not "
+                             f"{labels.shape} labels, {amps.shape} amplitudes, {self.mode_count} modes")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def place(cls, factors: Sequence[tuple[StateVector, Sequence[int]]], mode_count: int):
+        """:func:`tensor_at` onto a register: each ``(state, modes)`` factor is a
+        cutoff-1 state placed at ``modes``; every mode no factor names holds vacuum."""
+        state, named = cls([0], [1.0], mode_count), []
+        labels, amps = state.labels, state.amplitudes
+        for factor, modes in factors:
+            modes = [int(m) for m in modes]
+            if factor.n_max != 1 or len(modes) != factor.mode_count:
+                raise ValueError("a factor must be a cutoff-1 state with one mode per listed mode")
+            nz, named = np.flatnonzero(factor.amplitudes), named + modes
+            digits = (nz[:, None] >> np.arange(len(modes) - 1, -1, -1)) & 1
+            labels = (labels[:, None] | digits @ np.array(state._bits(modes))).reshape(-1)
+            amps = (amps[:, None] * factor.amplitudes[nz]).reshape(-1)
+        if len(set(named)) != len(named):
+            raise ValueError(f"factor modes {named} repeat a mode")
+        return cls(labels, amps, mode_count)
+
+    def _bits(self, modes: Sequence[int]) -> list[int]:
+        """The label bit of each of ``modes``."""
+        if any(not 0 <= m < self.mode_count for m in modes):
+            raise ValueError(f"modes {tuple(modes)} out of range for {self.mode_count} modes")
+        return [1 << (self.mode_count - 1 - int(m)) for m in modes]
+
+    def _local_index(self, modes: Sequence[int]) -> np.ndarray:
+        """Each amplitude's local label on ``modes``, as a flat index (first mode most significant)."""
+        index = np.zeros_like(self.labels)
+        for bit in self._bits(modes):
+            index = (index << 1) | ((self.labels & bit) != 0)
+        return index
+
+    def paired(self, mode: int) -> "QubitRegister":
+        """This state with each label and its flip on ``mode`` present once, zeros
+        filled in, so that ``amplitudes.reshape(2, -1)`` holds the mode's empty
+        and occupied slices.  Kept for the next readout of this state."""
+        if mode not in self._paired:
+            (bit,) = self._bits((mode,))
+            rest, where = np.unique(self.labels & ~bit, return_inverse=True)
+            amps = np.zeros((2, len(rest)), dtype=complex)
+            amps[(self.labels & bit) // bit, where] = self.amplitudes
+            self._paired[mode] = QubitRegister(np.concatenate([rest, rest | bit]), amps.ravel(), self.mode_count)
+        return self._paired[mode]
+
+    def slice(self, mode: int, occupation: int) -> "QubitRegister":
+        """The amplitudes with ``mode`` holding ``occupation``, as a register of the other modes."""
+        (bit,) = self._bits((mode,))
+        keep = (self.labels & bit) // bit == occupation
+        labels = self.labels[keep]
+        labels = ((labels >> 1) & -bit) | (labels & (bit - 1))
+        return QubitRegister(labels, self.amplitudes[keep], self.mode_count - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,21 +330,6 @@ def _apply_block(matrix: np.ndarray, modes: tuple[int, ...], state: StateVector)
     return out
 
 
-def _permute(gate: ModeUnitary, amps: np.ndarray, mode_count: int) -> np.ndarray:
-    """Apply a signed-permutation gate as slice moves on a ``(d,) * mode_count`` view."""
-    # the trailing axis keeps a slice that fixes every mode a view, not a scalar
-    t = amps.reshape((gate.n_max + 1,) * mode_count + (1,))
-    out = t.copy()
-    for label, image, phase in gate.perm:
-        if label == image and phase == 1.0:
-            continue
-        src, dst = [slice(None)] * mode_count, [slice(None)] * mode_count
-        for m, a, b in zip(gate.target_modes, label, image):
-            src[m], dst[m] = a, b
-        np.multiply(t[tuple(src)], phase, out=out[tuple(dst)])
-    return out.reshape(-1)
-
-
 def _apply_one_mode(op: np.ndarray, mode: int, amps: np.ndarray, d: int) -> np.ndarray:
     """Apply a ``(d, d)`` operator to ``mode`` on the ``(d**mode, d, rest)`` view."""
     v = amps.reshape(d**mode, d, -1)
@@ -287,27 +340,47 @@ def _apply_one_mode(op: np.ndarray, mode: int, amps: np.ndarray, d: int) -> np.n
     return np.matmul(op, v).reshape(-1)
 
 
-def _invalid_mass(gate, state: StateVector) -> float:
+@lru_cache(maxsize=256)
+def _flip_table(perm: tuple, bits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Per local label of a signed permutation on the modes at label bits
+    ``bits``: the XOR that takes a label to its image, and the phase."""
+    flips, phases = np.zeros(2 ** len(bits), np.int64), np.ones(2 ** len(bits), complex)
+    for a, b, phase in perm:
+        local = basis_index(a, 1)
+        flips[local], phases[local] = sum(bit for x, y, bit in zip(a, b, bits) if x != y), phase
+    flips.setflags(write=False)
+    phases.setflags(write=False)
+    return flips, phases
+
+
+def _invalid_mass(gate, state) -> float:
     """Probability of ``state`` on the labels outside ``gate.valid_mask``;
     ``gate`` is a :class:`ModeUnitary` or anything with its ``target_modes``,
     ``n_max`` and ``valid_mask``, such as a measurement basis."""
     if gate.valid_mask.all():
         return 0.0
-    table = _gather(gate.target_modes, gate.n_max + 1, state.mode_count)
-    outside = state.amplitudes[table[~gate.valid_mask]]
+    if isinstance(state, QubitRegister):
+        outside = state.amplitudes[~gate.valid_mask[state._local_index(gate.target_modes)]]
+    else:
+        table = _gather(gate.target_modes, gate.n_max + 1, state.mode_count)
+        outside = state.amplitudes[table[~gate.valid_mask]]
     return float(np.vdot(outside, outside).real)
 
 
-def apply_unitary(state: StateVector, gate: ModeUnitary, *, atol: float = NORM_ATOL) -> StateVector:
-    """Apply a local unitary to a :class:`StateVector`.
+def apply_unitary(state, gate: ModeUnitary, *, atol: float = NORM_ATOL):
+    """Apply a local unitary to a :class:`StateVector` or a :class:`QubitRegister`.
 
     Raises :class:`InvalidSubspaceError` if the input carries probability
     above ``atol`` on labels where the gate is undefined, and
     :class:`LeakageError` if the application loses norm (weight pushed
-    past the cutoff).  Exact identities are returned unchanged.
+    past the cutoff).  Exact identities are returned unchanged.  A register
+    refuses a gate without a ``perm`` table at cutoff 1 (:class:`QubitRegisterError`).
     """
-    if not isinstance(state, StateVector):
-        raise TypeError("gates act on a StateVector; mix over branches instead")
+    qubits = isinstance(state, QubitRegister)
+    if not qubits and not isinstance(state, StateVector):
+        raise TypeError("gates act on a StateVector or a QubitRegister; mix over branches instead")
+    if qubits and not (gate.perm and gate.n_max == 1):
+        raise QubitRegisterError(f"{gate.name or 'gate'} is not a signed permutation at cutoff 1")
     if gate.n_max != state.n_max:
         raise ValueError("gate and state cutoffs differ")
     if any(not 0 <= m < state.mode_count for m in gate.target_modes):
@@ -325,17 +398,19 @@ def apply_unitary(state: StateVector, gate: ModeUnitary, *, atol: float = NORM_A
         )
 
     before = float(np.vdot(state.amplitudes, state.amplitudes).real)
-    if gate.perm:
-        new = _permute(gate, state.amplitudes, state.mode_count)
+    if qubits:
+        flips, phases = _flip_table(gate.perm, tuple(state._bits(gate.target_modes)))
+        local = state._local_index(gate.target_modes)
+        new = QubitRegister(state.labels ^ flips[local], state.amplitudes * phases[local], state.mode_count)
     else:
-        new = _apply_block(gate.matrix, gate.target_modes, state)
-    after = float(np.vdot(new, new).real)
+        new = StateVector(_apply_block(gate.matrix, gate.target_modes, state), state.mode_count, state.n_max)
+    after = float(np.vdot(new.amplitudes, new.amplitudes).real)
     if not before - after <= atol:  # a nan norm fails this test too
         raise LeakageError(
             f"{gate.name or 'gate'} on modes {gate.target_modes} took the squared norm from "
             f"{before!r} to {after!r}: lost past the cutoff n_max={state.n_max}, or not finite"
         )
-    return StateVector(new, state.mode_count, state.n_max)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -403,47 +478,3 @@ def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityOperator:
         raise ValueError(f"repeated modes in {keep}")
     block = state.amplitudes[_gather(keep, state.n_max + 1, state.mode_count)]
     return DensityOperator(block @ block.conj().T, len(keep), state.n_max)
-
-
-# ---------------------------------------------------------------------------
-# plain-text serialization
-
-
-def dump_state(state: StateVector) -> str:
-    """Serialize to text: header ``mode_count n_max``, then one nonzero
-    amplitude per line as ``n_0 ... n_{M-1} re im`` with full precision."""
-    lines = [f"{state.mode_count} {state.n_max}"]
-    labs = labels_array(state.mode_count, state.n_max)
-    for label, amp in zip(labs, state.amplitudes):
-        if abs(amp) > AMPLITUDE_DUMP_CUTOFF:
-            occ = " ".join(str(int(n)) for n in label)
-            lines.append(f"{occ} {float(amp.real)!r} {float(amp.imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_state(text: str) -> StateVector:
-    rows = [line for line in text.splitlines() if line.strip()]
-    if not rows:
-        raise ValueError("empty state dump")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError(f"malformed header {rows[0]!r}")
-    mode_count, n_max = int(head[0]), int(head[1])
-    amps = np.zeros(space_dim(mode_count, n_max), dtype=complex)
-    for line in rows[1:]:
-        parts = line.split()
-        if len(parts) != mode_count + 2:
-            raise ValueError(f"malformed amplitude line {line!r}")
-        label = [int(p) for p in parts[:mode_count]]
-        amps[basis_index(label, n_max)] = complex(float(parts[-2]), float(parts[-1]))
-    return StateVector(amps, mode_count, n_max)
-
-
-def save_state(state: StateVector, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_state(state))
-
-
-def load_state(path) -> StateVector:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_state(fh.read())

@@ -321,7 +321,7 @@ def test_out_of_range_value_exits_2(tmp_path):
         ("fisher", {"protocol": "cnot", "epsilon": 0.0}),
         ("fisher", {"protocol": "direct", "epsilon": 0.0}),
         ("fisher", {"protocol": "gottesman", "epsilon": 0.0}),
-        # refused before a register of 2^26 amplitudes is built
+        # outside the validated range of 1 to 31 bins
         ("memory-demo", {"n_bins": 32}),
         # refused before any random generator is built
         ("simulate", {"protocol": "direct", "seed": -1, "n_windows": 100}),

@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qtelescopy import gates, state_engine as se
-from qtelescopy.errors import InvalidSubspaceError, NumericalInvariantError
+from qtelescopy.errors import (
+    InvalidSubspaceError,
+    LeakageError,
+    NumericalInvariantError,
+    QubitRegisterError,
+)
 
 N_MAX = 2
 
@@ -450,3 +455,107 @@ def test_kernels_match_dense_operators(n_max, mode_count, seed):
         pinned = np.all(labs[:, list(modes)] == outcome, axis=1)
         expected = np.where(pinned, raw, 0.0) / np.sqrt(marginal[se.basis_index(outcome, n_max)])
         np.testing.assert_allclose(post.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the support-indexed qubit register against the dense engine
+
+
+def _sparse_qubit_state(mode_count, rng):
+    """A random cutoff-1 state with about half its amplitudes exactly zero, as
+    a StateVector and as a QubitRegister placed from it."""
+    dim = 2**mode_count
+    amps = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * (rng.random(dim) < 0.5)
+    amps[rng.integers(dim)] = 1.0
+    dense = se.StateVector(amps / np.linalg.norm(amps), mode_count, 1)
+    return dense, se.QubitRegister.place([(dense, range(mode_count))], mode_count)
+
+
+def _densified(register):
+    labels = register.labels
+    assert len(np.unique(labels)) == len(labels)
+    amps = np.zeros(2**register.mode_count, dtype=complex)
+    amps[labels] = register.amplitudes
+    return amps
+
+
+_PERM_GATES = ("not_fock", "z_fock", "cnot_fock", "cz_fock")
+
+
+@pytest.mark.parametrize("mode_count", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_qubit_register_matches_the_dense_engine(mode_count, seed):
+    rng = np.random.default_rng(seed)
+    dense, register = _sparse_qubit_state(mode_count, rng)
+    np.testing.assert_array_equal(_densified(register), dense.amplitudes)
+    # every signed-permutation gate on every mode placement, pairs in both orders
+    for name in _PERM_GATES:
+        arity, build = _KERNEL_GATES[name]
+        placements = [(m,) for m in range(mode_count)] if arity == 1 else [
+            (a, b) for a in range(mode_count) for b in range(mode_count) if a != b
+        ]
+        for targets in placements:
+            gate = build(targets, 1, rng)
+            out = se.apply_unitary(register, gate)
+            expected = se.apply_unitary(dense, gate).amplitudes
+            np.testing.assert_allclose(_densified(out), expected, rtol=0, atol=1e-12)
+    # X and rotated readouts on every mode: weights, both post-states, and the
+    # sampled outcome and post-state on one seed
+    for name in ("x_basis", "rotated_basis"):
+        for mode in range(mode_count):
+            basis = _KERNEL_BASES[name][1]((mode,), 1, rng)
+            np.testing.assert_allclose(
+                gates.measurement_distribution(register, basis),
+                gates.measurement_distribution(dense, basis),
+                rtol=0,
+                atol=1e-12,
+            )
+            for outcome in basis.outcomes:
+                p_sparse, post_sparse = gates.project(register, basis, outcome)
+                p_dense, post_dense = gates.project(dense, basis, outcome)
+                assert abs(p_sparse - p_dense) < 1e-12
+                if post_dense is None or post_sparse is None:
+                    assert post_dense is None and post_sparse is None
+                    continue
+                np.testing.assert_allclose(
+                    _densified(post_sparse), post_dense.amplitudes, rtol=0, atol=1e-12
+                )
+            x_sparse, post_sparse = gates.measure_in_basis(register, basis, mode)
+            x_dense, post_dense = gates.measure_in_basis(dense, basis, mode)
+            assert x_sparse == x_dense
+            np.testing.assert_allclose(
+                _densified(post_sparse), post_dense.amplitudes, rtol=0, atol=1e-12
+            )
+
+
+def test_qubit_register_refuses_what_it_cannot_hold_exactly():
+    _, register = _sparse_qubit_state(3, np.random.default_rng(4))
+    refused_gates = [
+        gates.beam_splitter(0, 1, 1),
+        gates.phase_shift(0, 0.3, 1),
+        gates.cnot_fock(0, 1, 2),
+        gates.not_fock(2, 2),
+    ]
+    for gate in refused_gates:
+        with pytest.raises(QubitRegisterError, match="not a signed permutation at cutoff 1"):
+            se.apply_unitary(register, gate)
+    for basis in (gates.x_basis(0, 2), gates.parity_basis(0, 1, 1)):
+        with pytest.raises(QubitRegisterError, match="not a one-mode readout at cutoff 1"):
+            gates.measurement_distribution(register, basis)
+        with pytest.raises(QubitRegisterError, match="not a one-mode readout at cutoff 1"):
+            gates.project(register, basis, basis.outcomes[0])
+
+
+def test_qubit_register_keeps_the_support_and_norm_guards():
+    one = se.QubitRegister([1], [1.0], 1)  # |1>
+    flip = (((0,), (1,), 1.0), ((1,), (0,), 1.0))
+    half = se.ModeUnitary((0,), [[0, 1], [1, 0]], 1, [True, False], "half_not", flip)
+    with pytest.raises(InvalidSubspaceError, match="half_not"):
+        se.apply_unitary(one, half)
+    basis = gates.MeasurementBasis(
+        (0,), gates.x_basis(0, 1).projectors, (+1, -1), 1, np.array([True, False]), "half_x"
+    )
+    with pytest.raises(InvalidSubspaceError, match="half_x"):
+        gates.measurement_distribution(one, basis)
+    with pytest.raises(LeakageError):
+        se.apply_unitary(se.QubitRegister([1], [math.nan], 1), gates.not_fock(0, 1))

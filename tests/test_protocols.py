@@ -399,6 +399,58 @@ def test_unmodified_swap_bases_flips_fringe_sign():
     assert _maxdiff(res.final_distribution, ref) < 1e-12
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 1023).flatmap(
+        lambda n: st.tuples(st.just(n), st.one_of(st.just(NO_PHOTON), st.integers(1, n)))
+    ),
+    st.floats(-math.pi, math.pi),
+    st.floats(0.0, 1.0),
+    st.floats(-math.pi, math.pi),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_unmodified_memory_over_the_parameter_box(bins_and_arrival, phi, g, delta, swap, seed):
+    n_bins, arrival = bins_and_arrival
+    res = run_memory_unmodified(
+        n_bins, arrival, StellarSource(phi, g, 0.1), delta, rng_seed=seed, swap_bases=swap
+    )
+    assert res.decoded == arrival
+    if arrival is NO_PHOTON:
+        assert res.outcome is None and res.final_distribution is None
+        return
+    ref = analytic.memory_final_probs(res.n_minus, phi, g, -delta if swap else delta)
+    assert set(res.final_distribution) == set(ref)
+    assert _maxdiff(res.final_distribution, ref) < 1e-12
+    assert res.outcome in ref
+
+
+_NON_INTEGRAL = [(7, 2.5), (7, True), (7, "3"), (7, 3.0), (7.9, 3), (7.0, 3), ("7", 3), (True, NO_PHOTON)]
+
+
+@pytest.mark.parametrize("run", [run_memory_unmodified, run_memory_modified])
+@pytest.mark.parametrize("n_bins, arrival", _NON_INTEGRAL)
+def test_memory_protocols_refuse_non_integral_bins(run, n_bins, arrival):
+    # int() would truncate: 2.5 ran as bin 2, True as bin 1, 7.9 bins as 7
+    with pytest.raises((TypeError, ValueError)):
+        run(n_bins, arrival, StellarSource(0.4, 0.9, 0.1), 0.3, rng_seed=1)
+
+
+@pytest.mark.parametrize("n_bins", [7.9, 7.0, "7", True])
+def test_memory_resources_refuse_non_integral_bins(n_bins):
+    with pytest.raises((TypeError, ValueError)):
+        memory_resources(n_bins, modified=False)
+    with pytest.raises((TypeError, ValueError)):
+        pairs_for_bins(n_bins)
+
+
+def test_memory_protocols_take_numpy_integers():
+    src = StellarSource(0.4, 0.9, 0.1)
+    for run in (run_memory_unmodified, run_memory_modified):
+        assert run(np.int64(7), np.int32(3), src, 0.3, rng_seed=1).decoded == 3
+    assert memory_resources(np.int64(7), modified=True).n_pairs == 3
+
+
 def test_memory_resources_halved():
     for n_bins in (3, 7, 15):
         mod = memory_resources(n_bins, modified=True)

@@ -196,25 +196,6 @@ def test_partial_trace_of_entangled_pair_is_mixed():
     )
 
 
-def test_dump_parse_round_trip(rng):
-    amp = rng.normal(size=9) + 1j * rng.normal(size=9)
-    amp /= np.linalg.norm(amp)
-    state = se.StateVector(amplitudes=amp, mode_count=2, n_max=2)
-    back = se.parse_state(se.dump_state(state))
-    assert back.mode_count == 2 and back.n_max == 2
-    np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-12)
-
-
-def test_save_load_round_trip(tmp_path, rng):
-    amp = rng.normal(size=16) + 1j * rng.normal(size=16)
-    amp /= np.linalg.norm(amp)
-    state = se.StateVector(amplitudes=amp, mode_count=4, n_max=1)
-    path = tmp_path / "state.txt"
-    se.save_state(state, path)
-    back = se.load_state(path)
-    np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-12)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=728))
 def test_basis_round_trip_property(idx):
@@ -231,3 +212,66 @@ def test_fock_index_matches_positional_weight(occ):
     idx = int(np.flatnonzero(state.amplitudes)[0])
     # weight of mode m is (n_max+1)^(M-1-m)
     assert idx == sum(n * 3 ** (len(occ) - 1 - m) for m, n in enumerate(occ))
+
+
+# ---------------------------------------------------------------------------
+# support-indexed qubit register
+
+
+def _random_qubit_factor(mode_count, rng):
+    amps = rng.normal(size=2**mode_count) + 1j * rng.normal(size=2**mode_count)
+    amps[rng.random(2**mode_count) < 0.4] = 0.0
+    amps[0] = 1.0
+    return se.StateVector(amps / np.linalg.norm(amps), mode_count, 1)
+
+
+def _densified(register):
+    amps = np.zeros(2**register.mode_count, dtype=complex)
+    amps[register.labels] = register.amplitudes
+    return amps
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qubit_register_placement_matches_tensor_at(seed):
+    rng = np.random.default_rng(seed)
+    modes = [int(m) for m in rng.permutation(6)]
+    factors = [
+        (_random_qubit_factor(2, rng), modes[:2]),
+        (_random_qubit_factor(1, rng), modes[2:3]),
+        (_random_qubit_factor(3, rng), modes[3:]),
+    ]
+    register = se.QubitRegister.place(factors, 6)
+    assert register.amplitudes.size == np.count_nonzero(se.tensor_at(factors).amplitudes)
+    np.testing.assert_array_equal(_densified(register), se.tensor_at(factors).amplitudes)
+    # modes no factor names hold vacuum
+    partial = se.QubitRegister.place(factors[:2], 6)
+    with_vacuum = se.tensor_at(factors[:2] + [(se.vacuum(3, 1), factors[2][1])])
+    np.testing.assert_array_equal(_densified(partial), with_vacuum.amplitudes)
+
+
+@pytest.mark.parametrize("mode", range(5))
+@pytest.mark.parametrize("occupation", [0, 1])
+def test_qubit_register_slice_drops_the_mode(mode, occupation):
+    dense = _random_qubit_factor(5, np.random.default_rng(mode))
+    register = se.QubitRegister.place([(dense, range(5))], 5)
+    expected = dense.amplitudes.reshape(2**mode, 2, -1)[:, occupation].reshape(-1)
+    part = register.slice(mode, occupation)
+    assert part.mode_count == 4
+    np.testing.assert_array_equal(_densified(part), expected)
+
+
+def test_qubit_register_mode_count_and_placement_checks():
+    assert se.QubitRegister.place([], se.MAX_QUBIT_MODES).labels.tolist() == [0]
+    with pytest.raises(ValueError, match="0 to 62 modes"):
+        se.QubitRegister([0], [1.0], se.MAX_QUBIT_MODES + 1)
+    with pytest.raises(ValueError, match="0 to 62 modes"):
+        se.QubitRegister.place([], 63)
+    pair = se.fock((1, 0), 1)
+    with pytest.raises(ValueError, match="repeat a mode"):
+        se.QubitRegister.place([(pair, (0, 1)), (pair, (1, 2))], 3)
+    with pytest.raises(ValueError, match="out of range"):
+        se.QubitRegister.place([(pair, (0, 3))], 3)
+    with pytest.raises(ValueError, match="cutoff-1 state"):
+        se.QubitRegister.place([(se.fock((1, 0), 2), (0, 1))], 3)
+    with pytest.raises(ValueError, match="one label per amplitude"):
+        se.QubitRegister([0, 1], [1.0], 2)
