@@ -71,7 +71,6 @@ from .protocols import (
     bin_digits,
     classify_herald,
     cnot_distribution,
-    cnot_output_state,
     decode_time_bin,
     direct_distribution,
     encode_time_bin_modified,
@@ -95,7 +94,6 @@ from .sources import (
     single_photon_conditional,
 )
 from .state_engine import (
-    DensityOperator,
     ModeUnitary,
     QubitRegister,
     StateVector,
@@ -104,9 +102,7 @@ from .state_engine import (
     basis_label,
     basis_labels,
     fock,
-    mode_occupations,
     number_measurement_distribution,
-    partial_trace,
     sample_and_collapse,
     space_dim,
     tensor_at,

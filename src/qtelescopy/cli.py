@@ -107,13 +107,6 @@ class RunConfig:
         cfg.validate()
         return cfg
 
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key in ("delta_schedule", "phi_values", "g_values", "delta_values"):
-            if out[key] is not None:
-                out[key] = list(out[key])
-        return out
-
     def validate(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(

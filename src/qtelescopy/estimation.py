@@ -78,15 +78,14 @@ class ExperimentPlan:
         schedule = tuple(float(d) for d in self.delta_schedule)
         if not schedule:
             raise ValueError("the delta schedule must not be empty")
+        if not all(map(math.isfinite, schedule)):
+            raise ValueError(f"the delta schedule {schedule} holds a non-finite phase")
         object.__setattr__(self, "delta_schedule", schedule)
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         object.__setattr__(self, "variant", Variant.parse(self.variant))
-
-    def setting_for(self, window: int) -> float:
-        return self.delta_schedule[window % len(self.delta_schedule)]
 
 
 DEFAULT_SCHEDULE = (0.0, np.pi / 2.0)
@@ -495,8 +494,7 @@ def window_fisher(protocol: str, setting, at: tuple[float, float], wrt=("phi",))
     def dist(phi: float, g: float) -> dict:
         return entry.run(StellarSource(phi, g, epsilon, n_max), delta, eta, variant, swap)
 
-    units = "per_event" if entry.conditioned else "per_window"
-    model = OutcomeModel(dist, entry.outcomes(n_max), units=units, name=f"{protocol}(delta={delta})")
+    model = OutcomeModel(dist, entry.outcomes(n_max), name=f"{protocol}(delta={delta})")
     info = classical_fisher(model, at, wrt)
     return FisherMatrix(epsilon * info.matrix) if entry.conditioned else info
 

@@ -34,14 +34,11 @@ class OutcomeModel:
 
     ``distribution`` maps a parameter point to a dict keyed by outcome
     labels; the label set is frozen at construction so probability vectors
-    are comparable across parameter points.  ``units`` declares the
-    normalization ('per_window' models sum to 1 over all windows,
-    'per_event' models are conditioned on a detection).
+    are comparable across parameter points.
     """
 
     distribution: Callable[[float, float], dict]
     outcomes: tuple
-    units: str = "per_window"
     name: str = ""
 
     @classmethod
@@ -49,11 +46,10 @@ class OutcomeModel:
         cls,
         distribution: Callable[[float, float], dict],
         anchor: tuple[float, float],
-        units: str = "per_window",
         name: str = "",
     ) -> "OutcomeModel":
         labels = tuple(sorted(distribution(*anchor).keys()))
-        return cls(distribution, labels, units, name)
+        return cls(distribution, labels, name)
 
     @cached_property
     def _position(self) -> dict:
@@ -82,7 +78,6 @@ class FisherMatrix:
     """2x2 real symmetric information matrix over (phi, g)."""
 
     matrix: np.ndarray
-    units: str = "per_window"
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
@@ -102,24 +97,20 @@ class FisherMatrix:
     def phi_g(self) -> float:
         return float(self.matrix[0, 1])
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.matrix + self.matrix.T) / 2.0).min())
-
 
 def _shift(at: tuple[float, float], param: str, h: float) -> tuple[float, float]:
     phi, g = at
     return (phi + h, g) if param == "phi" else (phi, g + h)
 
 
-def _derivative(
-    model: OutcomeModel, at: tuple[float, float], param: str, h: float, p0: np.ndarray
-) -> np.ndarray:
+def _derivative(model: OutcomeModel, at: tuple[float, float], param: str, p0: np.ndarray) -> np.ndarray:
     """Central difference with one Richardson extrapolation level.
 
-    Within ``h`` of an end of g's domain [0, 1], where the central stencil
+    Within ``FD_STEP`` of an end of g's domain [0, 1], where the central stencil
     would leave it, the g difference is one-sided towards the interior, from
     ``p0`` at ``at``, again with one Richardson level.
     """
+    h = FD_STEP
     if param == "g" and not h <= at[1] <= 1.0 - h:
         side = 1.0 if at[1] < h else -1.0
 
@@ -142,7 +133,6 @@ def classical_fisher(
     model: OutcomeModel,
     at: tuple[float, float],
     wrt: Sequence[str] = PARAMETERS,
-    step: float = FD_STEP,
 ) -> FisherMatrix:
     """Classical Fisher matrix of ``model`` at ``at = (phi, g)``.
 
@@ -167,7 +157,7 @@ def classical_fisher(
     keep = p0 >= PROB_FLOOR
     grads: dict[str, np.ndarray] = {}
     for param in wrt:
-        dp = _derivative(model, at, param, step, p0)
+        dp = _derivative(model, at, param, p0)
         bad = ~keep & (np.abs(dp) >= DERIVATIVE_FLOOR)
         if np.any(bad):
             labels = [model.outcomes[i] for i in np.flatnonzero(bad)]
@@ -184,7 +174,7 @@ def classical_fisher(
                 mat[i, j] = float(
                     np.sum(grads[pi][keep] * grads[pj][keep] / p0[keep])
                 )
-    return FisherMatrix(mat, model.units)
+    return FisherMatrix(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +182,17 @@ def classical_fisher(
 
 
 def _as_matrix(rho) -> np.ndarray:
-    mat = getattr(rho, "matrix", rho)
-    mat = np.asarray(mat, dtype=complex)
+    mat = np.asarray(rho, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
     return mat
 
 
-def sld(rho, drho, kernel_tol: float = KERNEL_TOL) -> np.ndarray:
+def sld(rho, drho) -> np.ndarray:
     """Symmetric logarithmic derivative: solves (L rho + rho L)/2 = drho.
 
     Solved in the eigenbasis of rho as L_mn = 2 <m|drho|n> / (lam_m + lam_n),
-    skipping eigenvalue pairs below ``kernel_tol``.  If the derivative has
+    skipping eigenvalue pairs below ``KERNEL_TOL``.  If the derivative has
     weight on such a kernel pair, the SLD does not exist and a
     :class:`KernelSupportError` is raised.
     """
@@ -212,7 +201,7 @@ def sld(rho, drho, kernel_tol: float = KERNEL_TOL) -> np.ndarray:
     lam, vec = np.linalg.eigh(rho)
     mid = vec.conj().T @ drho @ vec
     denom = lam[:, None] + lam[None, :]
-    live = denom >= kernel_tol
+    live = denom >= KERNEL_TOL
     dead_weight = np.abs(mid[~live])
     if dead_weight.size and dead_weight.max() > 1e-10:
         raise KernelSupportError(
@@ -225,7 +214,7 @@ def sld(rho, drho, kernel_tol: float = KERNEL_TOL) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def qfi_matrix(rho, drho_phi=None, drho_g=None, units: str = "per_event") -> FisherMatrix:
+def qfi_matrix(rho, drho_phi=None, drho_g=None) -> FisherMatrix:
     """Quantum Fisher matrix h_ij = Tr[rho (L_i L_j + L_j L_i) / 2].
 
     Entries are computed only for the supplied derivatives; the rest stay
@@ -242,7 +231,7 @@ def qfi_matrix(rho, drho_phi=None, drho_g=None, units: str = "per_event") -> Fis
         for j, lj in slds.items():
             sym = (li @ lj + lj @ li) / 2.0
             mat[i, j] = float(np.real(np.trace(rho @ sym)))
-    return FisherMatrix(mat, units)
+    return FisherMatrix(mat)
 
 
 def sld_commutation_trace(rho, l_a: np.ndarray, l_b: np.ndarray) -> complex:

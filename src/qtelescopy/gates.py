@@ -225,6 +225,8 @@ def rotated_basis(mode: int, delta: float, n_max: int) -> MeasurementBasis:
 
     Defined on the qubit subspace only; outcomes are the eigenvalues +1/-1.
     """
+    if not isfinite(delta):
+        raise ValueError(f"readout phase {delta!r} is not a finite angle")
     d = n_max + 1
     projs = []
     for sign in (+1.0, -1.0):
@@ -252,27 +254,27 @@ def parity_basis(mode_a: int, mode_b: int, n_max: int) -> MeasurementBasis:
     return MeasurementBasis((mode_a, mode_b), projs, (0, 1), n_max, mask, "parity")
 
 
-def measurement_distribution(state, basis: MeasurementBasis, *, atol: float = NORM_ATOL) -> np.ndarray:
+def measurement_distribution(state, basis: MeasurementBasis) -> np.ndarray:
     """Outcome probabilities of a projective measurement."""
-    state, modes = _readout(state, basis, atol)
+    state, modes = _readout(state, basis)
     return np.array([np.vdot(state.amplitudes, _projected(state, modes, p)) for p in basis.projectors]).real
 
 
-def measure_in_basis(state, basis: MeasurementBasis, rng=None, *, atol: float = NORM_ATOL):
+def measure_in_basis(state, basis: MeasurementBasis, rng=None):
     """Sample one outcome and collapse. Returns ``(outcome, post_state)``.
-    A weight at most ``atol`` below zero is round-off and counts as zero."""
+    A weight at most ``NORM_ATOL`` below zero is round-off and counts as zero."""
     if not isinstance(state, (StateVector, QubitRegister)):
         raise TypeError("basis sampling requires a StateVector or a QubitRegister")
     rng = np.random.default_rng(rng)
-    weights = measurement_distribution(state, basis, atol=atol)
-    if weights.min() < -atol:
+    weights = measurement_distribution(state, basis)
+    if weights.min() < -NORM_ATOL:
         raise NumericalInvariantError(f"outcome weight {weights.min()!r} is negative")
     weights = np.maximum(weights, 0.0)
     outcome = basis.outcomes[int(rng.choice(len(weights), p=weights / weights.sum()))]
-    return outcome, project(state, basis, outcome, atol=atol)[1]
+    return outcome, project(state, basis, outcome)[1]
 
 
-def project(state, basis: MeasurementBasis, outcome, *, atol: float = NORM_ATOL):
+def project(state, basis: MeasurementBasis, outcome):
     """Project onto one declared outcome without sampling.
 
     Returns ``(probability, normalized post-measurement state)``; the state
@@ -281,7 +283,7 @@ def project(state, basis: MeasurementBasis, outcome, *, atol: float = NORM_ATOL)
     """
     if not isinstance(state, (StateVector, QubitRegister)):
         raise TypeError("branch projection requires a StateVector or a QubitRegister")
-    state, modes = _readout(state, basis, atol)
+    state, modes = _readout(state, basis)
     try:
         idx = basis.outcomes.index(outcome)
     except ValueError:
@@ -294,24 +296,20 @@ def project(state, basis: MeasurementBasis, outcome, *, atol: float = NORM_ATOL)
     return weight, replace(state, amplitudes=projected)
 
 
-def _readout(state, basis: MeasurementBasis, atol: float):
+def _readout(state, basis: MeasurementBasis):
     """The state a readout of ``basis`` reads, and the modes it reads there: a
     :class:`QubitRegister` is read in its ``paired`` layout, where the measured mode leads."""
-    _check_basis_support(state, basis, atol)
+    mass = _invalid_mass(basis, state)
+    if mass > NORM_ATOL:
+        raise InvalidSubspaceError(
+            f"{basis.name or 'basis'} measurement on modes {basis.target_modes} is "
+            f"undefined outside the dual-rail subspace; input carries {mass:.3e} there"
+        )
     if not isinstance(state, QubitRegister):
         return state, basis.target_modes
     if basis.n_max != 1 or len(basis.target_modes) != 1:
         raise QubitRegisterError(f"{basis.name or 'basis'} on {basis.target_modes} is not a one-mode readout at cutoff 1")
     return state.paired(basis.target_modes[0]), (0,)
-
-
-def _check_basis_support(state, basis: MeasurementBasis, atol: float) -> None:
-    mass = _invalid_mass(basis, state)
-    if mass > atol:
-        raise InvalidSubspaceError(
-            f"{basis.name or 'basis'} measurement on modes {basis.target_modes} is "
-            f"undefined outside the dual-rail subspace; input carries {mass:.3e} there"
-        )
 
 
 def _projected(state, target_modes: tuple[int, ...], proj: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ oracles.
 from __future__ import annotations
 
 import enum
-import operator
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
@@ -47,7 +47,7 @@ from .gates import (
     x_basis,
     z_fock,
 )
-from .sources import NO_PHOTON, StellarSource
+from .sources import NO_PHOTON, StellarSource, _integer
 from .state_engine import (
     QubitRegister,
     StateVector,
@@ -75,17 +75,11 @@ class Variant(enum.Enum):
     def parse(cls, value) -> "Variant":
         if isinstance(value, cls):
             return value
-        text = str(value)
         # accept both snake_case and the CamelCase names used in configs
-        aliases = {
-            "cnotsequence": cls.CNOT_SEQUENCE,
-            "cnot_sequence": cls.CNOT_SEQUENCE,
-            "parityfeedforward": cls.PARITY_FEED_FORWARD,
-            "parity_feed_forward": cls.PARITY_FEED_FORWARD,
-        }
-        key = text.replace("-", "_").lower().replace("__", "_")
-        if key in aliases:
-            return aliases[key]
+        key = str(value).replace("-", "_").lower().replace("__", "_")
+        for member in cls:
+            if key in (member.value, member.value.replace("_", "")):
+                return member
         raise ValueError(f"unknown protocol variant {value!r}")
 
 
@@ -345,9 +339,9 @@ def direct_distribution(
     single-photon fringe branches weigh (1 +- g)/2 for every epsilon > 0;
     at epsilon = 0 no photon arrives and the table is empty.
     """
+    basis_l, basis_r = _direct_bases(delta, source.n_max, swap_bases)
     if source.epsilon == 0.0:
         return {}
-    basis_l, basis_r = _direct_bases(delta, source.n_max, swap_bases)
     table: dict[tuple[int, int], float] = {}
     for w, psi in _fringe_branches(source):
         if w == 0.0:
@@ -399,6 +393,8 @@ def gottesman_distribution(
     n_max = source.n_max
     if n_max < 2:
         raise ValueError("photon counting after the beam splitters needs a cutoff of at least 2")
+    if not math.isfinite(delta):
+        raise ValueError(f"ancilla phase {delta!r} is not a finite angle")
     one = fock((1, 0), n_max)
     other = fock((0, 1), n_max)
     anc = StateVector(
@@ -454,7 +450,7 @@ def linear_bound_search(
             src = StellarSource(phi_val, g_val, epsilon, n_max)
             return gottesman_distribution(src, delta, ul, ur)
 
-        model = OutcomeModel(distribution, all_labels, units="per_window")
+        model = OutcomeModel(distribution, all_labels)
         info = classical_fisher(model, (phi, 1.0), wrt=("phi",)).phi_phi
         best = max(best, info)
     return float(best)
@@ -502,13 +498,6 @@ def pairs_for_bins(n_bins: int) -> int:
     if n_bins < 1:
         raise ValueError(f"need at least one bin, got {n_bins}")
     return n_bins.bit_length()
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a bool, or anything without ``__index__``, is refused, not truncated."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 def bell_register(n_pairs: int) -> BellRegister:
@@ -596,9 +585,12 @@ class MemoryRunResult:
     final_distribution: dict | None
 
 
-def _validate_arrival(n_bins: int, arrival):
-    """The arrival bin as an int (or NO_PHOTON), after checking it and ``n_bins``."""
+def _validate_arrival(n_bins: int, arrival, delta: float):
+    """The arrival bin as an int (or NO_PHOTON), after checking it, ``n_bins``
+    and the readout phase ``delta``, which a window without a photon never reads."""
     pairs_for_bins(n_bins)
+    if not math.isfinite(delta):
+        raise ValueError(f"readout phase {delta!r} is not a finite angle")
     if arrival is NO_PHOTON:
         return arrival
     n = _integer(arrival, "arrival bin")
@@ -622,7 +614,7 @@ def run_memory_modified(
     same |Phi-> state, the stellar photon is left untouched and its two
     ports are then measured exactly as in the direct readout.
     """
-    arrival = _validate_arrival(n_bins, arrival)
+    arrival = _validate_arrival(n_bins, arrival, delta)
     rng = np.random.default_rng(rng_seed)
     register = bell_register(pairs_for_bins(n_bins))
     register = encode_time_bin_modified(register, arrival)
@@ -680,7 +672,7 @@ def run_memory_unmodified(
     the star modes are read, one leading ancilla mode purifies the mixture
     as ``sqrt(w+)|0>psi + sqrt(w-)|1>Z psi``; it is never read.
     """
-    arrival = _validate_arrival(n_bins, arrival)
+    arrival = _validate_arrival(n_bins, arrival, delta)
     rng = np.random.default_rng(rng_seed)
     n_pairs = pairs_for_bins(n_bins)
 

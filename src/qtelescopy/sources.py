@@ -15,11 +15,20 @@ pointing information.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .state_engine import DensityOperator, StateVector, basis_index, fock, space_dim
+from .state_engine import StateVector, fock
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a bool, or anything without ``__index__``, is refused, not truncated."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -35,36 +44,18 @@ class StellarSource:
     n_max: int = 2
 
     def __post_init__(self):
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phase phi must be finite, got {self.phi}")
         if not 0.0 <= self.g <= 1.0:
             raise ValueError(f"visibility g must lie in [0, 1], got {self.g}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"arrival probability must lie in [0, 1], got {self.epsilon}")
-        if self.n_max < 1:
+        if _integer(self.n_max, "n_max") < 1:
             raise ValueError("the source needs at least a one-photon cutoff")
 
     @property
     def mutual_coherence(self) -> complex:
         return self.g * np.exp(-1j * self.phi)
-
-    def conditional_matrix(self) -> np.ndarray:
-        """One-photon density matrix in the ordered basis (|10>, |01>)."""
-        nu = self.mutual_coherence
-        return 0.5 * np.array([[1.0, np.conj(nu)], [nu, 1.0]])
-
-    def conditional_purity(self) -> float:
-        return 0.5 * (1.0 + self.g**2)
-
-    def density_operator(self) -> DensityOperator:
-        """Full two-mode window state including the vacuum component."""
-        dim = space_dim(2, self.n_max)
-        mat = np.zeros((dim, dim), dtype=complex)
-        i00 = basis_index((0, 0), self.n_max)
-        i10 = basis_index((1, 0), self.n_max)
-        i01 = basis_index((0, 1), self.n_max)
-        mat[i00, i00] = 1.0 - self.epsilon
-        block = self.epsilon * self.conditional_matrix()
-        mat[np.ix_([i10, i01], [i10, i01])] = block
-        return DensityOperator(mat, 2, self.n_max)
 
     def pure_branches(self) -> list[tuple[float, StateVector]]:
         """Exact convex decomposition into vacuum and two fringe eigenstates.
@@ -98,18 +89,13 @@ class StellarSource:
         return ("vacuum", "plus", "minus")[idx], branches[idx][1]
 
 
-def single_photon_conditional(source: StellarSource, normalized: bool = True) -> np.ndarray:
-    """One-photon 2x2 block of the window state, basis (|10>, |01>).
-
-    With ``normalized=True`` (the default) this is the state conditioned on
-    a photon having arrived, (1/2)[[1, nu*], [nu, 1]]; with
-    ``normalized=False`` the raw block of the window state, i.e. the same
-    matrix scaled by epsilon.
-    """
+def single_photon_conditional(source: StellarSource) -> np.ndarray:
+    """The window state conditioned on a photon having arrived,
+    (1/2)[[1, nu*], [nu, 1]] in the basis (|10>, |01>)."""
     if source.epsilon == 0.0:
         raise ValueError("cannot condition on a photon arrival when epsilon = 0")
-    block = source.conditional_matrix()
-    return block if normalized else source.epsilon * block
+    nu = source.mutual_coherence
+    return 0.5 * np.array([[1.0, np.conj(nu)], [nu, 1.0]])
 
 
 def conditional_phi_derivative(phi: float, g: float) -> np.ndarray:
@@ -132,23 +118,13 @@ NO_PHOTON = None
 
 @dataclass(frozen=True)
 class TimeBinConfig:
-    """A collection window of ``n_bins`` short time bins of duration ``tau``.
-
-    ``tau`` is bookkeeping only; nothing downstream depends on it.
-    """
+    """A collection window of ``n_bins`` short time bins."""
 
     n_bins: int
-    tau: float = 1.0
 
     def __post_init__(self):
-        if self.n_bins < 1:
+        if _integer(self.n_bins, "n_bins") < 1:
             raise ValueError(f"need at least one time bin, got {self.n_bins}")
-        if self.tau <= 0.0:
-            raise ValueError(f"bin duration must be positive, got {self.tau}")
-
-    @property
-    def total_duration(self) -> float:
-        return self.n_bins * self.tau
 
 
 def sample_arrival(config: TimeBinConfig, epsilon: float, rng=None):
@@ -159,10 +135,10 @@ def sample_arrival(config: TimeBinConfig, epsilon: float, rng=None):
     it does, lands in a uniformly random bin.  At most one photon per
     window by construction.
     """
-    if epsilon < 0.0:
-        raise ValueError(f"arrival probability must be nonnegative, got {epsilon}")
+    if not epsilon >= 0.0:
+        raise ValueError(f"arrival probability must be a nonnegative number, got {epsilon}")
     p_window = epsilon * config.n_bins
-    if p_window > 1.0:
+    if not p_window <= 1.0:
         raise ValueError(
             f"epsilon * n_bins = {p_window} exceeds 1; the at-most-one-photon "
             "window model breaks down"

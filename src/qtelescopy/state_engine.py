@@ -13,8 +13,8 @@ gates at ``n_max = 1``) carries that table in ``ModeUnitary.perm``, set where
 it is built, which a :class:`QubitRegister` (a cutoff-1 state held on its
 support) applies as XORs and sign flips of its labels; on a dense register
 gates multiply their matrix into the target modes through ``_gather``, a
-cached table of flat indices with those modes leading; readouts and
-reductions on a mode subset use the same table.  One-mode projectors act on
+cached table of flat indices with those modes leading; readouts on a mode
+subset use the same table.  One-mode projectors act on
 the ``(d**m, d, rest)`` view of mode ``m``.  A rank-1 one-mode projection
 leaves the product of its vector and a state of the other modes, so a caller
 that never gates the measured mode again may drop it and keep that factor.
@@ -196,22 +196,6 @@ class QubitRegister:
         return QubitRegister(labels, self.amplitudes[keep], self.mode_count - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Mixed state over the truncated Fock register."""
-
-    matrix: np.ndarray
-    mode_count: int
-    n_max: int
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = space_dim(self.mode_count, self.n_max)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
-        object.__setattr__(self, "matrix", mat)
-
-
 def vacuum(mode_count: int, n_max: int) -> StateVector:
     amps = np.zeros(space_dim(mode_count, n_max), dtype=complex)
     amps[0] = 1.0
@@ -367,11 +351,11 @@ def _invalid_mass(gate, state) -> float:
     return float(np.vdot(outside, outside).real)
 
 
-def apply_unitary(state, gate: ModeUnitary, *, atol: float = NORM_ATOL):
+def apply_unitary(state, gate: ModeUnitary):
     """Apply a local unitary to a :class:`StateVector` or a :class:`QubitRegister`.
 
     Raises :class:`InvalidSubspaceError` if the input carries probability
-    above ``atol`` on labels where the gate is undefined, and
+    above ``NORM_ATOL`` on labels where the gate is undefined, and
     :class:`LeakageError` if the application loses norm (weight pushed
     past the cutoff).  Exact identities are returned unchanged.  A register
     refuses a gate without a ``perm`` table at cutoff 1 (:class:`QubitRegisterError`).
@@ -391,7 +375,7 @@ def apply_unitary(state, gate: ModeUnitary, *, atol: float = NORM_ATOL):
         return state
 
     mass = _invalid_mass(gate, state)
-    if mass > atol:
+    if mass > NORM_ATOL:
         raise InvalidSubspaceError(
             f"{gate.name or 'gate'} on modes {gate.target_modes} is undefined for "
             f"labels {gate.invalid_labels()}; input carries probability {mass:.3e} there"
@@ -405,7 +389,7 @@ def apply_unitary(state, gate: ModeUnitary, *, atol: float = NORM_ATOL):
     else:
         new = StateVector(_apply_block(gate.matrix, gate.target_modes, state), state.mode_count, state.n_max)
     after = float(np.vdot(new.amplitudes, new.amplitudes).real)
-    if not before - after <= atol:  # a nan norm fails this test too
+    if not before - after <= NORM_ATOL:  # a nan norm fails this test too
         raise LeakageError(
             f"{gate.name or 'gate'} on modes {gate.target_modes} took the squared norm from "
             f"{before!r} to {after!r}: lost past the cutoff n_max={state.n_max}, or not finite"
@@ -414,7 +398,7 @@ def apply_unitary(state, gate: ModeUnitary, *, atol: float = NORM_ATOL):
 
 
 # ---------------------------------------------------------------------------
-# measurement and reduction
+# measurement
 
 
 def number_measurement_distribution(
@@ -434,12 +418,6 @@ def number_measurement_distribution(
     labs = _label_tuples(len(modes), state.n_max)
     seen = np.flatnonzero(marginal > 0.0)
     return dict(zip([labs[i] for i in seen.tolist()], marginal[seen].tolist()))
-
-
-def mode_occupations(state) -> np.ndarray:
-    """Mean photon number of every mode."""
-    labs = labels_array(state.mode_count, state.n_max)
-    return state.probabilities() @ labs
 
 
 def sample_and_collapse(state: StateVector, rng=None, modes: Sequence[int] | None = None):
@@ -467,14 +445,3 @@ def sample_and_collapse(state: StateVector, rng=None, modes: Sequence[int] | Non
     collapsed = np.zeros_like(state.amplitudes)
     collapsed[table[idx]] = block[idx] / np.sqrt(marginal[idx])
     return outcome, StateVector(collapsed, state.mode_count, state.n_max)
-
-
-def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityOperator:
-    """Reduced density operator on ``keep`` (output modes follow that order)."""
-    if not isinstance(state, StateVector):
-        raise TypeError("partial traces are taken of a StateVector")
-    keep = tuple(int(m) for m in keep)
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"repeated modes in {keep}")
-    block = state.amplitudes[_gather(keep, state.n_max + 1, state.mode_count)]
-    return DensityOperator(block @ block.conj().T, len(keep), state.n_max)

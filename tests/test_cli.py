@@ -367,17 +367,6 @@ def test_other_domain_errors_exit_1(tmp_path, monkeypatch):
     assert cli.main(["probs", "--config", str(cfg)]) == 1
 
 
-def test_config_round_trip_is_stable(tmp_path):
-    cfg_path = _write_config(
-        tmp_path, delta_schedule=[0.0, 1.5707963267948966], eta=0.8, n_windows=123
-    )
-    raw = json.loads(cfg_path.read_text())
-    first = cli.RunConfig.from_dict(raw)
-    second = cli.RunConfig.from_dict(first.to_dict())
-    assert first == second
-    assert second.to_dict() == first.to_dict()
-
-
 def test_config_defaults_applied():
     cfg = cli.RunConfig.from_dict(
         {"schema_version": 1, "protocol": "cnot", "epsilon": 0.1, "g": 1.0,

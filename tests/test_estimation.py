@@ -29,6 +29,8 @@ from qtelescopy.protocols import (
     cnot_distribution,
     direct_distribution,
     gottesman_distribution,
+    run_memory_modified,
+    run_memory_unmodified,
 )
 from qtelescopy.sources import StellarSource, TimeBinConfig, sample_arrival
 
@@ -68,10 +70,44 @@ def test_plan_validation():
         ExperimentPlan("direct", src, (0.0,), 100, seed=-1)
 
 
-def test_schedule_cycles_round_robin():
-    plan = _plan(schedule=(0.1, 0.2, 0.3), n_windows=10)
-    settings_seen = [plan.setting_for(w) for w in range(6)]
-    assert settings_seen == [0.1, 0.2, 0.3, 0.1, 0.2, 0.3]
+# every entry point a phase, a readout phase or an arrival probability reaches
+_GUARDED_RUNS = {
+    "cnot": lambda protocol, src, delta: cnot_distribution(src, ProtocolConfig(delta, 0.8)),
+    "cnot parity": lambda protocol, src, delta: cnot_distribution(
+        src, ProtocolConfig(delta, 0.8, Variant.PARITY_FEED_FORWARD)
+    ),
+    "direct": lambda protocol, src, delta: direct_distribution(src, delta),
+    "direct swapped": lambda protocol, src, delta: direct_distribution(src, delta, swap_bases=True),
+    "gottesman": lambda protocol, src, delta: gottesman_distribution(src, delta),
+    "crb_report": lambda protocol, src, delta: crb_report(protocol, src, (delta,)),
+    "run_experiment": lambda protocol, src, delta: run_experiment(
+        ExperimentPlan(protocol, src, (0.0, delta), 10, seed=1)
+    ),
+    "memory modified": lambda protocol, src, delta: run_memory_modified(3, 2, src, delta, rng_seed=1),
+    "memory unmodified": lambda protocol, src, delta: run_memory_unmodified(3, 2, src, delta, rng_seed=1),
+    "memory modified, no photon": lambda protocol, src, delta: run_memory_modified(3, None, src, delta),
+    "memory unmodified, no photon": lambda protocol, src, delta: run_memory_unmodified(3, None, src, delta),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    run=st.sampled_from(sorted(_GUARDED_RUNS)),
+    protocol=st.sampled_from(sorted(estimation.PROTOCOLS)),
+    bad=st.sampled_from(["phi", "delta", "epsilon"]),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    phi=st.floats(-math.pi, math.pi),
+    g=st.floats(0.0, 1.0),
+    epsilon=st.floats(0.0, 0.3),
+    delta=st.floats(-math.pi, math.pi),
+)
+def test_a_non_finite_input_raises_value_error(run, protocol, bad, value, phi, g, epsilon, delta):
+    # a nan phase used to reach the circuits: an all-nan direct table, a
+    # LeakageError blaming the cutoff from cnot, zero information from crb_report
+    args = {"phi": phi, "epsilon": epsilon, "delta": delta, bad: value}
+    with pytest.raises(ValueError) as caught:
+        _GUARDED_RUNS[run](protocol, StellarSource(args["phi"], g, args["epsilon"]), args["delta"])
+    assert not isinstance(caught.value, NumericalInvariantError)
 
 
 def _heralds(plan, outcomes):

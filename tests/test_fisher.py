@@ -29,7 +29,7 @@ def _direct_model(delta):
     def dist(phi, g):
         return analytic.direct_outcome_table(phi, g, delta)
 
-    return fisher.OutcomeModel.from_distribution(dist, anchor=(0.7, 0.8), units="per_event")
+    return fisher.OutcomeModel.from_distribution(dist, anchor=(0.7, 0.8))
 
 
 def _conditional(phi, g):
@@ -85,7 +85,7 @@ def test_classical_fisher_two_parameter_symmetry():
     fm = fisher.classical_fisher(model, at=(0.7, 0.8))
     assert fm.matrix.shape == (2, 2)
     np.testing.assert_allclose(fm.matrix, fm.matrix.T, atol=1e-12)
-    assert fm.min_eigenvalue() >= -1e-12
+    assert np.linalg.eigvalsh(fm.matrix).min() >= -1e-12
 
 
 def test_classical_fisher_richardson_beats_plain_differences():
@@ -213,8 +213,7 @@ def test_plain_commutator_expectation_vanishes_identically():
 
 
 def test_fisher_matrix_accessors():
-    m = fisher.FisherMatrix(matrix=np.array([[2.0, 0.5], [0.5, 1.0]]), units="per_event")
+    m = fisher.FisherMatrix(matrix=np.array([[2.0, 0.5], [0.5, 1.0]]))
     assert m.phi_phi == 2.0
     assert m.g_g == 1.0
     assert m.phi_g == 0.5
-    assert m.min_eigenvalue() == pytest.approx(np.linalg.eigvalsh(m.matrix)[0])

@@ -26,10 +26,15 @@ def _manual_density(phi, g, epsilon):
     return rho
 
 
+def _window_density(src):
+    """The window state as the mixture of the source's pure branches."""
+    return sum(w * np.outer(state.amplitudes, state.amplitudes.conj()) for w, state in src.pure_branches())
+
+
 @pytest.mark.parametrize("phi,g,epsilon", [(0.0, 1.0, 0.1), (0.7, 0.8, 0.05), (2.5, 0.3, 0.5)])
 def test_density_operator_structure(phi, g, epsilon):
     src = sources.StellarSource(phi=phi, g=g, epsilon=epsilon)
-    rho = src.density_operator().matrix
+    rho = _window_density(src)
     np.testing.assert_allclose(rho, _manual_density(phi, g, epsilon), atol=1e-14)
     np.testing.assert_allclose(np.trace(rho), 1.0, atol=1e-14)
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-14)
@@ -55,12 +60,6 @@ def test_single_photon_conditional_block():
     np.testing.assert_allclose(block[0, 0], 0.5, atol=1e-14)
 
 
-def test_unnormalized_conditional_scales_with_epsilon():
-    src = sources.StellarSource(phi=1.2, g=0.6, epsilon=0.2)
-    raw = sources.single_photon_conditional(src, normalized=False)
-    np.testing.assert_allclose(raw, 0.2 * sources.single_photon_conditional(src), atol=1e-14)
-
-
 def test_conditional_undefined_at_zero_epsilon():
     src = sources.StellarSource(phi=0.0, g=0.5, epsilon=0.0)
     with pytest.raises(ValueError):
@@ -73,19 +72,14 @@ def test_conditional_undefined_at_zero_epsilon():
     st.floats(min_value=0.0, max_value=1.0),
 )
 def test_conditional_purity_closed_form(phi, g):
-    src = sources.StellarSource(phi=phi, g=g, epsilon=0.1)
-    np.testing.assert_allclose(src.conditional_purity(), (1.0 + g * g) / 2.0, atol=1e-12)
+    rho = sources.single_photon_conditional(sources.StellarSource(phi=phi, g=g, epsilon=0.1))
+    np.testing.assert_allclose(np.trace(rho @ rho).real, (1.0 + g * g) / 2.0, atol=1e-12)
 
 
 def test_pure_branches_reconstruct_density():
     src = sources.StellarSource(phi=0.9, g=0.7, epsilon=0.15)
-    rho = np.zeros((9, 9), dtype=complex)
-    total = 0.0
-    for weight, state in src.pure_branches():
-        rho += weight * np.outer(state.amplitudes, state.amplitudes.conj())
-        total += weight
-    np.testing.assert_allclose(total, 1.0, atol=1e-14)
-    np.testing.assert_allclose(rho, src.density_operator().matrix, atol=1e-14)
+    np.testing.assert_allclose(sum(w for w, _ in src.pure_branches()), 1.0, atol=1e-14)
+    np.testing.assert_allclose(_window_density(src), _manual_density(0.9, 0.7, 0.15), atol=1e-14)
 
 
 def test_pure_branch_weights():
@@ -119,19 +113,35 @@ def test_source_parameter_validation():
         sources.StellarSource(phi=0.0, g=0.5, epsilon=-0.1)
     with pytest.raises(ValueError):
         sources.StellarSource(phi=0.0, g=0.5, epsilon=1.5)
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="phi"):
+            sources.StellarSource(phi=phi, g=0.5, epsilon=0.1)
+    for n_max in (2.5, 2.0, True):
+        with pytest.raises(TypeError, match="n_max"):
+            sources.StellarSource(phi=0.0, g=0.5, epsilon=0.1, n_max=n_max)
 
 
 def test_time_bin_config():
-    cfg = sources.TimeBinConfig(n_bins=4, tau=0.5)
-    assert cfg.total_duration == pytest.approx(2.0)
+    assert sources.TimeBinConfig(n_bins=np.int64(4)).n_bins == 4
     with pytest.raises(ValueError):
         sources.TimeBinConfig(n_bins=0)
+    for n_bins in (2.5, 4.0, True, "4"):
+        with pytest.raises(TypeError, match="n_bins"):
+            sources.TimeBinConfig(n_bins=n_bins)
 
 
 def test_sample_arrival_rejects_oversubscribed_window():
     # per-bin probability epsilon must keep N*epsilon <= 1
     with pytest.raises(ValueError):
         sources.sample_arrival(sources.TimeBinConfig(n_bins=8), 0.2)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_sample_arrival_refuses_a_non_finite_probability(epsilon):
+    # nan used to compare false against both bounds and arrive in every window
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="epsilon|arrival probability"):
+        sources.sample_arrival(sources.TimeBinConfig(n_bins=4), epsilon, rng)
 
 
 def test_sample_arrival_statistics():

@@ -129,16 +129,6 @@ def test_number_measurement_distribution_omits_zero_entries():
     assert set(dist) == {(1, 0)}
 
 
-def test_mode_occupations_expected_photon_numbers():
-    state = se.StateVector(
-        amplitudes=(se.fock((2, 0), 2).amplitudes + se.fock((0, 2), 2).amplitudes)
-        / np.sqrt(2.0),
-        mode_count=2,
-        n_max=2,
-    )
-    np.testing.assert_allclose(se.mode_occupations(state), [1.0, 1.0], atol=1e-12)
-
-
 def test_sample_and_collapse_returns_supported_outcome(rng):
     amp = rng.normal(size=9) + 1j * rng.normal(size=9)
     amp /= np.linalg.norm(amp)
@@ -173,27 +163,6 @@ def test_apply_unitary_refuses_a_non_finite_result():
     gate = se.ModeUnitary((0,), np.diag([1.0, np.nan, 1.0]), 2, name="broken")
     with pytest.raises(LeakageError, match="broken"):
         se.apply_unitary(se.fock((1,), 2), gate)
-
-
-def test_partial_trace_of_product_state_is_pure():
-    state = se.fock((1, 0, 2), 2)
-    reduced = se.partial_trace(state, keep=(0, 2))
-    np.testing.assert_allclose(np.trace(reduced.matrix), 1.0, atol=1e-12)
-    np.testing.assert_allclose(np.trace(reduced.matrix @ reduced.matrix), 1.0, atol=1e-12)
-
-
-def test_partial_trace_of_entangled_pair_is_mixed():
-    bell = se.StateVector(
-        amplitudes=(se.fock((1, 0), 1).amplitudes + se.fock((0, 1), 1).amplitudes)
-        / np.sqrt(2.0),
-        mode_count=2,
-        n_max=1,
-    )
-    reduced = se.partial_trace(bell, keep=(0,))
-    np.testing.assert_allclose(np.trace(reduced.matrix), 1.0, atol=1e-12)
-    np.testing.assert_allclose(
-        np.trace(reduced.matrix @ reduced.matrix), 0.5, atol=1e-12
-    )
 
 
 @settings(max_examples=50, deadline=None)
