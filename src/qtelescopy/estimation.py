@@ -38,7 +38,7 @@ from .protocols import (
     gottesman_distribution,
     sample_cnot_windows,
 )
-from .sources import StellarSource, TimeBinConfig, sample_arrival
+from .sources import StellarSource, TimeBinConfig, _integer, sample_arrival
 from .state_engine import basis_labels
 
 PHI_GRID_POINTS = 1024
@@ -73,7 +73,7 @@ class ExperimentPlan:
 
     def __post_init__(self):
         get_protocol(self.protocol)
-        if self.n_windows < 1:
+        if _integer(self.n_windows, "n_windows") < 1:
             raise ValueError("a plan needs at least one window")
         schedule = tuple(float(d) for d in self.delta_schedule)
         if not schedule:
@@ -83,7 +83,7 @@ class ExperimentPlan:
         object.__setattr__(self, "delta_schedule", schedule)
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+        if self.seed is not None and _integer(self.seed, "seed") < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         object.__setattr__(self, "variant", Variant.parse(self.variant))
 
@@ -412,7 +412,12 @@ def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
     heralds = outcome_heralds(plan.protocol, source.n_max)
     n_settings, n_classes = len(plan.delta_schedule), len(heralds)
     outcomes = np.asarray(outcomes)
-    if outcomes.size and not -1 <= outcomes.min() <= outcomes.max() < n_classes - 1:
+    if outcomes.shape != (plan.n_windows,) or outcomes.dtype.kind not in "iu":
+        raise EstimationError(
+            f"expected a 1-D integer array of {plan.n_windows} outcome indices, "
+            f"got shape {outcomes.shape} of {outcomes.dtype}"
+        )
+    if not -1 <= outcomes.min() <= outcomes.max() < n_classes - 1:
         raise EstimationError(f"outcome indices must lie in [-1, {n_classes - 1})")
     # window w uses setting w mod n_settings; index -1 (no photon) lands in
     # the last column, the VACUUM class
@@ -514,8 +519,12 @@ def crb_report(
     distinct delta is computed once.  ``variant`` and ``swap_bases``
     complete the setting as in a plan."""
     entry = get_protocol(protocol)
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     at = (source.phi, source.g)
     schedule = [float(delta) for delta in delta_schedule]
+    if not schedule:
+        raise ValueError("the delta schedule must not be empty")
     per_setting: dict[float, float] = {}
     contaminated: dict[float, float] = {}
     for delta in dict.fromkeys(schedule):

@@ -250,6 +250,8 @@ def parity_basis(mode_a: int, mode_b: int, n_max: int) -> MeasurementBasis:
     """Total photon-number parity of a mode pair: outcomes 0 (even), 1 (odd)."""
     totals = labels_array(2, n_max).sum(axis=1)
     projs = tuple(np.diag((totals % 2 == par).astype(complex)) for par in (0, 1))
+    for proj in projs:
+        proj.setflags(write=False)
     mask = np.ones(len(totals), dtype=bool)
     return MeasurementBasis((mode_a, mode_b), projs, (0, 1), n_max, mask, "parity")
 

@@ -17,7 +17,9 @@ Four measurement schemes over the same two-port stellar source:
 
 Every distribution here is produced by running the corresponding circuit
 through the state engine; closed-form outcome tables live only in the test
-oracles.
+oracles.  Each wiring of the six-mode circuit, and the direct readout, is
+written once as a tuple of gates and readouts: :func:`_walk` enumerates its
+readout outcomes into a table, or samples one outcome each for a window.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .gates import (
 )
 from .sources import NO_PHOTON, StellarSource, _integer
 from .state_engine import (
+    ModeUnitary,
     QubitRegister,
     StateVector,
     apply_unitary,
@@ -148,75 +151,62 @@ def _cnot_input_state(star: StateVector, ancilla_present: bool) -> StateVector:
 
 
 @lru_cache(maxsize=64)
-def _cnot_gate_sequence(delta: float, n_max: int):
-    """Coherent wiring: phase, photon-number CNOT chains, CZ, beam splitters."""
-    return (
-        phase_shift(ANC_L, delta, n_max),
-        cnot_fock(STAR_L, EXTRA_L, n_max),
-        cnot_fock(ANC_L, EXTRA_L, n_max),
-        cnot_fock(EXTRA_L, ANC_L, n_max),
-        cnot_fock(STAR_R, EXTRA_R, n_max),
-        cnot_fock(ANC_R, EXTRA_R, n_max),
-        cnot_fock(EXTRA_R, ANC_R, n_max),
-    ) + _cnot_closing_gates(n_max)
+def _cnot_steps(delta: float, n_max: int, variant: Variant) -> tuple:
+    """One wiring of the six-mode circuit, as :func:`_walk` steps.
+
+    After the ancilla phase, each lab ties its (star, ancilla) pair to its
+    outer mode: by a coherent CNOT chain, or by reading the pair's
+    photon-number parity and feeding forward a NOT, onto the ancilla mode
+    after even parity and onto the outer mode after odd parity.  A CZ and
+    the two beam splitters close both wirings.
+    """
+
+    def lab(star: int, anc: int, extra: int) -> tuple:
+        if variant is Variant.CNOT_SEQUENCE:
+            return tuple(cnot_fock(c, t, n_max) for c, t in ((star, extra), (anc, extra), (extra, anc)))
+        then = ((not_fock(anc, n_max),), (not_fock(extra, n_max),))
+        return ((parity_basis(star, anc, n_max), then),)
+
+    phase = (phase_shift(ANC_L, delta, n_max),)
+    closing = (cz_fock(EXTRA_L, STAR_L, n_max), beam_splitter(STAR_L, ANC_L, n_max), beam_splitter(STAR_R, ANC_R, n_max))
+    return phase + lab(STAR_L, ANC_L, EXTRA_L) + lab(STAR_R, ANC_R, EXTRA_R) + closing
 
 
-@lru_cache(maxsize=None)
-def _cnot_closing_gates(n_max: int):
-    return (
-        cz_fock(EXTRA_L, STAR_L, n_max),
-        beam_splitter(STAR_L, ANC_L, n_max),
-        beam_splitter(STAR_R, ANC_R, n_max),
-    )
+def _walk(state, steps, rng=None, weight=1.0):
+    """Run a wiring on ``state``: yield ``(outcomes, weight, state)`` per readout path.
 
-
-# feed-forward rule of the parity wiring: even local parity flips the
-# ancilla mode, odd parity flips the outer mode
-_FEED_FORWARD = {
-    "L": {0: ANC_L, 1: EXTRA_L},
-    "R": {0: ANC_R, 1: EXTRA_R},
-}
-
-
-def cnot_output_state(star: StateVector, ancilla_present: bool, config: ProtocolConfig) -> StateVector:
-    """Pre-measurement six-mode state of the coherent wiring."""
-    state = _cnot_input_state(star, ancilla_present)
-    for gate in _cnot_gate_sequence(config.delta, star.n_max):
-        state = apply_unitary(state, gate)
-    return state
+    A step is a gate, or a readout ``(basis, then)`` whose ``then[i]`` holds
+    the gates that follow ``basis.outcomes[i]``.  Without ``rng`` every
+    outcome of nonzero weight is followed through :func:`project`, its
+    weight multiplied into ``weight`` left to right; with ``rng`` each
+    readout samples one outcome, and the one path keeps ``weight``.
+    """
+    for i, step in enumerate(steps):
+        if isinstance(step, ModeUnitary):
+            state = apply_unitary(state, step)
+            continue
+        basis, then = step
+        if rng is None:
+            reads = ((outcome, *project(state, basis, outcome)) for outcome in basis.outcomes)
+        else:
+            outcome, post = measure_in_basis(state, basis, rng)
+            reads = ((outcome, 1.0, post),)
+        for outcome, w, post in reads:
+            if post is not None:
+                rest = then[basis.outcomes.index(outcome)] + steps[i + 1 :]
+                for tail, leaf_weight, leaf in _walk(post, rest, rng, weight * w):
+                    yield (outcome,) + tail, leaf_weight, leaf
+        return
+    yield (), weight, state
 
 
 def _branch_distribution(star: StateVector, ancilla_present: bool, config: ProtocolConfig) -> dict:
     """Outcome table of one pure input branch, by explicit simulation."""
-    n_max = star.n_max
-    if config.variant is Variant.CNOT_SEQUENCE:
-        out = cnot_output_state(star, ancilla_present, config)
-        return number_measurement_distribution(out)
-
-    # parity feed-forward wiring: measure each lab's (star, ancilla) parity,
-    # apply the conditioned NOT, then close with the shared CZ and the
-    # beam splitters
-    state = apply_unitary(
-        _cnot_input_state(star, ancilla_present), phase_shift(ANC_L, config.delta, n_max)
-    )
-    closing = _cnot_closing_gates(n_max)
+    steps = _cnot_steps(config.delta, star.n_max, config.variant)
     table: dict = {}
-    basis_l = parity_basis(STAR_L, ANC_L, n_max)
-    basis_r = parity_basis(STAR_R, ANC_R, n_max)
-    for par_l in (0, 1):
-        w_l, state_l = project(state, basis_l, par_l)
-        if state_l is None:
-            continue
-        state_l = apply_unitary(state_l, not_fock(_FEED_FORWARD["L"][par_l], n_max))
-        for par_r in (0, 1):
-            w_r, state_r = project(state_l, basis_r, par_r)
-            if state_r is None:
-                continue
-            state_r = apply_unitary(state_r, not_fock(_FEED_FORWARD["R"][par_r], n_max))
-            for gate in closing:
-                state_r = apply_unitary(state_r, gate)
-            for label, p in number_measurement_distribution(state_r).items():
-                table[label] = table.get(label, 0.0) + w_l * w_r * p
+    for _, w, state in _walk(_cnot_input_state(star, ancilla_present), steps):
+        for label, p in number_measurement_distribution(state).items():
+            table[label] = table.get(label, 0.0) + w * p
     return table
 
 
@@ -264,19 +254,8 @@ def run_cnot_window(source: StellarSource, config: ProtocolConfig, rng=None) -> 
     rng = np.random.default_rng(rng)
     _, star = source.sample_branch(rng)
     present = bool(rng.random() < config.eta)
-    n_max = star.n_max
-    if config.variant is Variant.CNOT_SEQUENCE:
-        state = cnot_output_state(star, present, config)
-    else:
-        state = apply_unitary(
-            _cnot_input_state(star, present), phase_shift(ANC_L, config.delta, n_max)
-        )
-        par_l, state = measure_in_basis(state, parity_basis(STAR_L, ANC_L, n_max), rng)
-        state = apply_unitary(state, not_fock(_FEED_FORWARD["L"][par_l], n_max))
-        par_r, state = measure_in_basis(state, parity_basis(STAR_R, ANC_R, n_max), rng)
-        state = apply_unitary(state, not_fock(_FEED_FORWARD["R"][par_r], n_max))
-        for gate in _cnot_closing_gates(n_max):
-            state = apply_unitary(state, gate)
+    steps = _cnot_steps(config.delta, star.n_max, config.variant)
+    ((_, _, state),) = _walk(_cnot_input_state(star, present), steps, rng)
     counts, _ = sample_and_collapse(state, rng)
     return DetectionRecord(classify_herald(counts), counts=counts)
 
@@ -322,10 +301,15 @@ def _fringe_branches(source: StellarSource) -> list[tuple[float, StateVector]]:
     return [((1.0 + source.g) / 2.0, psi_plus), ((1.0 - source.g) / 2.0, psi_minus)]
 
 
-def _direct_bases(delta: float, n_max: int, swap_bases: bool) -> tuple[MeasurementBasis, MeasurementBasis]:
+@lru_cache(maxsize=64)
+def _direct_steps(delta: float, n_max: int, swap_bases: bool) -> tuple:
+    """The direct readout as :func:`_walk` steps: X in one lab, the
+    delta-rotated basis in the other, left lab first."""
     if swap_bases:
-        return rotated_basis(0, delta, n_max), x_basis(1, n_max)
-    return x_basis(0, n_max), rotated_basis(1, delta, n_max)
+        left, right = rotated_basis(0, delta, n_max), x_basis(1, n_max)
+    else:
+        left, right = x_basis(0, n_max), rotated_basis(1, delta, n_max)
+    return (left, ((), ())), (right, ((), ()))
 
 
 def direct_distribution(
@@ -335,25 +319,18 @@ def direct_distribution(
 
     Conditioned on a photon arrival: the left lab measures its port in the
     X basis and the right lab in the delta-rotated basis (swappable).
-    Outcomes are labeled by the +-1 eigenvalues, left first.  The two
-    single-photon fringe branches weigh (1 +- g)/2 for every epsilon > 0;
-    at epsilon = 0 no photon arrives and the table is empty.
+    All four outcomes are listed, labeled by the +-1 eigenvalues, left first.
+    The two single-photon fringe branches weigh (1 +- g)/2 for every
+    epsilon > 0; at epsilon = 0 no photon arrives and the table is empty.
     """
-    basis_l, basis_r = _direct_bases(delta, source.n_max, swap_bases)
+    steps = _direct_steps(delta, source.n_max, swap_bases)
     if source.epsilon == 0.0:
         return {}
-    table: dict[tuple[int, int], float] = {}
+    table = {(left, right): 0.0 for left in (+1, -1) for right in (+1, -1)}
     for w, psi in _fringe_branches(source):
-        if w == 0.0:
-            continue
-        for left in (+1, -1):
-            p_l, post = project(psi, basis_l, left)
-            if post is None:
-                continue
-            for right in (+1, -1):
-                p_r, _ = project(post, basis_r, right)
-                key = (left, right)
-                table[key] = table.get(key, 0.0) + w * p_l * p_r
+        if w != 0.0:
+            for outcomes, p, _ in _walk(psi, steps, weight=w):
+                table[outcomes] += p
     return table
 
 
@@ -364,10 +341,8 @@ def run_direct_window(
     rng = np.random.default_rng(rng)
     fringe = _fringe_branches(source)
     psi = fringe[int(rng.choice(2, p=np.array([w for w, _ in fringe])))][1]
-    basis_l, basis_r = _direct_bases(delta, source.n_max, swap_bases)
-    left, post = measure_in_basis(psi, basis_l, rng)
-    right, _ = measure_in_basis(post, basis_r, rng)
-    return left, right
+    ((outcomes, _, _),) = _walk(psi, _direct_steps(delta, source.n_max, swap_bases), rng)
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,20 @@ def test_plan_validation():
         ExperimentPlan("direct", src, (0.0,), 100, seed=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_windows", True), ("n_windows", 2.5), ("n_windows", 10.0), ("n_windows", "10"),
+    ("seed", True), ("seed", 1.5), ("seed", 1.0), ("seed", "1"),
+])
+def test_plan_refuses_a_non_integer_window_count_or_seed(field, value):
+    # True ran as one window or seed 1; 2.5 and 1.5 failed inside numpy
+    fields = {"n_windows": 10, "seed": 1, field: value}
+    with pytest.raises(TypeError, match=field):
+        ExperimentPlan("cnot", StellarSource(0.1, 0.5, 0.1), (0.0, HALF_PI), **fields)
+    plan = ExperimentPlan("cnot", StellarSource(0.1, 0.5, 0.1), (0.0,), np.int64(10), seed=np.int32(3))
+    assert run_experiment(plan).shape == (10,)
+    assert ExperimentPlan("cnot", StellarSource(0.1, 0.5, 0.1), (0.0,), 10, seed=None).seed is None
+
+
 # every entry point a phase, a readout phase or an arrival probability reaches
 _GUARDED_RUNS = {
     "cnot": lambda protocol, src, delta: cnot_distribution(src, ProtocolConfig(delta, 0.8)),
@@ -349,6 +363,19 @@ def test_crb_report_averages_over_schedule_entries(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("eta", [2.0, -0.1, math.nan])
+def test_crb_report_refuses_an_eta_outside_the_unit_interval(eta):
+    # eta = 2 reported twice the QFI bound, eta = nan a nan bound
+    with pytest.raises(ValueError, match="eta"):
+        crb_report("cnot", StellarSource(0.7, 1.0, 0.1), (0.0, HALF_PI), eta=eta)
+
+
+def test_crb_report_refuses_an_empty_schedule():
+    # the mean over no entries was nan, with a numpy warning
+    with pytest.raises(ValueError, match="schedule"):
+        crb_report("direct", StellarSource(0.7, 1.0, 0.1), ())
+
+
 def test_crb_report_exposes_contaminated_fisher():
     src = StellarSource(phi=0.7, g=1.0, epsilon=0.1)
     rep = crb_report("cnot", src, (0.0, HALF_PI), eta=0.6, include_contaminated=True)
@@ -546,6 +573,17 @@ def test_mle_rejects_out_of_range_outcome_indices():
     for bad in (-2, n_labels):
         with pytest.raises(EstimationError):
             mle_phase(np.array([0] * 9 + [bad]), plan)
+
+
+def test_mle_refuses_outcomes_of_the_wrong_length_or_type():
+    # three outcomes against ten windows reported the CRB of ten windows
+    plan = _plan(n_windows=10)
+    outcomes = run_experiment(plan)
+    for bad in (outcomes[:3], np.concatenate([outcomes, outcomes]), outcomes.reshape(2, 5),
+                outcomes.astype(float), outcomes.astype(bool), list(map(str, outcomes))):
+        with pytest.raises(EstimationError, match="10 outcome indices"):
+            mle_phase(bad, plan)
+    assert mle_phase(outcomes.astype(np.int32), plan) == mle_phase(list(outcomes), plan)
 
 
 def test_fringe_table_guards():

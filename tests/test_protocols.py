@@ -155,9 +155,10 @@ def test_classify_herald_cases():
     assert classify_herald((2, 1, 0, 1, 0, 0)) is Herald.INVALID
 
 
-def test_run_cnot_window_deterministic_per_seed():
+@pytest.mark.parametrize("variant", list(Variant))
+def test_run_cnot_window_deterministic_per_seed(variant):
     src = StellarSource(phi=0.7, g=1.0, epsilon=0.3)
-    cfg = ProtocolConfig(delta=0.2)
+    cfg = ProtocolConfig(delta=0.2, variant=variant)
     recs_a = [run_cnot_window(src, cfg, rng=np.random.default_rng(s)) for s in range(10)]
     recs_b = [run_cnot_window(src, cfg, rng=np.random.default_rng(s)) for s in range(10)]
     for ra, rb in zip(recs_a, recs_b):
@@ -165,11 +166,13 @@ def test_run_cnot_window_deterministic_per_seed():
         assert ra.herald is rb.herald
 
 
-def test_window_sampler_agrees_with_per_window_circuit():
+@pytest.mark.parametrize("variant", list(Variant))
+def test_window_sampler_agrees_with_per_window_circuit(variant):
     # the batched sampler draws from the same law as running the circuit
-    # window by window; compare herald rates between the two
+    # window by window, whose parity wiring collapses at each lab's readout;
+    # compare herald rates between the two
     src = StellarSource(phi=0.7, g=1.0, epsilon=0.1)
-    cfg = ProtocolConfig(delta=0.3)
+    cfg = ProtocolConfig(delta=0.3, variant=variant)
     rng = np.random.default_rng(77)
     slow = [run_cnot_window(src, cfg, rng=rng) for _ in range(1200)]
     fast = sample_cnot_windows(src, cfg, 20_000, rng=np.random.default_rng(78))
@@ -196,14 +199,28 @@ def test_cnot_distribution_refuses_a_non_finite_readout_phase(variant):
 
 
 def test_cached_gate_sequence_is_shared_and_read_only():
-    sequence = protocols._cnot_gate_sequence(0.3, 2)
-    assert protocols._cnot_gate_sequence(0.3, 2) is sequence
-    assert sequence[-3:] == protocols._cnot_closing_gates(2)
-    for gate in sequence:
-        with pytest.raises(ValueError, match="read-only"):
-            gate.matrix[0, 0] = 2.0
-        with pytest.raises(ValueError, match="read-only"):
-            gate.valid_mask[0] = False
+    # every call of a setting walks the same cached wiring, so no gate or
+    # readout projector in it may be written to
+    wirings = [(protocols._cnot_steps, (0.3, 2, variant)) for variant in Variant]
+    wirings += [(protocols._direct_steps, (0.3, 2, swap)) for swap in (False, True)]
+    for build, args in wirings:
+        steps = build(*args)
+        assert build(*args) is steps
+        gates = [step for step in steps if isinstance(step, state_engine.ModeUnitary)]
+        readouts = [step for step in steps if not isinstance(step, state_engine.ModeUnitary)]
+        for basis, then in readouts:
+            assert len(then) == len(basis.outcomes)
+            gates += [gate for after in then for gate in after]
+            for proj in basis.projectors:
+                with pytest.raises(ValueError, match="read-only"):
+                    proj[0, 0] = 2.0
+        for gate in gates:
+            with pytest.raises(ValueError, match="read-only"):
+                gate.matrix[0, 0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                gate.valid_mask[0] = False
+    parity = protocols._cnot_steps(0.3, 2, Variant.PARITY_FEED_FORWARD)
+    assert [step[0].name for step in parity if isinstance(step, tuple)] == ["parity", "parity"]
 
 
 def test_memory_window_builds_no_gather_table():
@@ -261,6 +278,20 @@ def test_run_direct_window_deterministic(rng):
     b = [run_direct_window(src, 0.2, rng=np.random.default_rng(s)) for s in range(15)]
     assert a == b
     assert all(x in (-1, 1) and r in (-1, 1) for x, r in a)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_direct_window_frequencies_match_the_distribution(swap):
+    # the sampled readout and the enumerated table walk the same wiring
+    src = StellarSource(phi=0.9, g=0.8, epsilon=0.3)
+    table = direct_distribution(src, 0.2, swap_bases=swap)
+    rng = np.random.default_rng(41)
+    n = 4000
+    draws = [run_direct_window(src, 0.2, rng=rng, swap_bases=swap) for _ in range(n)]
+    assert set(draws) <= set(table)
+    for label, p in table.items():
+        sigma = math.sqrt(p * (1.0 - p) / n)
+        assert abs(draws.count(label) / n - p) < 4 * sigma
 
 
 def test_gottesman_distribution_normalized():
