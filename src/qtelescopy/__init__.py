@@ -1,8 +1,9 @@
 """Few-mode photonic simulation and phase-estimation toolkit for
 long-baseline stellar interferometry with entangled ancillas.
 
-The package is organized around a dense truncated-Fock-space state engine
-(``state_engine``), lifted linear-optics and photon-number controlled gates
+The package is organized around a truncated-Fock-space state engine
+(``state_engine``: dense registers, and cutoff-1 registers held on their
+support), lifted linear-optics and photon-number controlled gates
 (``gates``), stellar source models (``sources``), executable measurement
 protocols (``protocols``), classical/quantum Fisher information
 (``fisher``), Monte-Carlo estimation (``estimation``), closed-form
@@ -50,7 +51,6 @@ from .gates import (
     measure_in_basis,
     measurement_distribution,
     not_fock,
-    number_basis,
     parity_basis,
     phase_shift,
     project,
@@ -106,7 +106,6 @@ from .state_engine import (
     sample_and_collapse,
     space_dim,
     tensor_at,
-    vacuum,
 )
 
 __version__ = "0.1.0"

@@ -194,7 +194,8 @@ class MeasurementBasis:
 
     ``projectors[i]`` acts on the local space of ``target_modes`` and
     corresponds to ``outcomes[i]``.  ``valid_mask`` plays the same role as
-    for gates: local labels outside it must carry no probability.
+    for gates: local labels outside it must carry no probability.  Both are
+    read-only copies, so one basis may be shared by many circuits.
     """
 
     target_modes: tuple[int, ...]
@@ -206,18 +207,18 @@ class MeasurementBasis:
 
     def __post_init__(self):
         dloc = space_dim(len(self.target_modes), self.n_max)
-        for proj in self.projectors:
-            if proj.shape != (dloc, dloc):
-                raise ValueError("projector shape does not match the target modes")
-        if len(self.projectors) != len(self.outcomes):
+        projectors = tuple(np.array(proj, dtype=complex) for proj in self.projectors)
+        mask = np.array(self.valid_mask, dtype=bool)
+        for array in projectors + (mask,):
+            array.setflags(write=False)
+        if any(proj.shape != (dloc, dloc) for proj in projectors):
+            raise ValueError("projector shape does not match the target modes")
+        if mask.shape != (dloc,):
+            raise ValueError("valid_mask length does not match the local dimension")
+        if len(projectors) != len(self.outcomes):
             raise ValueError("one outcome per projector required")
-
-
-def number_basis(mode: int, n_max: int) -> MeasurementBasis:
-    """Photon-number measurement of a single mode."""
-    projs = tuple(np.diag(row) for row in np.eye(n_max + 1, dtype=complex))
-    mask = np.ones(n_max + 1, dtype=bool)
-    return MeasurementBasis((mode,), projs, tuple(range(n_max + 1)), n_max, mask, "number")
+        object.__setattr__(self, "projectors", projectors)
+        object.__setattr__(self, "valid_mask", mask)
 
 
 def rotated_basis(mode: int, delta: float, n_max: int) -> MeasurementBasis:
@@ -234,7 +235,6 @@ def rotated_basis(mode: int, delta: float, n_max: int) -> MeasurementBasis:
         p[0, 0] = p[1, 1] = 0.5
         p[1, 0] = sign * 0.5 * np.exp(1j * delta)
         p[0, 1] = sign * 0.5 * np.exp(-1j * delta)
-        p.setflags(write=False)
         projs.append(p)
     mask = _qubit_mask(1, n_max)
     return MeasurementBasis((mode,), tuple(projs), (+1, -1), n_max, mask, "rotated")
@@ -250,8 +250,6 @@ def parity_basis(mode_a: int, mode_b: int, n_max: int) -> MeasurementBasis:
     """Total photon-number parity of a mode pair: outcomes 0 (even), 1 (odd)."""
     totals = labels_array(2, n_max).sum(axis=1)
     projs = tuple(np.diag((totals % 2 == par).astype(complex)) for par in (0, 1))
-    for proj in projs:
-        proj.setflags(write=False)
     mask = np.ones(len(totals), dtype=bool)
     return MeasurementBasis((mode_a, mode_b), projs, (0, 1), n_max, mask, "parity")
 

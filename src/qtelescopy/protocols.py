@@ -17,9 +17,11 @@ Four measurement schemes over the same two-port stellar source:
 
 Every distribution here is produced by running the corresponding circuit
 through the state engine; closed-form outcome tables live only in the test
-oracles.  Each wiring of the six-mode circuit, and the direct readout, is
-written once as a tuple of gates and readouts: :func:`_walk` enumerates its
-readout outcomes into a table, or samples one outcome each for a window.
+oracles.  Each wiring of the six-mode circuit, the four-mode baseline and
+the direct readout is written once as a tuple of gates and readouts:
+:func:`_walk` enumerates its readout outcomes into a table, or samples one
+outcome each for a window.  The local X readouts that decode a Bell pair
+are the direct readout at delta = 0, drawn from the same enumeration.
 """
 
 from __future__ import annotations
@@ -200,12 +202,11 @@ def _walk(state, steps, rng=None, weight=1.0):
     yield (), weight, state
 
 
-def _branch_distribution(star: StateVector, ancilla_present: bool, config: ProtocolConfig) -> dict:
-    """Outcome table of one pure input branch, by explicit simulation."""
-    steps = _cnot_steps(config.delta, star.n_max, config.variant)
+def _count_table(state, steps) -> dict:
+    """Photon-count table of every mode after a wiring, summed over its readout paths."""
     table: dict = {}
-    for _, w, state in _walk(_cnot_input_state(star, ancilla_present), steps):
-        for label, p in number_measurement_distribution(state).items():
+    for _, w, leaf in _walk(state, steps):
+        for label, p in number_measurement_distribution(leaf).items():
             table[label] = table.get(label, 0.0) + w * p
     return table
 
@@ -220,13 +221,14 @@ def cnot_branches(source: StellarSource, config: ProtocolConfig) -> list[tuple[s
     if source.n_max < 2:
         raise ValueError("the six-mode circuit needs a photon-number cutoff of at least 2")
     names = ("vacuum", "plus", "minus")
+    steps = _cnot_steps(config.delta, source.n_max, config.variant)
     rows = []
     for name, (w_src, star) in zip(names, source.pure_branches()):
         for present, w_anc in ((True, config.eta), (False, 1.0 - config.eta)):
             weight = w_src * w_anc
             if weight == 0.0:
                 continue
-            rows.append((name, present, weight, _branch_distribution(star, present, config)))
+            rows.append((name, present, weight, _count_table(_cnot_input_state(star, present), steps)))
     return rows
 
 
@@ -375,21 +377,14 @@ def gottesman_distribution(
     anc = StateVector(
         (one.amplitudes + np.exp(1j * delta) * other.amplitudes) / np.sqrt(2.0), 2, n_max
     )
-    gates = []
-    if u_left is not None:
-        gates.append(two_mode_unitary(u_left, STAR_L4, ANC_L4, n_max, "u_left"))
-    if u_right is not None:
-        gates.append(two_mode_unitary(u_right, STAR_R4, ANC_R4, n_max, "u_right"))
-    gates.append(beam_splitter(STAR_L4, ANC_L4, n_max))
-    gates.append(beam_splitter(STAR_R4, ANC_R4, n_max))
-
-    def table(star: StateVector) -> dict:
-        state = tensor_at([(star, (STAR_L4, STAR_R4)), (anc, (ANC_L4, ANC_R4))])
-        for gate in gates:
-            state = apply_unitary(state, gate)
-        return number_measurement_distribution(state)
-
-    rows = ((w, table(star)) for w, star in source.pure_branches() if w != 0.0)
+    optics = ((u_left, STAR_L4, ANC_L4, "u_left"), (u_right, STAR_R4, ANC_R4, "u_right"))
+    steps = tuple(two_mode_unitary(u, a, b, n_max, name) for u, a, b, name in optics if u is not None)
+    steps += (beam_splitter(STAR_L4, ANC_L4, n_max), beam_splitter(STAR_R4, ANC_R4, n_max))
+    rows = (
+        (w, _count_table(tensor_at([(star, (STAR_L4, STAR_R4)), (anc, (ANC_L4, ANC_R4))]), steps))
+        for w, star in source.pure_branches()
+        if w != 0.0
+    )
     return _mixture(rows, "four-mode")
 
 
@@ -509,15 +504,11 @@ def encode_time_bin_modified(register: BellRegister, arrival) -> BellRegister:
 
 
 def _sample_pair_x_outcomes(pair: np.ndarray, rng) -> tuple[int, int]:
-    """Joint X-basis outcomes (left, right) for one Bell pair 4-vector."""
-    combos = [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
-    probs = []
-    for x_l, x_r in combos:
-        amp = (pair[0] + x_r * pair[1] + x_l * pair[2] + x_l * x_r * pair[3]) / 2.0
-        probs.append(abs(amp) ** 2)
-    probs = np.array(probs)
-    idx = int(rng.choice(4, p=probs / probs.sum()))
-    return combos[idx]
+    """Joint X-basis outcomes (left, right) for one Bell pair 4-vector, drawn
+    with one ``rng.choice`` from the engine's readout paths."""
+    paths = list(_walk(StateVector(pair, 2, 1), _direct_steps(0.0, 1, False)))
+    weights = np.array([w for _, w, _ in paths])
+    return paths[int(rng.choice(len(paths), p=weights / weights.sum()))][0]
 
 
 def _decoded_bin(x_outcomes):

@@ -6,7 +6,9 @@ A register of ``mode_count`` optical modes with per-mode photon cutoff
 order with mode 0 as the most significant digit: the flat index of the
 occupation tuple ``(n_0, ..., n_{M-1})`` is
 ``sum(n_m * (n_max + 1) ** (M - 1 - m))``, which is exactly the order
-produced by :func:`numpy.ndindex`.
+produced by :func:`numpy.ndindex`.  Both registers build their input
+from one support product of placed factor states: :func:`tensor_at`
+scatters it into a dense vector, :meth:`QubitRegister.place` keeps it.
 
 A gate that is a signed permutation of all its local labels (the Fock-qubit
 gates at ``n_max = 1``) carries that table in ``ModeUnitary.perm``, set where
@@ -110,15 +112,6 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def tensor(self, other: "StateVector") -> "StateVector":
-        if other.n_max != self.n_max:
-            raise ValueError("tensor factors must share the same cutoff")
-        return StateVector(
-            np.kron(self.amplitudes, other.amplitudes),
-            self.mode_count + other.mode_count,
-            self.n_max,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class QubitRegister:
@@ -148,24 +141,12 @@ class QubitRegister:
     def place(cls, factors: Sequence[tuple[StateVector, Sequence[int]]], mode_count: int):
         """:func:`tensor_at` onto a register: each ``(state, modes)`` factor is a
         cutoff-1 state placed at ``modes``; every mode no factor names holds vacuum."""
-        state, named = cls([0], [1.0], mode_count), []
-        labels, amps = state.labels, state.amplitudes
-        for factor, modes in factors:
-            modes = [int(m) for m in modes]
-            if factor.n_max != 1 or len(modes) != factor.mode_count:
-                raise ValueError("a factor must be a cutoff-1 state with one mode per listed mode")
-            nz, named = np.flatnonzero(factor.amplitudes), named + modes
-            digits = (nz[:, None] >> np.arange(len(modes) - 1, -1, -1)) & 1
-            labels = (labels[:, None] | digits @ np.array(state._bits(modes))).reshape(-1)
-            amps = (amps[:, None] * factor.amplitudes[nz]).reshape(-1)
-        if len(set(named)) != len(named):
-            raise ValueError(f"factor modes {named} repeat a mode")
-        return cls(labels, amps, mode_count)
+        cls([], [], mode_count)  # refuses a mode count outside 0..62 before any stride is formed
+        return cls(*_support_product(factors, mode_count, 1), mode_count)
 
     def _bits(self, modes: Sequence[int]) -> list[int]:
         """The label bit of each of ``modes``."""
-        if any(not 0 <= m < self.mode_count for m in modes):
-            raise ValueError(f"modes {tuple(modes)} out of range for {self.mode_count} modes")
+        _check_modes(modes, self.mode_count)
         return [1 << (self.mode_count - 1 - int(m)) for m in modes]
 
     def _local_index(self, modes: Sequence[int]) -> np.ndarray:
@@ -196,12 +177,6 @@ class QubitRegister:
         return QubitRegister(labels, self.amplitudes[keep], self.mode_count - 1)
 
 
-def vacuum(mode_count: int, n_max: int) -> StateVector:
-    amps = np.zeros(space_dim(mode_count, n_max), dtype=complex)
-    amps[0] = 1.0
-    return StateVector(amps, mode_count, n_max)
-
-
 def fock(occupations: Sequence[int], n_max: int) -> StateVector:
     """Product Fock state |n_0, n_1, ..., n_{M-1}>."""
     occupations = tuple(int(n) for n in occupations)
@@ -210,15 +185,32 @@ def fock(occupations: Sequence[int], n_max: int) -> StateVector:
     return StateVector(amps, len(occupations), n_max)
 
 
-def arrange_modes(state: StateVector, current: Sequence[int]) -> StateVector:
-    """Reorder tensor factors so factor ``i`` becomes register mode ``current[i]``."""
-    current = tuple(int(m) for m in current)
-    if sorted(current) != list(range(state.mode_count)):
-        raise ValueError(f"{current} is not a permutation of the register modes")
-    d = state.n_max + 1
-    t = state.amplitudes.reshape((d,) * state.mode_count)
-    t = np.moveaxis(t, range(state.mode_count), current)
-    return StateVector(t.reshape(-1), state.mode_count, state.n_max)
+def _check_modes(modes: Sequence[int], mode_count: int) -> None:
+    if any(not 0 <= m < mode_count for m in modes):
+        raise ValueError(f"modes {tuple(modes)} out of range for {mode_count} modes")
+
+
+def _support_product(factors, mode_count: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and amplitudes of the nonzero entries of a product state.
+
+    Each ``(state, modes)`` factor is a cutoff-``n_max`` state placed at
+    ``modes``; mode ``m`` has stride ``(n_max + 1) ** (mode_count - 1 - m)``,
+    and every mode no factor names holds vacuum.  Amplitudes multiply in
+    factor order, as in a Kronecker product of the factors.
+    """
+    index, amps, named = np.zeros(1, np.int64), np.ones(1, complex), []
+    for factor, modes in factors:
+        modes = [int(m) for m in modes]
+        if factor.n_max != n_max or len(modes) != factor.mode_count:
+            raise ValueError(f"a factor must be a cutoff-{n_max} state with one mode per listed mode")
+        _check_modes(modes, mode_count)
+        nz, named = np.flatnonzero(factor.amplitudes), named + modes
+        strides = (n_max + 1) ** (mode_count - 1 - np.array(modes, np.int64))
+        index = (index[:, None] + labels_array(len(modes), n_max)[nz] @ strides).reshape(-1)
+        amps = (amps[:, None] * factor.amplitudes[nz]).reshape(-1)
+    if len(set(named)) != len(named):
+        raise ValueError(f"factor modes {named} repeat a mode")
+    return index, amps
 
 
 def tensor_at(factors: Sequence[tuple[StateVector, Sequence[int]]]) -> StateVector:
@@ -227,17 +219,13 @@ def tensor_at(factors: Sequence[tuple[StateVector, Sequence[int]]]) -> StateVect
     ``factors`` is a sequence of ``(state, modes)`` pairs whose mode lists
     together partition the register.
     """
-    joined = None
-    positions: list[int] = []
-    for state, modes in factors:
-        modes = tuple(int(m) for m in modes)
-        if len(modes) != state.mode_count:
-            raise ValueError("factor mode list does not match its mode count")
-        joined = state if joined is None else joined.tensor(state)
-        positions.extend(modes)
-    if joined is None:
+    if not factors:
         raise ValueError("no factors given")
-    return arrange_modes(joined, positions)
+    n_max, mode_count = factors[0][0].n_max, sum(state.mode_count for state, _ in factors)
+    amps = np.zeros(space_dim(mode_count, n_max), dtype=complex)
+    index, support = _support_product(factors, mode_count, n_max)
+    amps[index] = support
+    return StateVector(amps, mode_count, n_max)
 
 
 # ---------------------------------------------------------------------------

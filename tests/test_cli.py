@@ -367,6 +367,17 @@ def test_other_domain_errors_exit_1(tmp_path, monkeypatch):
     assert cli.main(["probs", "--config", str(cfg)]) == 1
 
 
+def test_out_of_memory_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. TiB for an array with shape (10000000000000,)")
+
+    monkeypatch.setattr(cli, "run_experiment", boom)
+    cfg = _write_config(tmp_path, protocol="direct", n_windows=10**13)
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+
+
 def test_config_defaults_applied():
     cfg = cli.RunConfig.from_dict(
         {"schema_version": 1, "protocol": "cnot", "epsilon": 0.1, "g": 1.0,

@@ -250,10 +250,29 @@ def test_parity_basis_outcomes():
     np.testing.assert_allclose(odd, [0.0, 1.0], atol=1e-14)
 
 
-def test_number_basis_matches_occupation():
-    basis = gates.number_basis(0, N_MAX)
-    probs = gates.measurement_distribution(se.fock((1, 0), N_MAX), basis)
-    np.testing.assert_allclose(probs, [0.0, 1.0, 0.0], atol=1e-14)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gates.x_basis(0, N_MAX),
+        lambda: gates.rotated_basis(1, 0.3, N_MAX),
+        lambda: gates.parity_basis(0, 1, N_MAX),
+    ],
+    ids=["x_basis", "rotated_basis", "parity_basis"],
+)
+def test_measurement_bases_are_read_only(build):
+    # cached wirings share bases: a write would change every later readout
+    basis = build()
+    with pytest.raises(ValueError):
+        basis.valid_mask[0] = False
+    for proj in basis.projectors:
+        with pytest.raises(ValueError):
+            proj[0, 0] = 0.0
+    mask, projectors = basis.valid_mask.copy(), [p.copy() for p in basis.projectors]
+    copied = gates.MeasurementBasis(basis.target_modes, tuple(projectors), basis.outcomes, N_MAX, mask)
+    mask[0], projectors[0][0, 0] = False, 7.0
+    assert copied.valid_mask[0] and copied.projectors[0][0, 0] != 7.0
+    with pytest.raises(ValueError, match="valid_mask length"):
+        gates.MeasurementBasis(basis.target_modes, basis.projectors, basis.outcomes, N_MAX, mask[:-1])
 
 
 def test_project_enumerates_branches():
@@ -383,7 +402,6 @@ _KERNEL_GATES = {
 _KERNEL_BASES = {
     "x_basis": (1, lambda t, n, rng: gates.x_basis(t[0], n)),
     "rotated_basis": (1, lambda t, n, rng: gates.rotated_basis(t[0], rng.uniform(-4, 4), n)),
-    "number_basis": (1, lambda t, n, rng: gates.number_basis(t[0], n)),
     "parity_basis": (2, lambda t, n, rng: gates.parity_basis(t[0], t[1], n)),
 }
 

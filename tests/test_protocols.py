@@ -364,6 +364,29 @@ def test_modified_memory_round_trip(n_bins):
         assert decode_time_bin(reg, rng=rng) == arrival
 
 
+def _pair_formula_decode(register, rng):
+    """Oracle decoder: each pair's joint X outcome probabilities written out
+    from its amplitudes, one ``rng.choice`` per pair."""
+    combos = [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
+    n = 0
+    for pair in register.pairs:
+        amps = [(pair[0] + x_r * pair[1] + x_l * pair[2] + x_l * x_r * pair[3]) / 2.0 for x_l, x_r in combos]
+        probs = np.abs(amps) ** 2
+        x_l, x_r = combos[int(rng.choice(4, p=probs / probs.sum()))]
+        n = (n << 1) | int(x_l != x_r)
+    return NO_PHOTON if n == 0 else n
+
+
+@pytest.mark.parametrize("n_bins", [1, 3, 7, 15])
+def test_decode_time_bin_matches_the_pair_amplitude_formula(n_bins):
+    for arrival in [NO_PHOTON] + list(range(1, n_bins + 1)):
+        reg = encode_time_bin_modified(bell_register(pairs_for_bins(n_bins)), arrival)
+        for seed in range(20):
+            engine, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert decode_time_bin(reg, engine) == _pair_formula_decode(reg, oracle)
+            assert engine.random() == oracle.random()
+
+
 def test_run_memory_modified_full_window():
     src = StellarSource(phi=0.4, g=1.0, epsilon=0.1)
     res = run_memory_modified(7, 3, src, delta=0.3, rng_seed=2)

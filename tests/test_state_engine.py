@@ -53,7 +53,7 @@ def test_fock_state_has_single_amplitude():
 
 
 def test_vacuum_is_first_basis_vector():
-    vac = se.vacuum(4, 2)
+    vac = se.fock((0,) * 4, 2)
     assert vac.amplitudes[0] == 1.0
     assert np.count_nonzero(vac.amplitudes) == 1
 
@@ -92,14 +92,6 @@ def test_tensor_at_superposition_factor():
         se.fock((1, 1, 0), 1).amplitudes + se.fock((0, 1, 1), 1).amplitudes
     ) / np.sqrt(2.0)
     np.testing.assert_allclose(full.amplitudes, expected)
-
-
-def test_arrange_modes_permutation():
-    state = se.fock((0, 1, 2), 2)
-    # current mode order (2, 0, 1): occupations seen as written live on those modes
-    rearranged = se.arrange_modes(state, (2, 0, 1))
-    expected = se.fock((1, 2, 0), 2)
-    np.testing.assert_allclose(rearranged.amplitudes, expected.amplitudes)
 
 
 def test_number_distribution_sums_to_one(rng):
@@ -187,11 +179,22 @@ def test_fock_index_matches_positional_weight(occ):
 # support-indexed qubit register
 
 
-def _random_qubit_factor(mode_count, rng):
-    amps = rng.normal(size=2**mode_count) + 1j * rng.normal(size=2**mode_count)
-    amps[rng.random(2**mode_count) < 0.4] = 0.0
+def _random_factor(mode_count, rng, n_max=1):
+    dim = se.space_dim(mode_count, n_max)
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    amps[rng.random(dim) < 0.4] = 0.0
     amps[0] = 1.0
-    return se.StateVector(amps / np.linalg.norm(amps), mode_count, 1)
+    return se.StateVector(amps / np.linalg.norm(amps), mode_count, n_max)
+
+
+def _kron_oracle(factors):
+    """Dense product state: ``np.kron`` of the factors in order, then each
+    factor's tensor axes moved to its register modes."""
+    amps, modes = np.ones(1, dtype=complex), []
+    for state, where in factors:
+        amps, modes = np.kron(amps, state.amplitudes), modes + [int(m) for m in where]
+    d = factors[0][0].n_max + 1
+    return np.moveaxis(amps.reshape((d,) * len(modes)), range(len(modes)), modes).reshape(-1)
 
 
 def _densified(register):
@@ -202,26 +205,51 @@ def _densified(register):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_qubit_register_placement_matches_tensor_at(seed):
+    """Both placements, ``tensor_at`` and ``QubitRegister.place``, equal the
+    Kronecker-product oracle exactly, on randomly permuted modes."""
     rng = np.random.default_rng(seed)
-    modes = [int(m) for m in rng.permutation(6)]
-    factors = [
-        (_random_qubit_factor(2, rng), modes[:2]),
-        (_random_qubit_factor(1, rng), modes[2:3]),
-        (_random_qubit_factor(3, rng), modes[3:]),
-    ]
+    for n_max in (3, 2, 1):
+        modes = [int(m) for m in rng.permutation(6)]
+        factors = [
+            (_random_factor(2, rng, n_max), modes[:2]),
+            (_random_factor(1, rng, n_max), modes[2:3]),
+            (_random_factor(3, rng, n_max), modes[3:]),
+        ]
+        oracle = _kron_oracle(factors)
+        dense = se.tensor_at(factors)
+        assert (dense.mode_count, dense.n_max) == (6, n_max)
+        np.testing.assert_array_equal(dense.amplitudes, oracle)
+    # the last factors, at cutoff 1, placed on a register
     register = se.QubitRegister.place(factors, 6)
-    assert register.amplitudes.size == np.count_nonzero(se.tensor_at(factors).amplitudes)
-    np.testing.assert_array_equal(_densified(register), se.tensor_at(factors).amplitudes)
+    assert register.amplitudes.size == np.count_nonzero(oracle)
+    np.testing.assert_array_equal(_densified(register), oracle)
     # modes no factor names hold vacuum
     partial = se.QubitRegister.place(factors[:2], 6)
-    with_vacuum = se.tensor_at(factors[:2] + [(se.vacuum(3, 1), factors[2][1])])
-    np.testing.assert_array_equal(_densified(partial), with_vacuum.amplitudes)
+    vacuum = (se.fock((0,) * 3, 1), factors[2][1])
+    np.testing.assert_array_equal(_densified(partial), _kron_oracle(factors[:2] + [vacuum]))
+    # a factor's occupations land on its listed modes, in order
+    state = se.tensor_at([(se.fock((0, 1, 2), 2), (2, 0, 1))])
+    np.testing.assert_array_equal(state.amplitudes, se.fock((1, 2, 0), 2).amplitudes)
+
+
+def test_tensor_at_placement_checks():
+    pair = se.fock((1, 0), 2)
+    with pytest.raises(ValueError, match="no factors given"):
+        se.tensor_at([])
+    with pytest.raises(ValueError, match="repeat a mode"):
+        se.tensor_at([(pair, (0, 1)), (pair, (1, 2))])
+    with pytest.raises(ValueError, match="out of range"):
+        se.tensor_at([(pair, (0, 2))])
+    with pytest.raises(ValueError, match="cutoff-2 state"):
+        se.tensor_at([(pair, (0, 1)), (se.fock((1,), 1), (2,))])
+    with pytest.raises(ValueError, match="one mode per listed mode"):
+        se.tensor_at([(pair, (0,))])
 
 
 @pytest.mark.parametrize("mode", range(5))
 @pytest.mark.parametrize("occupation", [0, 1])
 def test_qubit_register_slice_drops_the_mode(mode, occupation):
-    dense = _random_qubit_factor(5, np.random.default_rng(mode))
+    dense = _random_factor(5, np.random.default_rng(mode))
     register = se.QubitRegister.place([(dense, range(5))], 5)
     expected = dense.amplitudes.reshape(2**mode, 2, -1)[:, occupation].reshape(-1)
     part = register.slice(mode, occupation)
@@ -235,6 +263,9 @@ def test_qubit_register_mode_count_and_placement_checks():
         se.QubitRegister([0], [1.0], se.MAX_QUBIT_MODES + 1)
     with pytest.raises(ValueError, match="0 to 62 modes"):
         se.QubitRegister.place([], 63)
+    # refused before a stride past int64 is formed
+    with pytest.raises(ValueError, match="0 to 62 modes"):
+        se.QubitRegister.place([(se.fock((1, 0), 1), (0, 63))], 64)
     pair = se.fock((1, 0), 1)
     with pytest.raises(ValueError, match="repeat a mode"):
         se.QubitRegister.place([(pair, (0, 1)), (pair, (1, 2))], 3)
