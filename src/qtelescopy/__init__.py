@@ -87,7 +87,6 @@ from .protocols import (
 from .sources import (
     NO_PHOTON,
     StellarSource,
-    TimeBinConfig,
     conditional_g_derivative,
     conditional_phi_derivative,
     sample_arrival,

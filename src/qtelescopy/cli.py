@@ -294,12 +294,12 @@ def _fisher_row(cfg: RunConfig, phi: float, g: float, delta: float) -> list:
 
     rho = single_photon_conditional(source)
     drho_phi = conditional_phi_derivative(phi, g)
-    h_pp = cfg.epsilon * qfi_matrix(rho, drho_phi=drho_phi).phi_phi
+    drho_g = None if at_boundary else conditional_g_derivative(phi, g)
+    qmat = qfi_matrix(rho, drho_phi, drho_g)
+    h_pp = cfg.epsilon * qmat.phi_phi
     if at_boundary:
         h_gg = h_pg = sat = np.nan
     else:
-        drho_g = conditional_g_derivative(phi, g)
-        qmat = qfi_matrix(rho, drho_phi, drho_g)
         h_gg = cfg.epsilon * qmat.g_g
         h_pg = cfg.epsilon * qmat.phi_g
         sat = saturability_check(rho, sld(rho, drho_phi), sld(rho, drho_g))

@@ -38,7 +38,7 @@ from .protocols import (
     gottesman_distribution,
     sample_cnot_windows,
 )
-from .sources import StellarSource, TimeBinConfig, _integer, sample_arrival
+from .sources import StellarSource, _integer, sample_arrival
 from .state_engine import basis_labels
 
 PHI_GRID_POINTS = 1024
@@ -160,10 +160,10 @@ def _sample_table(plan: ExperimentPlan, rng) -> np.ndarray:
         ids = np.array([index[label] for label in table])
         tables.append((ids, np.array(list(table.values()))))
     if entry.conditioned:
-        window, epsilon, draw = TimeBinConfig(1), plan.source.epsilon, rng.random
+        epsilon, draw = plan.source.epsilon, rng.random
         uniforms = np.fromiter(
             (
-                draw() if sample_arrival(window, epsilon, rng) is not None else math.nan
+                draw() if sample_arrival(epsilon, rng) else math.nan
                 for _ in range(plan.n_windows)
             ),
             dtype=float,
@@ -189,9 +189,8 @@ class Protocol:
     ``run(source, delta, eta, variant, swap_bases)`` is the circuit's outcome
     table, ``outcomes(n_max)`` its declared labels, ``herald`` the herald
     class of one label.  A ``conditioned`` table is conditioned on a photon
-    arrival; a circuit that ``models_loss`` has a law that depends on eta.
-    ``reference`` is the closed-form table, if any; ``sample`` draws the
-    outcome index of every window.
+    arrival.  ``reference`` is the closed-form table, if any; ``sample`` draws
+    the outcome index of every window.
     """
 
     name: str
@@ -200,7 +199,6 @@ class Protocol:
     herald: Callable[[tuple], Herald]
     sample: Callable[[ExperimentPlan, np.random.Generator], np.ndarray]
     conditioned: bool = False
-    models_loss: bool = False
     reference: Callable[..., dict] | None = None
 
 
@@ -215,7 +213,6 @@ PROTOCOLS = {
             outcomes=lambda n_max: tuple(basis_labels(6, n_max)),
             herald=classify_herald,
             sample=_sample_cnot,
-            models_loss=True,
             reference=lambda source, delta, eta, swap: analytic.cnot_outcome_table(
                 source.phi, source.g, source.epsilon, delta, eta
             ),
@@ -473,15 +470,11 @@ class CrbReport:
 
     ``fisher_per_window`` uses the accounting convention for ancilla loss:
     eta scales the number of usable windows, so the per-window figure is
-    eta times the clean-protocol information.  The exact information of
-    the loss-contaminated record (slightly lower, because lost-ancilla
-    windows can mimic the heralded class) is reported alongside as
-    ``contaminated_fisher_per_window``.
+    eta times the clean-protocol information.
     """
 
     per_setting: dict[float, float]
     fisher_per_window: float
-    contaminated_fisher_per_window: float | None = None
 
     def crb_for(self, n_windows: int) -> float:
         if self.fisher_per_window <= 0.0:
@@ -509,7 +502,6 @@ def crb_report(
     source: StellarSource,
     delta_schedule,
     eta: float = 1.0,
-    include_contaminated: bool = False,
     *,
     variant: Variant = Variant.CNOT_SEQUENCE,
     swap_bases: bool = False,
@@ -518,7 +510,7 @@ def crb_report(
     setting schedule, so a repeated delta counts once per entry; each
     distinct delta is computed once.  ``variant`` and ``swap_bases``
     complete the setting as in a plan."""
-    entry = get_protocol(protocol)
+    get_protocol(protocol)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     at = (source.phi, source.g)
@@ -526,13 +518,7 @@ def crb_report(
     if not schedule:
         raise ValueError("the delta schedule must not be empty")
     per_setting: dict[float, float] = {}
-    contaminated: dict[float, float] = {}
     for delta in dict.fromkeys(schedule):
         setting = (delta, source.epsilon, 1.0, variant, swap_bases, source.n_max)
         per_setting[delta] = eta * window_fisher(protocol, setting, at).phi_phi
-        if include_contaminated and entry.models_loss and eta < 1.0:
-            lossy = (delta, source.epsilon, eta, variant, swap_bases, source.n_max)
-            contaminated[delta] = window_fisher(protocol, lossy, at).phi_phi
-    mean = float(np.mean([per_setting[d] for d in schedule]))
-    lossy_mean = float(np.mean([contaminated[d] for d in schedule])) if contaminated else None
-    return CrbReport(per_setting, mean, lossy_mean)
+    return CrbReport(per_setting, float(np.mean([per_setting[d] for d in schedule])))

@@ -32,6 +32,7 @@ from .state_engine import (
     StateVector,
     _apply_block,
     _apply_one_mode,
+    _check_modes,
     _invalid_mass,
     basis_index,
     labels_array,
@@ -137,9 +138,7 @@ def _qubit_gate(
     mask = _qubit_mask(k, n_max)
     for label, (image, phase) in perm_phase.items():
         mat[basis_index(image, n_max), basis_index(label, n_max)] = phase
-    # a table that covers every label (n_max = 1) is a signed permutation
-    perm = tuple((a, b, p) for a, (b, p) in perm_phase.items()) if mask.all() else ()
-    return ModeUnitary(tuple(modes), mat, n_max, mask, name, perm)
+    return ModeUnitary(tuple(modes), mat, n_max, mask, name)
 
 
 @lru_cache(maxsize=1024)
@@ -206,6 +205,8 @@ class MeasurementBasis:
     name: str = ""
 
     def __post_init__(self):
+        if len(set(self.target_modes)) != len(self.target_modes):
+            raise ValueError(f"repeated target modes {self.target_modes}")
         dloc = space_dim(len(self.target_modes), self.n_max)
         projectors = tuple(np.array(proj, dtype=complex) for proj in self.projectors)
         mask = np.array(self.valid_mask, dtype=bool)
@@ -299,6 +300,7 @@ def project(state, basis: MeasurementBasis, outcome):
 def _readout(state, basis: MeasurementBasis):
     """The state a readout of ``basis`` reads, and the modes it reads there: a
     :class:`QubitRegister` is read in its ``paired`` layout, where the measured mode leads."""
+    _check_modes(basis.target_modes, state.mode_count)
     mass = _invalid_mass(basis, state)
     if mass > NORM_ATOL:
         raise InvalidSubspaceError(

@@ -111,39 +111,14 @@ def conditional_g_derivative(phi: float, g: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# time-bin arrival model
+# per-window arrival draw
 
-NO_PHOTON = None
-
-
-@dataclass(frozen=True)
-class TimeBinConfig:
-    """A collection window of ``n_bins`` short time bins."""
-
-    n_bins: int
-
-    def __post_init__(self):
-        if _integer(self.n_bins, "n_bins") < 1:
-            raise ValueError(f"need at least one time bin, got {self.n_bins}")
+NO_PHOTON = None  # the arrival bin of a window without a photon
 
 
-def sample_arrival(config: TimeBinConfig, epsilon: float, rng=None):
-    """Draw one collection window: ``None`` (no photon) or a bin in 1..N.
-
-    ``epsilon`` is the per-bin arrival probability, so a photon arrives
-    somewhere in the window with probability ``epsilon * n_bins`` and, when
-    it does, lands in a uniformly random bin.  At most one photon per
-    window by construction.
-    """
-    if not epsilon >= 0.0:
-        raise ValueError(f"arrival probability must be a nonnegative number, got {epsilon}")
-    p_window = epsilon * config.n_bins
-    if not p_window <= 1.0:
-        raise ValueError(
-            f"epsilon * n_bins = {p_window} exceeds 1; the at-most-one-photon "
-            "window model breaks down"
-        )
-    rng = np.random.default_rng(rng)
-    if rng.random() >= p_window:
-        return NO_PHOTON
-    return int(rng.integers(1, config.n_bins + 1))
+def sample_arrival(epsilon: float, rng: np.random.Generator) -> bool:
+    """Draw one collection window: whether a photon arrived, with probability
+    ``epsilon``.  At most one photon per window by construction."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"arrival probability must lie in [0, 1], got {epsilon}")
+    return rng.random() < epsilon

@@ -10,13 +10,13 @@ produced by :func:`numpy.ndindex`.  Both registers build their input
 from one support product of placed factor states: :func:`tensor_at`
 scatters it into a dense vector, :meth:`QubitRegister.place` keeps it.
 
-A gate that is a signed permutation of all its local labels (the Fock-qubit
-gates at ``n_max = 1``) carries that table in ``ModeUnitary.perm``, set where
-it is built, which a :class:`QubitRegister` (a cutoff-1 state held on its
-support) applies as XORs and sign flips of its labels; on a dense register
-gates multiply their matrix into the target modes through ``_gather``, a
-cached table of flat indices with those modes leading; readouts on a mode
-subset use the same table.  One-mode projectors act on
+A :class:`QubitRegister` (a cutoff-1 state held on its support) takes a gate
+whose matrix is a signed permutation of its local labels (the Fock-qubit
+gates and phase shifts at ``n_max = 1``): the image and phase of each label
+are read off the matrix once per gate and placement, and applied as XORs and
+phases of the register's labels.  On a dense register gates multiply their
+matrix into the target modes through ``_gather``, a cached table of flat
+indices with those modes leading.  One-mode projectors act on
 the ``(d**m, d, rest)`` view of mode ``m``.  A rank-1 one-mode projection
 leaves the product of its vector and a state of the other modes, so a caller
 that never gates the measured mode again may drop it and keep that factor.
@@ -242,8 +242,6 @@ class ModeUnitary:
     is defined; columns for invalid labels must be zero.  States carrying
     more than ``NORM_ATOL`` probability on invalid labels are rejected.
     Both arrays are read-only, so one gate may be shared by many circuits.
-    ``perm``, when given, restates ``matrix`` as ``(label, image, phase)``
-    entries that cover every local label: a signed permutation.
     """
 
     target_modes: tuple[int, ...]
@@ -251,7 +249,6 @@ class ModeUnitary:
     n_max: int
     valid_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
     name: str = ""
-    perm: tuple = ()
 
     def __post_init__(self):
         targets = tuple(int(m) for m in self.target_modes)
@@ -313,13 +310,17 @@ def _apply_one_mode(op: np.ndarray, mode: int, amps: np.ndarray, d: int) -> np.n
 
 
 @lru_cache(maxsize=256)
-def _flip_table(perm: tuple, bits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Per local label of a signed permutation on the modes at label bits
-    ``bits``: the XOR that takes a label to its image, and the phase."""
-    flips, phases = np.zeros(2 ** len(bits), np.int64), np.ones(2 ** len(bits), complex)
-    for a, b, phase in perm:
-        local = basis_index(a, 1)
-        flips[local], phases[local] = sum(bit for x, y, bit in zip(a, b, bits) if x != y), phase
+def _flip_table(gate: ModeUnitary, bits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Per local label of ``gate`` on the modes at label bits ``bits``: the XOR
+    that takes a label to its image, and the phase, read off a matrix with one
+    nonzero entry in each column and each row.  Any other gate, or one at a
+    cutoff above 1, is refused with :class:`QubitRegisterError`."""
+    local, images = np.nonzero(gate.matrix.T)
+    dim = len(gate.matrix)
+    if gate.n_max != 1 or not np.array_equal(local, range(dim)) or len(set(images.tolist())) != dim:
+        raise QubitRegisterError(f"{gate.name or 'gate'} is not a signed permutation at cutoff 1")
+    moved = (local ^ images)[:, None] >> np.arange(len(bits) - 1, -1, -1) & 1
+    flips, phases = moved @ np.array(bits, np.int64), gate.matrix[images, local]
     flips.setflags(write=False)
     phases.setflags(write=False)
     return flips, phases
@@ -346,19 +347,16 @@ def apply_unitary(state, gate: ModeUnitary):
     above ``NORM_ATOL`` on labels where the gate is undefined, and
     :class:`LeakageError` if the application loses norm (weight pushed
     past the cutoff).  Exact identities are returned unchanged.  A register
-    refuses a gate without a ``perm`` table at cutoff 1 (:class:`QubitRegisterError`).
+    refuses a gate that is not a signed permutation at cutoff 1 (:class:`QubitRegisterError`).
     """
     qubits = isinstance(state, QubitRegister)
     if not qubits and not isinstance(state, StateVector):
         raise TypeError("gates act on a StateVector or a QubitRegister; mix over branches instead")
-    if qubits and not (gate.perm and gate.n_max == 1):
-        raise QubitRegisterError(f"{gate.name or 'gate'} is not a signed permutation at cutoff 1")
+    if qubits:
+        flips, phases = _flip_table(gate, tuple(state._bits(gate.target_modes)))
     if gate.n_max != state.n_max:
         raise ValueError("gate and state cutoffs differ")
-    if any(not 0 <= m < state.mode_count for m in gate.target_modes):
-        raise ValueError(
-            f"target modes {gate.target_modes} out of range for {state.mode_count} modes"
-        )
+    _check_modes(gate.target_modes, state.mode_count)
     if gate.is_identity:
         return state
 
@@ -371,7 +369,6 @@ def apply_unitary(state, gate: ModeUnitary):
 
     before = float(np.vdot(state.amplitudes, state.amplitudes).real)
     if qubits:
-        flips, phases = _flip_table(gate.perm, tuple(state._bits(gate.target_modes)))
         local = state._local_index(gate.target_modes)
         new = QubitRegister(state.labels ^ flips[local], state.amplitudes * phases[local], state.mode_count)
     else:
@@ -389,47 +386,30 @@ def apply_unitary(state, gate: ModeUnitary):
 # measurement
 
 
-def number_measurement_distribution(
-    state, modes: Sequence[int] | None = None
-) -> dict[tuple[int, ...], float]:
-    """Marginal photon-number distribution on ``modes`` (default: all modes).
-
-    Returns a map from occupation tuples (in the order of ``modes``) to
-    probabilities; exact zeros are omitted.
-    """
-    modes = tuple(range(state.mode_count)) if modes is None else tuple(int(m) for m in modes)
-    if not modes:
-        raise ValueError("at least one mode must be measured")
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"repeated modes in {modes}")
-    marginal = state.probabilities()[_gather(modes, state.n_max + 1, state.mode_count)].sum(axis=1)
-    labs = _label_tuples(len(modes), state.n_max)
-    seen = np.flatnonzero(marginal > 0.0)
-    return dict(zip([labs[i] for i in seen.tolist()], marginal[seen].tolist()))
+def number_measurement_distribution(state) -> dict[tuple[int, ...], float]:
+    """Photon-number distribution of the whole register: a map from occupation
+    tuples to probabilities; exact zeros are omitted."""
+    probs = state.probabilities()
+    labs = _label_tuples(state.mode_count, state.n_max)
+    seen = np.flatnonzero(probs > 0.0)
+    return dict(zip([labs[i] for i in seen.tolist()], probs[seen].tolist()))
 
 
-def sample_and_collapse(state: StateVector, rng=None, modes: Sequence[int] | None = None):
-    """Measure photon number on ``modes`` (default: all) and collapse.
+def sample_and_collapse(state: StateVector, rng=None):
+    """Measure photon number on every mode and collapse.
 
-    Returns ``(outcome, post_state)`` where ``outcome`` is the occupation
-    tuple of the measured modes in the order given and ``post_state`` keeps
-    the full register with the measured modes pinned to the outcome.
-    ``rng`` may be a seed or a :class:`numpy.random.Generator`.
+    Returns ``(outcome, post_state)``: the occupation tuple drawn and the
+    basis state it names.  ``rng`` may be a seed or a
+    :class:`numpy.random.Generator`.
     """
     if not isinstance(state, StateVector):
         raise TypeError("sampling requires a StateVector; mix over branches instead")
     rng = np.random.default_rng(rng)
-    d = state.n_max + 1
-    modes = tuple(range(state.mode_count)) if modes is None else tuple(int(m) for m in modes)
-    table = _gather(modes, d, state.mode_count)
-    block = state.amplitudes[table]
-    marginal = np.sum(np.abs(block) ** 2, axis=1)
-    total = marginal.sum()
+    probs = state.probabilities()
+    total = probs.sum()
     if not np.isclose(total, 1.0, atol=1e-9):
         raise ValueError(f"state is not normalized (norm^2 = {total})")
-    idx = int(rng.choice(len(block), p=marginal / total))
-    outcome = basis_label(idx, len(modes), state.n_max)
-
+    idx = int(rng.choice(len(probs), p=probs / total))
     collapsed = np.zeros_like(state.amplitudes)
-    collapsed[table[idx]] = block[idx] / np.sqrt(marginal[idx])
-    return outcome, StateVector(collapsed, state.mode_count, state.n_max)
+    collapsed[idx] = state.amplitudes[idx] / np.sqrt(probs[idx])
+    return basis_label(idx, state.mode_count, state.n_max), StateVector(collapsed, state.mode_count, state.n_max)

@@ -456,21 +456,6 @@ def test_kernels_match_dense_operators(n_max, mode_count, seed):
                     np.testing.assert_allclose(
                         post.amplitudes * np.sqrt(p_out), p_psi, rtol=0, atol=1e-12
                     )
-    # readouts on random mode subsets in random order
-    for _ in range(3):
-        modes = tuple(int(m) for m in rng.permutation(mode_count)[: rng.integers(1, mode_count + 1)])
-        rest = [m for m in range(mode_count) if m not in modes]
-        leading = np.empty_like(raw)
-        leading[_flat_index(labs[:, [*modes, *rest]], n_max)] = raw
-        block = leading.reshape((n_max + 1) ** len(modes), -1)
-        marginal = np.sum(np.abs(block) ** 2, axis=1)
-        table = se.number_measurement_distribution(raw_state, modes)
-        assert list(table) == se.basis_labels(len(modes), n_max)
-        np.testing.assert_allclose(list(table.values()), marginal, rtol=0, atol=1e-12)
-        outcome, post = se.sample_and_collapse(raw_state, rng, modes)
-        pinned = np.all(labs[:, list(modes)] == outcome, axis=1)
-        expected = np.where(pinned, raw, 0.0) / np.sqrt(marginal[se.basis_index(outcome, n_max)])
-        np.testing.assert_allclose(post.amplitudes, expected, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +480,7 @@ def _densified(register):
     return amps
 
 
-_PERM_GATES = ("not_fock", "z_fock", "cnot_fock", "cz_fock")
+_PERM_GATES = ("not_fock", "z_fock", "cnot_fock", "cz_fock", "phase_shift")
 
 
 @pytest.mark.parametrize("mode_count", [1, 2, 3, 5, 8])
@@ -504,7 +489,8 @@ def test_qubit_register_matches_the_dense_engine(mode_count, seed):
     rng = np.random.default_rng(seed)
     dense, register = _sparse_qubit_state(mode_count, rng)
     np.testing.assert_array_equal(_densified(register), dense.amplitudes)
-    # every signed-permutation gate on every mode placement, pairs in both orders
+    # every signed-permutation gate on every mode placement, pairs in both orders;
+    # a phase shift at cutoff 1 is diagonal, so it is one too
     for name in _PERM_GATES:
         arity, build = _KERNEL_GATES[name]
         placements = [(m,) for m in range(mode_count)] if arity == 1 else [
@@ -548,9 +534,12 @@ def test_qubit_register_refuses_what_it_cannot_hold_exactly():
     _, register = _sparse_qubit_state(3, np.random.default_rng(4))
     refused_gates = [
         gates.beam_splitter(0, 1, 1),
-        gates.phase_shift(0, 0.3, 1),
         gates.cnot_fock(0, 1, 2),
         gates.not_fock(2, 2),
+        # two labels onto one, a label onto two, a label onto none
+        se.ModeUnitary((0,), [[1, 1], [0, 0]], 1),
+        se.ModeUnitary((0,), [[1, 0], [1, 1]], 1),
+        se.ModeUnitary((0,), [[1, 0], [0, 0]], 1),
     ]
     for gate in refused_gates:
         with pytest.raises(QubitRegisterError, match="not a signed permutation at cutoff 1"):
@@ -564,8 +553,7 @@ def test_qubit_register_refuses_what_it_cannot_hold_exactly():
 
 def test_qubit_register_keeps_the_support_and_norm_guards():
     one = se.QubitRegister([1], [1.0], 1)  # |1>
-    flip = (((0,), (1,), 1.0), ((1,), (0,), 1.0))
-    half = se.ModeUnitary((0,), [[0, 1], [1, 0]], 1, [True, False], "half_not", flip)
+    half = se.ModeUnitary((0,), [[0, 1], [1, 0]], 1, [True, False], "half_not")
     with pytest.raises(InvalidSubspaceError, match="half_not"):
         se.apply_unitary(one, half)
     basis = gates.MeasurementBasis(
@@ -575,3 +563,29 @@ def test_qubit_register_keeps_the_support_and_norm_guards():
         gates.measurement_distribution(one, basis)
     with pytest.raises(LeakageError):
         se.apply_unitary(se.QubitRegister([1], [math.nan], 1), gates.not_fock(0, 1))
+
+
+def test_readouts_refuse_modes_outside_the_register():
+    # a dense register read mode -1 as its last mode, or failed inside numpy
+    dense = se.fock((0, 1), 2)
+    _, register = _sparse_qubit_state(2, np.random.default_rng(0))
+    cases = [
+        (dense, gates.parity_basis(0, -1, 2)),
+        (dense, gates.x_basis(-1, 2)),
+        (dense, gates.x_basis(5, 2)),
+        (register, gates.x_basis(-1, 1)),
+        (register, gates.x_basis(2, 1)),
+    ]
+    for state, basis in cases:
+        with pytest.raises(ValueError, match="out of range for 2 modes"):
+            gates.measurement_distribution(state, basis)
+        with pytest.raises(ValueError, match="out of range for 2 modes"):
+            gates.project(state, basis, basis.outcomes[0])
+        with pytest.raises(ValueError, match="out of range for 2 modes"):
+            gates.measure_in_basis(state, basis, 0)
+
+
+def test_measurement_basis_refuses_repeated_modes():
+    # the parity of a mode with itself failed inside numpy's moveaxis
+    with pytest.raises(ValueError, match="repeated target modes"):
+        gates.parity_basis(0, 0, 2)

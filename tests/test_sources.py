@@ -121,55 +121,36 @@ def test_source_parameter_validation():
             sources.StellarSource(phi=0.0, g=0.5, epsilon=0.1, n_max=n_max)
 
 
-def test_time_bin_config():
-    assert sources.TimeBinConfig(n_bins=np.int64(4)).n_bins == 4
-    with pytest.raises(ValueError):
-        sources.TimeBinConfig(n_bins=0)
-    for n_bins in (2.5, 4.0, True, "4"):
-        with pytest.raises(TypeError, match="n_bins"):
-            sources.TimeBinConfig(n_bins=n_bins)
-
-
-def test_sample_arrival_rejects_oversubscribed_window():
-    # per-bin probability epsilon must keep N*epsilon <= 1
-    with pytest.raises(ValueError):
-        sources.sample_arrival(sources.TimeBinConfig(n_bins=8), 0.2)
-
-
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
 def test_sample_arrival_refuses_a_non_finite_probability(epsilon):
     # nan used to compare false against both bounds and arrive in every window
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="epsilon|arrival probability"):
-        sources.sample_arrival(sources.TimeBinConfig(n_bins=4), epsilon, rng)
+    with pytest.raises(ValueError, match="arrival probability"):
+        sources.sample_arrival(epsilon, rng)
+
+
+@pytest.mark.parametrize("epsilon", [-0.1, 1.5])
+def test_sample_arrival_refuses_a_probability_outside_the_unit_interval(epsilon):
+    with pytest.raises(ValueError, match="arrival probability"):
+        sources.sample_arrival(epsilon, np.random.default_rng(0))
 
 
 def test_sample_arrival_statistics():
-    cfg = sources.TimeBinConfig(n_bins=4)
-    epsilon = 0.2
+    epsilon, n = 0.2, 100_000
     rng = np.random.default_rng(123)
-    n = 100_000
-    counts = {}
-    for _ in range(n):
-        arrival = sources.sample_arrival(cfg, epsilon, rng=rng)
-        counts[arrival] = counts.get(arrival, 0) + 1
-
-    assert set(counts) <= {sources.NO_PHOTON, 1, 2, 3, 4}
-    p_none = 1.0 - 4 * epsilon
-    sigma_none = math.sqrt(p_none * (1 - p_none) / n)
-    assert abs(counts.get(sources.NO_PHOTON, 0) / n - p_none) < 3 * sigma_none
-    sigma_bin = math.sqrt(epsilon * (1 - epsilon) / n)
-    for b in (1, 2, 3, 4):
-        assert abs(counts.get(b, 0) / n - epsilon) < 3 * sigma_bin
+    arrivals = [sources.sample_arrival(epsilon, rng) for _ in range(n)]
+    assert set(arrivals) <= {False, True}
+    assert abs(sum(arrivals) / n - epsilon) < 3 * math.sqrt(epsilon * (1 - epsilon) / n)
 
 
 def test_sample_arrival_zero_epsilon_never_fires():
-    cfg = sources.TimeBinConfig(n_bins=6)
     rng = np.random.default_rng(0)
-    assert all(
-        sources.sample_arrival(cfg, 0.0, rng=rng) is sources.NO_PHOTON
-        for _ in range(200)
-    )
+    assert not any(sources.sample_arrival(0.0, rng) for _ in range(200))
+
+
+def test_sample_arrival_unit_epsilon_always_fires():
+    rng = np.random.default_rng(0)
+    assert all(sources.sample_arrival(1.0, rng) for _ in range(200))
 
 
 def test_sample_branch_deterministic_per_seed():

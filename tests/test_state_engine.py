@@ -104,17 +104,6 @@ def test_number_distribution_sums_to_one(rng):
     assert (dist >= 0).all()
 
 
-def test_number_measurement_distribution_marginalizes(rng):
-    amp = rng.normal(size=9) + 1j * rng.normal(size=9)
-    amp /= np.linalg.norm(amp)
-    state = se.StateVector(amplitudes=amp, mode_count=2, n_max=2)
-    full = se.number_measurement_distribution(state)
-    marg = se.number_measurement_distribution(state, modes=(0,))
-    for n in range(3):
-        expected = sum(p for lab, p in full.items() if lab[0] == n)
-        np.testing.assert_allclose(marg.get((n,), 0.0), expected, atol=1e-12)
-
-
 def test_number_measurement_distribution_omits_zero_entries():
     state = se.fock((1, 0), 2)
     dist = se.number_measurement_distribution(state)
