@@ -78,7 +78,6 @@ from .protocols import (
     linear_bound_search,
     memory_resources,
     pairs_for_bins,
-    run_cnot_window,
     run_direct_window,
     run_memory_modified,
     run_memory_unmodified,
@@ -102,7 +101,6 @@ from .state_engine import (
     basis_labels,
     fock,
     number_measurement_distribution,
-    sample_and_collapse,
     space_dim,
     tensor_at,
 )

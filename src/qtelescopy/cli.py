@@ -10,7 +10,8 @@ Subcommands::
 
 Configuration is a flat JSON object with a ``schema_version`` field;
 unknown keys are rejected.  Exit codes: 0 success, 2 configuration error,
-3 numerical-invariant violation.
+3 numerical-invariant violation, 1 any other error, a reader that closed
+the output pipe included.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +33,7 @@ from .errors import ConfigError, NumericalInvariantError, QTelescopyError
 from .estimation import (
     DEFAULT_SCHEDULE,
     ExperimentPlan,
+    _check_eta,
     get_protocol,
     mle_phase,
     outcome_heralds,
@@ -133,7 +136,7 @@ class RunConfig:
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be >= 0 or null, got {self.seed}")
         try:
-            get_protocol(self.protocol)
+            _check_eta(self.protocol, self.eta)
             Variant.parse(self.variant)
         except ValueError as exc:
             raise ConfigError(str(exc))
@@ -286,7 +289,7 @@ def _fisher_row(cfg: RunConfig, phi: float, g: float, delta: float) -> list:
     source = StellarSource(phi, g, cfg.epsilon)
     at_boundary = g >= G_BOUNDARY
     wrt = ("phi",) if at_boundary else ("phi", "g")
-    setting = (delta, cfg.epsilon, cfg.eta, cfg.variant, cfg.swap_bases, source.n_max)
+    setting = (delta, cfg.epsilon, cfg.eta, cfg.variant, cfg.swap_bases)
     fmat = window_fisher(cfg.protocol, setting, (phi, g), wrt)
     f_pp = fmat.phi_phi
     f_gg = np.nan if at_boundary else fmat.g_g
@@ -349,12 +352,11 @@ def cmd_simulate(args) -> int:
     outcomes = run_experiment(plan)
     report = mle_phase(outcomes, plan)
 
-    n_max = plan.source.n_max
     # every trace line up to its window number, per outcome index and with
     # index -1 (no photon) last; "window" sorts after the other keys
-    records = [list(label) for label in get_protocol(cfg.protocol).outcomes(n_max)] + [None]
+    records = [list(label) for label in get_protocol(cfg.protocol).outcomes()] + [None]
     prefixes = []
-    for herald, record in zip(outcome_heralds(cfg.protocol, n_max), records):
+    for herald, record in zip(outcome_heralds(cfg.protocol), records):
         payload = {
             "window": 0,
             "arrival_bin": None,
@@ -611,7 +613,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

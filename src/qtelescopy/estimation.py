@@ -29,6 +29,7 @@ from . import analytic
 from .errors import EstimationError, NumericalInvariantError
 from .fisher import FisherMatrix, OutcomeModel, classical_fisher
 from .protocols import (
+    N_MAX,
     Herald,
     ProtocolConfig,
     Variant,
@@ -81,8 +82,7 @@ class ExperimentPlan:
         if not all(map(math.isfinite, schedule)):
             raise ValueError(f"the delta schedule {schedule} holds a non-finite phase")
         object.__setattr__(self, "delta_schedule", schedule)
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        _check_eta(self.protocol, self.eta)
         if self.seed is not None and _integer(self.seed, "seed") < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         object.__setattr__(self, "variant", Variant.parse(self.variant))
@@ -111,7 +111,7 @@ class EstimateReport:
 
 def _outcome_index(plan: ExperimentPlan) -> dict:
     """Position of each declared outcome label of the plan's protocol."""
-    labels = get_protocol(plan.protocol).outcomes(plan.source.n_max)
+    labels = get_protocol(plan.protocol).outcomes()
     return {label: o for o, label in enumerate(labels)}
 
 
@@ -187,18 +187,20 @@ class Protocol:
     """Registry entry of one measurement protocol.
 
     ``run(source, delta, eta, variant, swap_bases)`` is the circuit's outcome
-    table, ``outcomes(n_max)`` its declared labels, ``herald`` the herald
-    class of one label.  A ``conditioned`` table is conditioned on a photon
-    arrival.  ``reference`` is the closed-form table, if any; ``sample`` draws
+    table, ``outcomes()`` its declared labels, ``herald`` the herald class of
+    one label.  A ``conditioned`` table is conditioned on a photon arrival.
+    Only a circuit that ``models_loss`` has an ancilla pair for eta < 1 to
+    lose.  ``reference`` is the closed-form table, if any; ``sample`` draws
     the outcome index of every window.
     """
 
     name: str
     run: Callable[..., dict]
-    outcomes: Callable[[int], tuple]
+    outcomes: Callable[[], tuple]
     herald: Callable[[tuple], Herald]
     sample: Callable[[ExperimentPlan, np.random.Generator], np.ndarray]
     conditioned: bool = False
+    models_loss: bool = False
     reference: Callable[..., dict] | None = None
 
 
@@ -210,9 +212,10 @@ PROTOCOLS = {
             run=lambda source, delta, eta, variant, swap: cnot_distribution(
                 source, ProtocolConfig(delta, eta, variant)
             ),
-            outcomes=lambda n_max: tuple(basis_labels(6, n_max)),
+            outcomes=lambda: tuple(basis_labels(6, N_MAX)),
             herald=classify_herald,
             sample=_sample_cnot,
+            models_loss=True,
             reference=lambda source, delta, eta, swap: analytic.cnot_outcome_table(
                 source.phi, source.g, source.epsilon, delta, eta
             ),
@@ -220,7 +223,7 @@ PROTOCOLS = {
         Protocol(
             "direct",
             run=lambda source, delta, eta, variant, swap: direct_distribution(source, delta, swap),
-            outcomes=lambda n_max: ((-1, -1), (-1, 1), (1, -1), (1, 1)),
+            outcomes=lambda: ((-1, -1), (-1, 1), (1, -1), (1, 1)),
             herald=lambda label: Herald.PHOTON_ARRIVED,
             sample=_sample_table,
             conditioned=True,
@@ -231,7 +234,7 @@ PROTOCOLS = {
         Protocol(
             "gottesman",
             run=lambda source, delta, eta, variant, swap: gottesman_distribution(source, delta),
-            outcomes=lambda n_max: tuple(basis_labels(4, n_max)),
+            outcomes=lambda: tuple(basis_labels(4, N_MAX)),
             # any photon beyond the ancilla's shows up in the counts
             herald=lambda counts: Herald.PHOTON_ARRIVED if sum(counts) == 2 else Herald.VACUUM,
             sample=_sample_table,
@@ -248,20 +251,30 @@ def get_protocol(name: str) -> Protocol:
         raise ValueError(f"unknown protocol {name!r}; expected one of {tuple(PROTOCOLS)}") from None
 
 
+def _check_eta(protocol: str, eta: float) -> None:
+    """Refuse an unknown protocol, an eta outside [0, 1], and an eta other
+    than 1 for a protocol whose circuit has no ancilla pair to lose."""
+    entry = get_protocol(protocol)
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    if eta != 1.0 and not entry.models_loss:
+        raise ValueError(f"eta = {eta} needs an ancilla pair to lose; the {protocol} protocol has none")
+
+
 def run_experiment(plan: ExperimentPlan) -> np.ndarray:
     """Sample ``plan.n_windows`` independent windows, deterministic per seed.
 
     Returns the index of each window's outcome in the protocol's declared
-    labels ``outcomes(n_max)``, or -1 when no photon arrived.
+    labels ``outcomes()``, or -1 when no photon arrived.
     """
     return get_protocol(plan.protocol).sample(plan, np.random.default_rng(plan.seed))
 
 
-def outcome_heralds(protocol: str, n_max: int) -> list[Herald]:
+def outcome_heralds(protocol: str) -> list[Herald]:
     """Herald class of each declared outcome, then VACUUM, the class of
     index -1 (no photon arrived), so that index -1 reads the last entry."""
     entry = get_protocol(protocol)
-    return [entry.herald(label) for label in entry.outcomes(n_max)] + [Herald.VACUUM]
+    return [entry.herald(label) for label in entry.outcomes()] + [Herald.VACUUM]
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +333,7 @@ class FringeTable:
 
 @lru_cache(maxsize=64)
 def _fringe_table(protocol: str, setting) -> FringeTable:
-    """Compile the setting (delta, epsilon, eta, variant, swap, n_max) from
+    """Compile the setting (delta, epsilon, eta, variant, swap) from
     three circuit runs, at (g, phi) = (0, 0), (1, 0) and (1, pi/2).
 
     Outcomes outside the heralded class, and outcomes that vanish exactly at
@@ -329,15 +342,15 @@ def _fringe_table(protocol: str, setting) -> FringeTable:
     epsilon and keep no relative precision to condition on.
     """
     entry = get_protocol(protocol)
-    delta, epsilon, eta, variant, swap, n_max = setting
+    delta, epsilon, eta, variant, swap = setting
     if 0.0 < epsilon < sys.float_info.min:
         raise NumericalInvariantError(
             f"arrival probability {epsilon!r} is subnormal; the heralded class "
             "cannot be conditioned on"
         )
-    labels = entry.outcomes(n_max)
+    labels = entry.outcomes()
     runs = [
-        entry.run(StellarSource(phi, g, epsilon, n_max), delta, eta, variant, swap)
+        entry.run(StellarSource(phi, g, epsilon), delta, eta, variant, swap)
         for g, phi in _COMPILE_POINTS
     ]
     at = np.array([[run.get(k, 0.0) for k in labels] for run in runs])
@@ -406,7 +419,7 @@ def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
     phase information and are counted but never scored.
     """
     source = plan.source
-    heralds = outcome_heralds(plan.protocol, source.n_max)
+    heralds = outcome_heralds(plan.protocol)
     n_settings, n_classes = len(plan.delta_schedule), len(heralds)
     outcomes = np.asarray(outcomes)
     if outcomes.shape != (plan.n_windows,) or outcomes.dtype.kind not in "iu":
@@ -434,7 +447,7 @@ def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
         seen = np.flatnonzero(k)
         if not seen.size:
             continue
-        setting = (delta, source.epsilon, plan.eta, plan.variant, plan.swap_bases, source.n_max)
+        setting = (delta, source.epsilon, plan.eta, plan.variant, plan.swap_bases)
         table = _fringe_table(plan.protocol, setting)
         if not table.coefficients[:, seen].any(axis=0).all():
             raise EstimationError("an observed outcome is impossible under the model")
@@ -468,9 +481,9 @@ def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
 class CrbReport:
     """Schedule-averaged per-window phase information and its bound.
 
-    ``fisher_per_window`` uses the accounting convention for ancilla loss:
-    eta scales the number of usable windows, so the per-window figure is
-    eta times the clean-protocol information.
+    ``fisher_per_window`` uses the accounting convention for ancilla loss,
+    which only ``cnot`` models: eta scales the number of usable windows, so
+    the per-window figure is eta times the clean-protocol information.
     """
 
     per_setting: dict[float, float]
@@ -484,15 +497,15 @@ class CrbReport:
 
 def window_fisher(protocol: str, setting, at: tuple[float, float], wrt=("phi",)) -> FisherMatrix:
     """Per-window classical Fisher matrix at ``at = (phi, g)`` of the circuit
-    of one setting (delta, epsilon, eta, variant, swap, n_max); a table
+    of one setting (delta, epsilon, eta, variant, swap); a table
     conditioned on arrival is scaled by epsilon."""
     entry = get_protocol(protocol)
-    delta, epsilon, eta, variant, swap, n_max = setting
+    delta, epsilon, eta, variant, swap = setting
 
     def dist(phi: float, g: float) -> dict:
-        return entry.run(StellarSource(phi, g, epsilon, n_max), delta, eta, variant, swap)
+        return entry.run(StellarSource(phi, g, epsilon), delta, eta, variant, swap)
 
-    model = OutcomeModel(dist, entry.outcomes(n_max), name=f"{protocol}(delta={delta})")
+    model = OutcomeModel(dist, entry.outcomes(), name=f"{protocol}(delta={delta})")
     info = classical_fisher(model, at, wrt)
     return FisherMatrix(epsilon * info.matrix) if entry.conditioned else info
 
@@ -510,15 +523,13 @@ def crb_report(
     setting schedule, so a repeated delta counts once per entry; each
     distinct delta is computed once.  ``variant`` and ``swap_bases``
     complete the setting as in a plan."""
-    get_protocol(protocol)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    _check_eta(protocol, eta)
     at = (source.phi, source.g)
     schedule = [float(delta) for delta in delta_schedule]
     if not schedule:
         raise ValueError("the delta schedule must not be empty")
     per_setting: dict[float, float] = {}
     for delta in dict.fromkeys(schedule):
-        setting = (delta, source.epsilon, 1.0, variant, swap_bases, source.n_max)
+        setting = (delta, source.epsilon, 1.0, variant, swap_bases)
         per_setting[delta] = eta * window_fisher(protocol, setting, at).phi_phi
     return CrbReport(per_setting, float(np.mean([per_setting[d] for d in schedule])))

@@ -59,9 +59,13 @@ from .state_engine import (
     apply_unitary,
     fock,
     number_measurement_distribution,
-    sample_and_collapse,
     tensor_at,
 )
+
+# photon-number cutoff of the six-mode, four-mode and direct circuits (the
+# memory registers use 1): a window holds at most one stellar and one
+# ancilla photon, so no mode ever holds more than two and it is exact
+N_MAX = 2
 
 
 class Herald(enum.Enum):
@@ -153,7 +157,7 @@ def _cnot_input_state(star: StateVector, ancilla_present: bool) -> StateVector:
 
 
 @lru_cache(maxsize=64)
-def _cnot_steps(delta: float, n_max: int, variant: Variant) -> tuple:
+def _cnot_steps(delta: float, variant: Variant) -> tuple:
     """One wiring of the six-mode circuit, as :func:`_walk` steps.
 
     After the ancilla phase, each lab ties its (star, ancilla) pair to its
@@ -165,12 +169,12 @@ def _cnot_steps(delta: float, n_max: int, variant: Variant) -> tuple:
 
     def lab(star: int, anc: int, extra: int) -> tuple:
         if variant is Variant.CNOT_SEQUENCE:
-            return tuple(cnot_fock(c, t, n_max) for c, t in ((star, extra), (anc, extra), (extra, anc)))
-        then = ((not_fock(anc, n_max),), (not_fock(extra, n_max),))
-        return ((parity_basis(star, anc, n_max), then),)
+            return tuple(cnot_fock(c, t, N_MAX) for c, t in ((star, extra), (anc, extra), (extra, anc)))
+        then = ((not_fock(anc, N_MAX),), (not_fock(extra, N_MAX),))
+        return ((parity_basis(star, anc, N_MAX), then),)
 
-    phase = (phase_shift(ANC_L, delta, n_max),)
-    closing = (cz_fock(EXTRA_L, STAR_L, n_max), beam_splitter(STAR_L, ANC_L, n_max), beam_splitter(STAR_R, ANC_R, n_max))
+    phase = (phase_shift(ANC_L, delta, N_MAX),)
+    closing = (cz_fock(EXTRA_L, STAR_L, N_MAX), beam_splitter(STAR_L, ANC_L, N_MAX), beam_splitter(STAR_R, ANC_R, N_MAX))
     return phase + lab(STAR_L, ANC_L, EXTRA_L) + lab(STAR_R, ANC_R, EXTRA_R) + closing
 
 
@@ -218,12 +222,10 @@ def cnot_branches(source: StellarSource, config: ProtocolConfig) -> list[tuple[s
     (vacuum and the two fringe eigenstates) crossed with the ancilla
     present/lost alternative; each combination is simulated separately.
     """
-    if source.n_max < 2:
-        raise ValueError("the six-mode circuit needs a photon-number cutoff of at least 2")
     names = ("vacuum", "plus", "minus")
-    steps = _cnot_steps(config.delta, source.n_max, config.variant)
+    steps = _cnot_steps(config.delta, config.variant)
     rows = []
-    for name, (w_src, star) in zip(names, source.pure_branches()):
+    for name, (w_src, star) in zip(names, source.pure_branches(N_MAX)):
         for present, w_anc in ((True, config.eta), (False, 1.0 - config.eta)):
             weight = w_src * w_anc
             if weight == 0.0:
@@ -251,25 +253,14 @@ def cnot_distribution(source: StellarSource, config: ProtocolConfig) -> dict:
     return _mixture(((w, table) for _, _, w, table in cnot_branches(source, config)), "six-mode")
 
 
-def run_cnot_window(source: StellarSource, config: ProtocolConfig, rng=None) -> DetectionRecord:
-    """Simulate a single window end to end, including measurement collapse."""
-    rng = np.random.default_rng(rng)
-    _, star = source.sample_branch(rng)
-    present = bool(rng.random() < config.eta)
-    steps = _cnot_steps(config.delta, star.n_max, config.variant)
-    ((_, _, state),) = _walk(_cnot_input_state(star, present), steps, rng)
-    counts, _ = sample_and_collapse(state, rng)
-    return DetectionRecord(classify_herald(counts), counts=counts)
-
-
 def sample_cnot_windows(
     source: StellarSource, config: ProtocolConfig, n_windows: int, rng=None
 ) -> list[tuple[str, bool, DetectionRecord]]:
     """Batch window sampler: (source branch, ancilla present, record) per window.
 
-    Statistically identical to repeated :func:`run_cnot_window` (branch
-    then outcome-given-branch), but the pure-branch circuits are simulated
-    once and reused, which is what makes 1e5-window runs cheap.
+    Each window draws its branch, then its outcome given the branch, the same
+    law as collapsing one window's circuit; but the pure-branch circuits are
+    simulated once and reused, which is what makes 1e5-window runs cheap.
     """
     rng = np.random.default_rng(rng)
     branches = cnot_branches(source, config)
@@ -297,9 +288,10 @@ def sample_cnot_windows(
 # direct two-basis readout
 
 
-def _fringe_branches(source: StellarSource) -> list[tuple[float, StateVector]]:
-    """The two one-photon fringe eigenstates with their conditional weights (1 +- g)/2."""
-    _, (_, psi_plus), (_, psi_minus) = source.pure_branches()
+def _fringe_branches(source: StellarSource, n_max: int) -> list[tuple[float, StateVector]]:
+    """The two one-photon fringe eigenstates at cutoff ``n_max`` with their
+    conditional weights (1 +- g)/2."""
+    _, (_, psi_plus), (_, psi_minus) = source.pure_branches(n_max)
     return [((1.0 + source.g) / 2.0, psi_plus), ((1.0 - source.g) / 2.0, psi_minus)]
 
 
@@ -325,11 +317,11 @@ def direct_distribution(
     The two single-photon fringe branches weigh (1 +- g)/2 for every
     epsilon > 0; at epsilon = 0 no photon arrives and the table is empty.
     """
-    steps = _direct_steps(delta, source.n_max, swap_bases)
+    steps = _direct_steps(delta, N_MAX, swap_bases)
     if source.epsilon == 0.0:
         return {}
     table = {(left, right): 0.0 for left in (+1, -1) for right in (+1, -1)}
-    for w, psi in _fringe_branches(source):
+    for w, psi in _fringe_branches(source, N_MAX):
         if w != 0.0:
             for outcomes, p, _ in _walk(psi, steps, weight=w):
                 table[outcomes] += p
@@ -341,9 +333,9 @@ def run_direct_window(
 ) -> tuple[int, int]:
     """Sample one conditioned direct-readout outcome pair."""
     rng = np.random.default_rng(rng)
-    fringe = _fringe_branches(source)
+    fringe = _fringe_branches(source, N_MAX)
     psi = fringe[int(rng.choice(2, p=np.array([w for w, _ in fringe])))][1]
-    ((outcomes, _, _),) = _walk(psi, _direct_steps(delta, source.n_max, swap_bases), rng)
+    ((outcomes, _, _),) = _walk(psi, _direct_steps(delta, N_MAX, swap_bases), rng)
     return outcomes
 
 
@@ -367,40 +359,29 @@ def gottesman_distribution(
     photon counting.  ``u_left``/``u_right`` default to none, which is the
     plain protocol.
     """
-    n_max = source.n_max
-    if n_max < 2:
-        raise ValueError("photon counting after the beam splitters needs a cutoff of at least 2")
     if not math.isfinite(delta):
         raise ValueError(f"ancilla phase {delta!r} is not a finite angle")
-    one = fock((1, 0), n_max)
-    other = fock((0, 1), n_max)
-    anc = StateVector(
-        (one.amplitudes + np.exp(1j * delta) * other.amplitudes) / np.sqrt(2.0), 2, n_max
-    )
+    one = fock((1, 0), N_MAX)
+    other = fock((0, 1), N_MAX)
+    anc = StateVector((one.amplitudes + np.exp(1j * delta) * other.amplitudes) / np.sqrt(2.0), 2, N_MAX)
     optics = ((u_left, STAR_L4, ANC_L4, "u_left"), (u_right, STAR_R4, ANC_R4, "u_right"))
-    steps = tuple(two_mode_unitary(u, a, b, n_max, name) for u, a, b, name in optics if u is not None)
-    steps += (beam_splitter(STAR_L4, ANC_L4, n_max), beam_splitter(STAR_R4, ANC_R4, n_max))
+    steps = tuple(two_mode_unitary(u, a, b, N_MAX, name) for u, a, b, name in optics if u is not None)
+    steps += (beam_splitter(STAR_L4, ANC_L4, N_MAX), beam_splitter(STAR_R4, ANC_R4, N_MAX))
     rows = (
         (w, _count_table(tensor_at([(star, (STAR_L4, STAR_R4)), (anc, (ANC_L4, ANC_R4))]), steps))
-        for w, star in source.pure_branches()
+        for w, star in source.pure_branches(N_MAX)
         if w != 0.0
     )
     return _mixture(rows, "four-mode")
 
 
-def linear_bound_search(
-    n_trials: int,
-    rng_seed,
-    epsilon: float = 0.1,
-    delta: float = 0.3,
-    phi: float = 0.7,
-    n_max: int = 2,
-) -> float:
+def linear_bound_search(n_trials: int, rng_seed) -> float:
     """Max phase Fisher information of the baseline over random local optics.
 
-    Draws Haar-random passive 2x2 unitaries for both labs, evaluates the
-    classical phase information of the resulting count distribution at
-    g = 1, and returns the largest value found.
+    Draws ``n_trials`` pairs of Haar-random passive 2x2 unitaries, one per
+    lab, evaluates the classical phase information of the resulting count
+    distribution at phi = 0.7, g = 1, epsilon = 0.1 and ancilla phase
+    delta = 0.3, and returns the largest value found.
     """
     from scipy.stats import unitary_group
 
@@ -410,18 +391,17 @@ def linear_bound_search(
     if n_trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(rng_seed)
-    all_labels = tuple(basis_labels(4, n_max))
+    all_labels = tuple(basis_labels(4, N_MAX))
     best = -np.inf
     for _ in range(n_trials):
         u_left = unitary_group.rvs(2, random_state=rng)
         u_right = unitary_group.rvs(2, random_state=rng)
 
         def distribution(phi_val: float, g_val: float, ul=u_left, ur=u_right) -> dict:
-            src = StellarSource(phi_val, g_val, epsilon, n_max)
-            return gottesman_distribution(src, delta, ul, ur)
+            return gottesman_distribution(StellarSource(phi_val, g_val, 0.1), 0.3, ul, ur)
 
         model = OutcomeModel(distribution, all_labels)
-        info = classical_fisher(model, (phi, 1.0), wrt=("phi",)).phi_phi
+        info = classical_fisher(model, (0.7, 1.0), wrt=("phi",)).phi_phi
         best = max(best, info)
     return float(best)
 
@@ -660,7 +640,7 @@ def run_memory_unmodified(
     pair_l = [2 + 2 * n_pairs + 2 * i for i in range(n_pairs)]
     pair_r = [3 + 2 * n_pairs + 2 * i for i in range(n_pairs)]
 
-    (w_plus, star), (w_minus, _) = _fringe_branches(replace(source, n_max=n_max))
+    (w_plus, star), (w_minus, _) = _fringe_branches(source, n_max)
     # the memory qubits, named by no factor, start in vacuum
     factors = [(star, (star_l, star_r))]
     factors += [(StateVector(BELL_PLUS, 2, n_max), (pair_l[i], pair_r[i])) for i in range(n_pairs)]

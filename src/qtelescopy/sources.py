@@ -33,7 +33,8 @@ def _integer(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class StellarSource:
-    """Two-port single-photon-level source with visibility ``g`` and phase ``phi``.
+    """The star: two-port single-photon-level light with visibility ``g``
+    and phase ``phi``.
 
     ``epsilon`` is the mean photon arrival probability per window.
     """
@@ -41,7 +42,6 @@ class StellarSource:
     phi: float
     g: float
     epsilon: float
-    n_max: int = 2
 
     def __post_init__(self):
         if not math.isfinite(self.phi):
@@ -50,15 +50,15 @@ class StellarSource:
             raise ValueError(f"visibility g must lie in [0, 1], got {self.g}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"arrival probability must lie in [0, 1], got {self.epsilon}")
-        if _integer(self.n_max, "n_max") < 1:
-            raise ValueError("the source needs at least a one-photon cutoff")
 
     @property
     def mutual_coherence(self) -> complex:
         return self.g * np.exp(-1j * self.phi)
 
-    def pure_branches(self) -> list[tuple[float, StateVector]]:
-        """Exact convex decomposition into vacuum and two fringe eigenstates.
+    def pure_branches(self, n_max: int) -> list[tuple[float, StateVector]]:
+        """Exact convex decomposition into vacuum and two fringe eigenstates,
+        as two-mode states at the photon-number cutoff ``n_max`` of the
+        circuit that reads them.
 
         The one-photon part diagonalizes as (|10> +- e^{-i phi} |01>)/sqrt(2)
         with weights (1 +- g)/2, so the window state is the mixture
@@ -66,27 +66,15 @@ class StellarSource:
             (1 - eps) |00> + eps (1+g)/2 psi_+ + eps (1-g)/2 psi_-.
         """
         phase = np.exp(-1j * self.phi)
-        one_l = fock((1, 0), self.n_max)
-        one_r = fock((0, 1), self.n_max)
-        psi_plus = StateVector(
-            (one_l.amplitudes + phase * one_r.amplitudes) / np.sqrt(2.0), 2, self.n_max
-        )
-        psi_minus = StateVector(
-            (one_l.amplitudes - phase * one_r.amplitudes) / np.sqrt(2.0), 2, self.n_max
-        )
+        one_l = fock((1, 0), n_max)
+        one_r = fock((0, 1), n_max)
+        psi_plus = StateVector((one_l.amplitudes + phase * one_r.amplitudes) / np.sqrt(2.0), 2, n_max)
+        psi_minus = StateVector((one_l.amplitudes - phase * one_r.amplitudes) / np.sqrt(2.0), 2, n_max)
         return [
-            (1.0 - self.epsilon, fock((0, 0), self.n_max)),
+            (1.0 - self.epsilon, fock((0, 0), n_max)),
             (self.epsilon * (1.0 + self.g) / 2.0, psi_plus),
             (self.epsilon * (1.0 - self.g) / 2.0, psi_minus),
         ]
-
-    def sample_branch(self, rng=None) -> tuple[str, StateVector]:
-        """Draw one window: ('vacuum'|'plus'|'minus', two-mode pure state)."""
-        rng = np.random.default_rng(rng)
-        branches = self.pure_branches()
-        weights = np.array([w for w, _ in branches])
-        idx = int(rng.choice(3, p=weights / weights.sum()))
-        return ("vacuum", "plus", "minus")[idx], branches[idx][1]
 
 
 def single_photon_conditional(source: StellarSource) -> np.ndarray:

@@ -394,22 +394,3 @@ def number_measurement_distribution(state) -> dict[tuple[int, ...], float]:
     seen = np.flatnonzero(probs > 0.0)
     return dict(zip([labs[i] for i in seen.tolist()], probs[seen].tolist()))
 
-
-def sample_and_collapse(state: StateVector, rng=None):
-    """Measure photon number on every mode and collapse.
-
-    Returns ``(outcome, post_state)``: the occupation tuple drawn and the
-    basis state it names.  ``rng`` may be a seed or a
-    :class:`numpy.random.Generator`.
-    """
-    if not isinstance(state, StateVector):
-        raise TypeError("sampling requires a StateVector; mix over branches instead")
-    rng = np.random.default_rng(rng)
-    probs = state.probabilities()
-    total = probs.sum()
-    if not np.isclose(total, 1.0, atol=1e-9):
-        raise ValueError(f"state is not normalized (norm^2 = {total})")
-    idx = int(rng.choice(len(probs), p=probs / total))
-    collapsed = np.zeros_like(state.amplitudes)
-    collapsed[idx] = state.amplitudes[idx] / np.sqrt(probs[idx])
-    return basis_label(idx, state.mode_count, state.n_max), StateVector(collapsed, state.mode_count, state.n_max)

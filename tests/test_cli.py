@@ -6,6 +6,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -202,7 +205,7 @@ def test_simulate_trace_lines_are_sorted_json_of_each_window(
     assert len(lines) == 600
 
     entry = estimation.PROTOCOLS[protocol]
-    labels = entry.outcomes(2)
+    labels = entry.outcomes()
     outcomes = []
     for w, line in enumerate(lines):
         record = json.loads(line)["record"]
@@ -326,12 +329,48 @@ def test_out_of_range_value_exits_2(tmp_path):
         # refused before any random generator is built
         ("simulate", {"protocol": "direct", "seed": -1, "n_windows": 100}),
         ("simulate --seed -1", {"protocol": "direct", "n_windows": 100}),
+        # an eta other than 1 on a circuit with no ancilla pair to lose
+        ("probs", {"protocol": "direct", "eta": 0.5}),
+        ("fisher", {"protocol": "gottesman", "eta": 0.5}),
+        ("simulate", {"protocol": "direct", "eta": 0.5, "n_windows": 100}),
     ],
 )
 def test_non_finite_number_exits_2(tmp_path, capsys, command, overrides):
     cfg = _write_config(tmp_path, **overrides)
     assert cli.main([*command.split(), "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def _close_after_one_line(*cli_args):
+    """Run ``qtelescopy`` with its stdout read by a reader that closes the pipe
+    after the first line; return the exit code and stderr.  Unbuffered, the
+    child writes each line as it comes, so it is still writing when the pipe
+    closes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONUNBUFFERED="1")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "qtelescopy.cli", *cli_args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    return child.wait(timeout=120), err
+
+
+def test_validate_into_a_closed_pipe_exits_1_without_a_traceback():
+    code, err = _close_after_one_line("validate")
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert code == 1
+
+
+def test_simulate_trace_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    cfg = _write_config(tmp_path, protocol="direct", g=0.8, phi=0.7, n_windows=10_000, seed=1)
+    code, err = _close_after_one_line("simulate", "--config", str(cfg))
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert code == 1
 
 
 def test_unsupported_schema_version_exits_2(tmp_path):

@@ -126,7 +126,7 @@ def test_a_non_finite_input_raises_value_error(run, protocol, bad, value, phi, g
 
 def _heralds(plan, outcomes):
     """Herald class of every window, read from its outcome index."""
-    classes = estimation.outcome_heralds(plan.protocol, plan.source.n_max)
+    classes = estimation.outcome_heralds(plan.protocol)
     return [classes[o] for o in outcomes]
 
 
@@ -162,7 +162,7 @@ def _per_window_outcomes(plan):
     """Per-window oracle of the table sampler: ``sample_arrival`` first when
     the table is conditioned on arrival, then one ``Generator.choice``."""
     entry = estimation.PROTOCOLS[plan.protocol]
-    index = {label: o for o, label in enumerate(entry.outcomes(plan.source.n_max))}
+    index = {label: o for o, label in enumerate(entry.outcomes())}
     tables = [
         entry.run(plan.source, delta, plan.eta, plan.variant, plan.swap_bases)
         for delta in plan.delta_schedule
@@ -361,6 +361,21 @@ def test_crb_report_refuses_an_eta_outside_the_unit_interval(eta):
         crb_report("cnot", StellarSource(0.7, 1.0, 0.1), (0.0, HALF_PI), eta=eta)
 
 
+@pytest.mark.parametrize("protocol", ["direct", "gottesman"])
+def test_plan_refuses_eta_without_an_ancilla_pair(protocol):
+    # neither circuit has an ancilla pair to lose: at eta = 0.5 a plan drew
+    # the outcomes of eta = 1, yet reported twice its bound
+    with pytest.raises(ValueError, match="ancilla pair"):
+        _plan(protocol=protocol, eta=0.5)
+    assert _plan(protocol=protocol, eta=1.0).eta == 1.0
+
+
+@pytest.mark.parametrize("protocol", ["direct", "gottesman"])
+def test_crb_report_refuses_eta_without_an_ancilla_pair(protocol):
+    with pytest.raises(ValueError, match="ancilla pair"):
+        crb_report(protocol, StellarSource(0.7, 0.8, 0.1), (0.0, HALF_PI), eta=0.5)
+
+
 def test_crb_report_refuses_an_empty_schedule():
     # the mean over no entries was nan, with a numpy warning
     with pytest.raises(ValueError, match="schedule"):
@@ -371,11 +386,11 @@ def _exact_window_fisher(protocol, setting, phi, g):
     """Fisher matrix of one setting with exact derivatives of the affine law
     p = A + g cos(phi) B + g sin(phi) C, fitted to three circuit runs."""
     entry = estimation.PROTOCOLS[protocol]
-    delta, epsilon, eta, variant, swap, n_max = setting
+    delta, epsilon, eta, variant, swap = setting
 
     def run(at_phi, at_g):
-        table = entry.run(StellarSource(at_phi, at_g, epsilon, n_max), delta, eta, variant, swap)
-        return np.array([table.get(k, 0.0) for k in entry.outcomes(n_max)])
+        table = entry.run(StellarSource(at_phi, at_g, epsilon), delta, eta, variant, swap)
+        return np.array([table.get(k, 0.0) for k in entry.outcomes()])
 
     a = run(0.0, 0.0)
     b, c = run(0.0, 1.0) - a, run(HALF_PI, 1.0) - a
@@ -409,7 +424,7 @@ def test_window_fisher_matches_exact_derivatives_of_the_circuit(
 ):
     # Richardson differences of the circuit, with the full setting, against
     # the exact derivatives of its affine law in (g cos phi, g sin phi)
-    setting = (delta, epsilon, eta, variant, swap, 2)
+    setting = (delta, epsilon, eta, variant, swap)
     exact = _exact_window_fisher(protocol, setting, phi, g)
     if exact is None:
         with pytest.raises(FisherDivergenceError):
@@ -464,7 +479,7 @@ def _circuit_conditional(protocol, source, delta, eta, variant, swap):
 )
 def test_compiled_fringe_table_matches_circuit(protocol, eta, variant, swap, phi, g, epsilon, delta):
     # the likelihood reads the compiled table; it must be the state engine's law
-    setting = (delta, epsilon, eta, variant, swap, 2)
+    setting = (delta, epsilon, eta, variant, swap)
     if 0.0 < epsilon < sys.float_info.min:
         with pytest.raises(NumericalInvariantError):
             estimation._fringe_table(protocol, setting)
@@ -485,7 +500,7 @@ def test_compiled_fringe_table_matches_circuit(protocol, eta, variant, swap, phi
 
 
 def test_log_likelihood_on_the_grid_is_the_compiled_law():
-    setting = (0.4, 0.1, 1.0, Variant.CNOT_SEQUENCE, False, 2)
+    setting = (0.4, 0.1, 1.0, Variant.CNOT_SEQUENCE, False)
     table = estimation._fringe_table("cnot", setting)
     seen = np.flatnonzero(table.coefficients.any(axis=0))
     observed = [(table, seen, np.arange(1.0, seen.size + 1.0))]
@@ -531,7 +546,7 @@ def test_outcome_indices_carry_the_herald_rule(tmp_path, protocol):
     outcomes = run_experiment(plan)
     assert outcomes.shape == (3000,) and outcomes.dtype.kind == "i"
     entry = estimation.PROTOCOLS[protocol]
-    labels = entry.outcomes(plan.source.n_max)
+    labels = entry.outcomes()
     assert outcomes.min() >= (-1 if entry.conditioned else 0) and outcomes.max() < len(labels)
     heralds = [entry.herald(labels[o]) if o >= 0 else Herald.VACUUM for o in outcomes]
     report = mle_phase(outcomes, plan)
@@ -551,7 +566,7 @@ def test_outcome_indices_carry_the_herald_rule(tmp_path, protocol):
 
 def test_mle_rejects_out_of_range_outcome_indices():
     plan = _plan(n_windows=10)
-    n_labels = len(estimation.PROTOCOLS["cnot"].outcomes(plan.source.n_max))
+    n_labels = len(estimation.PROTOCOLS["cnot"].outcomes())
     for bad in (-2, n_labels):
         with pytest.raises(EstimationError):
             mle_phase(np.array([0] * 9 + [bad]), plan)

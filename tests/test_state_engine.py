@@ -110,35 +110,6 @@ def test_number_measurement_distribution_omits_zero_entries():
     assert set(dist) == {(1, 0)}
 
 
-def test_sample_and_collapse_returns_supported_outcome(rng):
-    amp = rng.normal(size=9) + 1j * rng.normal(size=9)
-    amp /= np.linalg.norm(amp)
-    state = se.StateVector(amplitudes=amp, mode_count=2, n_max=2)
-    outcome, collapsed = se.sample_and_collapse(state, rng=rng)
-    assert outcome in se.number_measurement_distribution(state)
-    np.testing.assert_allclose(np.linalg.norm(collapsed.amplitudes), 1.0, atol=1e-10)
-    # the collapsed state is the basis state for a full-register measurement
-    assert np.count_nonzero(np.abs(collapsed.amplitudes) > 1e-12) == 1
-
-
-def test_sample_and_collapse_deterministic_per_seed():
-    state = se.StateVector(
-        amplitudes=(se.fock((1, 0), 1).amplitudes + se.fock((0, 1), 1).amplitudes)
-        / np.sqrt(2.0),
-        mode_count=2,
-        n_max=1,
-    )
-    out_a = [
-        se.sample_and_collapse(state, rng=np.random.default_rng(7))[0]
-        for _ in range(1)
-    ]
-    out_b = [
-        se.sample_and_collapse(state, rng=np.random.default_rng(7))[0]
-        for _ in range(1)
-    ]
-    assert out_a == out_b
-
-
 def test_apply_unitary_refuses_a_non_finite_result():
     # a nan norm fails every comparison, so the guard must not read "lost > atol"
     gate = se.ModeUnitary((0,), np.diag([1.0, np.nan, 1.0]), 2, name="broken")
