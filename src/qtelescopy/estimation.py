@@ -9,9 +9,9 @@ heralded outcomes, p_o(phi, g) = A_o + g cos(phi) B_o + g sin(phi) C_o,
 rather than simulating the circuit again for every phase it is scored at.
 A window is the index of its outcome in the protocol's declared labels.
 The estimator counts the heralded outcomes of each setting and maximizes
-their log-likelihood under that law on a dense phase grid, then refines by
-golden-section search on the same function.  The Cramer-Rao bound
-1/(M * fisher-per-window) takes its Fisher information from finite
+their log-likelihood under that law on a dense phase grid, then refines the
+peak by Newton steps on the exact score of the same law.  The Cramer-Rao
+bound 1/(M * fisher-per-window) takes its Fisher information from finite
 differences of the setting's circuit.
 """
 
@@ -21,6 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -43,7 +44,8 @@ from .sources import StellarSource, _integer, sample_arrival
 from .state_engine import basis_labels
 
 PHI_GRID_POINTS = 1024
-GOLDEN_TOL = 1e-10
+# the refine stops at a step of one ulp of a phase, or after enough halvings to get there
+NEWTON_TOL, NEWTON_ITERATIONS = math.ulp(math.pi), 64
 # compiled probabilities below this are a broken circuit, not round-off
 NEGATIVE_PROB_TOL = 1e-12
 # how far a sampled table may sum from 1, as numpy's Generator.choice allows
@@ -109,14 +111,14 @@ class EstimateReport:
     fisher_per_window: float
 
 
-def _outcome_index(plan: ExperimentPlan) -> dict:
-    """Position of each declared outcome label of the plan's protocol."""
-    labels = get_protocol(plan.protocol).outcomes()
-    return {label: o for o, label in enumerate(labels)}
+@lru_cache(maxsize=None)
+def _outcome_index(protocol: str) -> MappingProxyType:
+    """Read-only position of each declared outcome label of ``protocol``."""
+    return MappingProxyType({label: o for o, label in enumerate(get_protocol(protocol).outcomes())})
 
 
 def _sample_cnot(plan: ExperimentPlan, rng) -> np.ndarray:
-    index = _outcome_index(plan)
+    index = _outcome_index(plan.protocol)
     n_settings = len(plan.delta_schedule)
     outcomes = np.empty(plan.n_windows, dtype=np.int64)
     # settings beyond the last window draw nothing
@@ -153,7 +155,7 @@ def _sample_table(plan: ExperimentPlan, rng) -> np.ndarray:
     conditioned on arrival is drawn from only after a photon arrived, at the
     same point in the RNG stream; a window without one keeps the index -1."""
     entry = get_protocol(plan.protocol)
-    index = _outcome_index(plan)
+    index = _outcome_index(plan.protocol)
     tables = []
     for delta in plan.delta_schedule:
         table = entry.run(plan.source, delta, plan.eta, plan.variant, plan.swap_bases)
@@ -277,6 +279,16 @@ def outcome_heralds(protocol: str) -> list[Herald]:
     return [entry.herald(label) for label in entry.outcomes()] + [Herald.VACUUM]
 
 
+@lru_cache(maxsize=None)
+def _herald_masks(protocol: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only masks of the PHOTON_ARRIVED and the VACUUM entries of :func:`outcome_heralds`."""
+    heralds = np.array(outcome_heralds(protocol))
+    masks = heralds == Herald.PHOTON_ARRIVED, heralds == Herald.VACUUM
+    for mask in masks:
+        mask.setflags(write=False)
+    return masks
+
+
 # ---------------------------------------------------------------------------
 # likelihood machinery
 
@@ -376,23 +388,59 @@ def _log_likelihood(phi, g: float, observed) -> np.ndarray:
     return out
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
+def _score(phi: float, g: float, observed) -> tuple[float, float, float]:
+    """Log-likelihood, score and curvature in phi at one phase; an impossible
+    phase gives non-finite values and no warning.  Each observed outcome and
+    the heralded total T have p = A + g cos(phi) B + g sin(phi) C, so
+    p' = g (-B sin phi + C cos phi) and p'' = -g (B cos phi + C sin phi); a
+    setting of K heralded windows scores sum_o k_o p'_o / p_o - K T' / T."""
+    c, s = g * math.cos(phi), g * math.sin(phi)
+    slopes = np.array([[0.0, -s, c], [0.0, -c, -s]])
+    value = score = curvature = 0.0
+    with np.errstate(all="ignore"):
+        for table, seen, k in observed:
+            probs, total = table.joint(phi, g, seen)
+            value += np.log(probs / total) @ k
+            d1, d2 = slopes @ table.coefficients[:, seen] / probs
+            t1, t2 = slopes @ table.herald / total
+            heralded = k.sum()
+            score += d1 @ k - heralded * t1
+            curvature += (d2 - d1 * d1) @ k - heralded * (t2 - t1 * t1)
+    return value, score, curvature
+
+
+def _newton_max(terms, center: float, step: float) -> float:
+    """The maximum in [center - step, center + step] of a log-likelihood whose
+    grid peak is ``center``; ``terms(phi)`` is its value, score and curvature.
+
+    Newton steps on the score keep a bracket [a, b], the score positive at a
+    and negative at b, and bisect when a step would leave it, the curvature
+    is not negative or a value is not finite.  A point scoring below the
+    peak, or impossible, has a zero of an observed probability or a valley
+    between it and the peak: the bracket keeps the peak's side of it.
+    """
+    a, b, x = center - step, center + step, center
+    peak, score, curvature = terms(x)
+    value = peak
+    for _ in range(NEWTON_ITERATIONS):
+        if not value >= peak:
+            a, b = (x, b) if x < center else (a, x)
+        elif score > 0.0:
+            a = x
+        elif score < 0.0:
+            b = x
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2.0
+            return x
+        with np.errstate(invalid="ignore"):  # inf / inf at an impossible phase
+            new = x - score / curvature if curvature < 0.0 else math.nan
+        # a step within NEWTON_TOL is taken even onto an end of the bracket
+        if not (a < new < b or abs(new - x) <= NEWTON_TOL):  # nan fails both
+            new = (a + b) / 2.0
+        if abs(new - x) <= NEWTON_TOL:
+            return new
+        x = new
+        value, score, curvature = terms(x)
+    return x
 
 
 def _check_schedule_identifiable(settings) -> None:
@@ -414,13 +462,15 @@ def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
     window, as :func:`run_experiment` returns them.
 
     Counts each setting's outcomes, scores the log-likelihood of the
-    heralded counts on a dense phase grid, and refines the peak by
-    golden-section search on the same function.  Vacuum windows carry no
-    phase information and are counted but never scored.
+    heralded counts on a dense phase grid, and refines the peak by Newton
+    steps on the exact score of the compiled law, within the grid cell
+    around it (:func:`_newton_max`).  Vacuum windows carry no phase
+    information and are counted but never scored.  At g = 0 the heralded
+    law does not depend on phi, and the estimate is refused.
     """
     source = plan.source
-    heralds = outcome_heralds(plan.protocol)
-    n_settings, n_classes = len(plan.delta_schedule), len(heralds)
+    heralded, vacuum = _herald_masks(plan.protocol)
+    n_settings, n_classes = len(plan.delta_schedule), len(heralded)
     outcomes = np.asarray(outcomes)
     if outcomes.shape != (plan.n_windows,) or outcomes.dtype.kind not in "iu":
         raise EstimationError(
@@ -433,12 +483,12 @@ def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
     # the last column, the VACUUM class
     cells = np.arange(outcomes.size) % n_settings * n_classes + outcomes % n_classes
     counts = np.bincount(cells, minlength=n_settings * n_classes).reshape(n_settings, n_classes)
-    heralded = np.array([h is Herald.PHOTON_ARRIVED for h in heralds])
-    vacuum = np.array([h is Herald.VACUUM for h in heralds])
     n_heralded = int(counts[:, heralded].sum())
     n_vacuum = int(counts[:, vacuum].sum())
     if n_heralded == 0:
         raise EstimationError("no heralded windows: the likelihood is flat in phi")
+    if source.g == 0.0:
+        raise EstimationError("at g = 0 the heralded law carries no phase: the likelihood is flat in phi")
     _check_schedule_identifiable(plan.delta_schedule)
 
     observed = []
@@ -453,13 +503,9 @@ def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
             raise EstimationError("an observed outcome is impossible under the model")
         observed.append((table, seen, k[seen].astype(float)))
 
-    def loglik(phi):
-        return _log_likelihood(phi, source.g, observed)
-
     grid = _phi_grid()
-    center = grid[int(np.argmax(loglik(grid)))]
-    step = grid[1] - grid[0]
-    phi_hat = wrap_phase(_golden_max(loglik, center - step, center + step))
+    center = grid[int(np.argmax(_log_likelihood(grid, source.g, observed)))]
+    phi_hat = wrap_phase(_newton_max(lambda phi: _score(phi, source.g, observed), center, grid[1] - grid[0]))
     err = wrap_phase(phi_hat - source.phi)
     info = crb_report(
         plan.protocol,

@@ -291,6 +291,19 @@ def _gather(modes: tuple[int, ...], d: int, mode_count: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=256)
+def _invalid_index(modes: tuple[int, ...], n_max: int, valid_mask: bytes, mode_count: int) -> np.ndarray:
+    """Read-only flat indices, in C order of ``_gather``'s rows, of the
+    register labels whose local label on ``modes`` is outside a valid mask
+    given as the bytes of its bool array.  Keyed on content, so gates built
+    afresh for every circuit share one entry; a mask with no invalid label
+    builds no gather table."""
+    valid = np.frombuffer(valid_mask, dtype=bool)
+    index = np.empty(0, np.intp) if valid.all() else _gather(modes, n_max + 1, mode_count)[~valid].ravel()
+    index.setflags(write=False)
+    return index
+
+
 def _apply_block(matrix: np.ndarray, modes: tuple[int, ...], state: StateVector) -> np.ndarray:
     """Amplitudes of ``state`` with a ``(d**k, d**k)`` block applied to its modes ``modes``."""
     table = _gather(modes, state.n_max + 1, state.mode_count)
@@ -330,13 +343,13 @@ def _invalid_mass(gate, state) -> float:
     """Probability of ``state`` on the labels outside ``gate.valid_mask``;
     ``gate`` is a :class:`ModeUnitary` or anything with its ``target_modes``,
     ``n_max`` and ``valid_mask``, such as a measurement basis."""
-    if gate.valid_mask.all():
+    if not isinstance(state, QubitRegister):
+        index = _invalid_index(gate.target_modes, gate.n_max, gate.valid_mask.tobytes(), state.mode_count)
+        outside = state.amplitudes[index]
+    elif gate.valid_mask.all():
         return 0.0
-    if isinstance(state, QubitRegister):
-        outside = state.amplitudes[~gate.valid_mask[state._local_index(gate.target_modes)]]
     else:
-        table = _gather(gate.target_modes, gate.n_max + 1, state.mode_count)
-        outside = state.amplitudes[table[~gate.valid_mask]]
+        outside = state.amplitudes[~gate.valid_mask[state._local_index(gate.target_modes)]]
     return float(np.vdot(outside, outside).real)
 
 

@@ -238,6 +238,17 @@ def test_simulate_refuses_a_sampler_table_that_is_not_a_distribution(
     assert capsys.readouterr().err.startswith("numerical invariant violated:")
 
 
+@pytest.mark.parametrize("protocol", ["cnot", "direct"])
+def test_simulate_at_g_zero_exits_1_with_a_message(tmp_path, capsys, protocol):
+    # every phase scores alike at g = 0: the grid peak would be its first cell, not an estimate
+    cfg = _write_config(tmp_path, protocol=protocol, g=0.0, phi=0.7, n_windows=2000, seed=1)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "g = 0" in err and "Traceback" not in err
+    assert not (out / "summary.json").exists()
+
+
 def test_simulate_deterministic_outputs(tmp_path):
     cfg = _write_config(
         tmp_path, phi=0.7, delta_schedule=[0.0, math.pi / 2.0], n_windows=2000

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -599,3 +600,188 @@ def test_fringe_table_guards():
     empty = estimation.FringeTable(labels, np.zeros((3, 2)), np.zeros(3))
     with pytest.raises(NumericalInvariantError):
         empty.joint(np.linspace(0.0, 1.0, 5), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the Newton refine of the grid peak
+
+
+def _observed(plan, outcomes):
+    """The (table, seen columns, counts) of every setting, as mle_phase scores them."""
+    heralded, _ = estimation._herald_masks(plan.protocol)
+    n_settings, n_classes = len(plan.delta_schedule), len(heralded)
+    cells = np.arange(outcomes.size) % n_settings * n_classes + outcomes % n_classes
+    counts = np.bincount(cells, minlength=n_settings * n_classes).reshape(n_settings, n_classes)
+    observed = []
+    for s, delta in enumerate(plan.delta_schedule):
+        k = np.where(heralded, counts[s], 0)[:-1]
+        seen = np.flatnonzero(k)
+        setting = (delta, plan.source.epsilon, plan.eta, plan.variant, plan.swap_bases)
+        observed.append((estimation._fringe_table(plan.protocol, setting), seen, k[seen].astype(float)))
+    return observed
+
+
+def _mp_score_root(observed, g, near, width=1e-6):
+    """The zero of the score within ``width`` of ``near``, by bisection at 40
+    digits on the compiled coefficients (None if the score does not change
+    sign there)."""
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 40
+    terms = []
+    for table, seen, k in observed:
+        columns = [table.coefficients[:, o] for o in seen] + [table.herald]
+        weights = list(k) + [-float(k.sum())]
+        terms.append([([mp.mpf(float(v)) for v in col], mp.mpf(w)) for col, w in zip(columns, weights)])
+    g = mp.mpf(g)
+
+    def score(phi):
+        c, s = mp.cos(phi), mp.sin(phi)
+        return sum(w * g * (C * c - B * s) / (A + g * (B * c + C * s)) for t in terms for (A, B, C), w in t)
+
+    lo, hi = mp.mpf(near) - width, mp.mpf(near) + width
+    if not score(lo) > 0 > score(hi):
+        return None
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if score(mid) > 0 else (lo, mid)
+    return float((lo + hi) / 2)
+
+
+@pytest.mark.parametrize(
+    "protocol, extra",
+    [
+        ("cnot", {}),
+        ("cnot", {"variant": Variant.PARITY_FEED_FORWARD}),
+        ("cnot", {"eta": 0.7}),
+        ("cnot", {"eta": 0.8, "variant": Variant.PARITY_FEED_FORWARD}),
+        ("direct", {}),
+        ("direct", {"swap_bases": True}),
+        ("gottesman", {}),
+    ],
+)
+def test_newton_refine_lands_on_the_exact_score_root(protocol, extra):
+    # a search on log-likelihood values alone stops about 1e-7 rad from the root
+    rng = np.random.default_rng(len(protocol) + 7 * len(extra))
+    for seed in range(3):
+        source = StellarSource(float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0.3, 1.0)), 0.2)
+        delta = float(rng.uniform(0.0, math.pi))
+        plan = ExperimentPlan(protocol, source, (delta, delta + HALF_PI), 2000, seed=seed, **extra)
+        outcomes = run_experiment(plan)
+        phi_hat = mle_phase(outcomes, plan).phi_hat
+        root = _mp_score_root(_observed(plan, outcomes), source.g, phi_hat)
+        assert root is not None and abs(wrap_phase(phi_hat - root)) < 1e-12
+
+
+def _fringe(shift, weight, sign=1.0):
+    """The outcome law w (1 + sign cos(phi - shift)) / 2 as a one-label table
+    with a constant heralded total."""
+    coefficients = weight * np.array([[0.5], [0.5 * sign * math.cos(shift)], [0.5 * sign * math.sin(shift)]])
+    return estimation.FringeTable(("a",), coefficients, np.array([1.0, 0.0, 0.0]))
+
+
+def _refine(observed, g=1.0):
+    """mle_phase's grid scan and refine on ``observed``; also the grid peak."""
+    grid = estimation._phi_grid()
+    center = grid[int(np.argmax(estimation._log_likelihood(grid, g, observed)))]
+    terms = lambda phi: estimation._score(phi, g, observed)  # noqa: E731
+    return estimation._newton_max(terms, center, grid[1] - grid[0]), center
+
+
+def test_newton_refine_finds_a_maximum_at_the_cell_edge():
+    grid = estimation._phi_grid()
+    step = grid[1] - grid[0]
+    peak = 0.3
+    observed = [(_fringe(peak, 1.0), np.array([0]), np.array([50.0]))]
+    terms = lambda phi: estimation._score(phi, 1.0, observed)  # noqa: E731
+    # the search interval ends at the maximum, on either side
+    assert abs(estimation._newton_max(terms, peak - step, step) - peak) < 1e-12
+    assert abs(estimation._newton_max(terms, peak + step, step) - peak) < 1e-12
+    # halfway between two grid points, both score alike
+    halfway = (grid[600] + grid[601]) / 2.0
+    observed = [(_fringe(halfway, 1.0), np.array([0]), np.array([50.0]))]
+    phi_hat, center = _refine(observed)
+    assert center in (grid[600], grid[601])
+    assert abs(phi_hat - halfway) < 1e-12
+
+
+@pytest.mark.parametrize("offset", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_newton_refine_steps_around_an_observed_outcome_that_vanishes_in_the_cell(offset):
+    # p_a = (1 + cos(phi - s)) / 2 seen 1e6 times and p_b = (1 - cos(phi - s)) / 2
+    # seen once: the maxima sit 2e-3 rad either side of s, where p_b vanishes,
+    # and s lies inside the grid cell of the peak
+    grid = estimation._phi_grid()
+    step = grid[1] - grid[0]
+    s = grid[700] + offset * step
+    table = estimation.FringeTable(
+        ("a", "b"),
+        np.array([[0.5, 0.5], [0.5 * math.cos(s), -0.5 * math.cos(s)], [0.5 * math.sin(s), -0.5 * math.sin(s)]]),
+        np.array([1.0, 0.0, 0.0]),
+    )
+    observed = [(table, np.array([0, 1]), np.array([1e6, 1.0]))]
+    assert table.joint(s, 1.0)[0][1] < 1e-15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi_hat, center = _refine(observed)
+    assert math.isfinite(phi_hat) and abs(phi_hat - center) <= step
+    assert abs(center - s) < step
+    root = _mp_score_root(observed, 1.0, phi_hat)
+    assert root is not None and abs(phi_hat - root) < 1e-12
+    # a maximum, no worse than the grid peak
+    assert estimation._score(phi_hat, 1.0, observed)[0] >= estimation._score(center, 1.0, observed)[0]
+    assert abs(abs(phi_hat - s) - 2.0 * math.atan(1e-3)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "beyond",
+    [
+        (-10.0, -1.0, -1.0),
+        (-10.0, -1.0, 0.0),
+        (-math.inf, math.nan, math.nan),
+        (np.float64(-np.inf), np.float64(np.inf), np.float64(-np.inf)),
+    ],
+)
+def test_newton_refine_keeps_the_peak_side_of_a_worse_or_impossible_point(beyond):
+    # -(phi - 0.1)^2 for phi >= 0, reported as not concave so every step
+    # bisects; below 0 a point scores under the peak with its score pointing
+    # away from it, or is impossible.  Following that sign would end at -1.5.
+    def terms(phi):
+        return (-((phi - 0.1) ** 2), -2.0 * (phi - 0.1), 1.0) if phi >= 0.0 else beyond
+
+    assert abs(estimation._newton_max(terms, 0.5, 2.0) - 0.1) < 1e-12
+
+
+def test_score_at_an_impossible_phase_is_not_finite_and_warns_nothing():
+    # p_a = (1 + cos phi) / 2 is exactly zero at phi = pi
+    observed = [(_fringe(0.0, 1.0), np.array([0]), np.array([3.0]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, score, curvature = estimation._score(math.pi, 1.0, observed)
+    assert value == -math.inf and not (math.isfinite(score) and math.isfinite(curvature))
+
+
+@pytest.mark.parametrize("protocol", sorted(estimation.PROTOCOLS))
+def test_mle_refuses_g_zero(protocol):
+    # at g = 0 the likelihood is flat in phi, with no maximum to report
+    plan = _plan(protocol=protocol, g=0.0, n_windows=2000, seed=1)
+    outcomes = run_experiment(plan)
+    with pytest.raises(EstimationError, match="g = 0"):
+        mle_phase(outcomes, plan)
+
+
+def test_constant_tables_are_built_once_and_read_only():
+    for protocol in estimation.PROTOCOLS:
+        heralded, vacuum = estimation._herald_masks(protocol)
+        assert estimation._herald_masks(protocol) == (heralded, vacuum)
+        assert estimation._herald_masks(protocol)[0] is heralded
+        heralds = estimation.outcome_heralds(protocol)
+        assert heralded.tolist() == [h is Herald.PHOTON_ARRIVED for h in heralds]
+        assert vacuum.tolist() == [h is Herald.VACUUM for h in heralds]
+        for mask in (heralded, vacuum):
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0] = not mask[0]
+        index = estimation._outcome_index(protocol)
+        assert estimation._outcome_index(protocol) is index
+        with pytest.raises(TypeError):
+            index[None] = 0
+        assert list(index) == list(estimation.PROTOCOLS[protocol].outcomes())
+        assert list(index.values()) == list(range(len(index)))

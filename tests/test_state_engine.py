@@ -235,3 +235,98 @@ def test_qubit_register_mode_count_and_placement_checks():
         se.QubitRegister.place([(se.fock((1, 0), 2), (0, 1))], 3)
     with pytest.raises(ValueError, match="one label per amplitude"):
         se.QubitRegister([0, 1], [1.0], 2)
+
+
+# ---------------------------------------------------------------------------
+# the cached invalid-label index of the support guard
+
+
+def _dense(state):
+    """A register's dense amplitude vector; a dense state's own."""
+    if isinstance(state, se.QubitRegister):
+        amps = np.zeros(se.space_dim(state.mode_count, 1), dtype=complex)
+        amps[state.labels] = state.amplitudes
+        return amps
+    return state.amplitudes
+
+
+def _mass_from_gather(gate, amps, mode_count):
+    """Probability outside ``gate.valid_mask``, read through the gather table."""
+    table = se._gather(gate.target_modes, gate.n_max + 1, mode_count)
+    outside = amps[table[~gate.valid_mask]]
+    return float(np.vdot(outside, outside).real)
+
+
+def test_cached_invalid_mass_is_the_mass_outside_the_valid_labels(monkeypatch):
+    from qtelescopy import gates, protocols
+    from qtelescopy.protocols import ProtocolConfig, Variant
+    from qtelescopy.sources import StellarSource
+
+    seen = []
+    original = se._invalid_mass
+
+    def spy(gate, state):
+        mass = original(gate, state)
+        seen.append((gate, state, mass))
+        return mass
+
+    monkeypatch.setattr(se, "_invalid_mass", spy)
+    monkeypatch.setattr(gates, "_invalid_mass", spy)
+    source = StellarSource(0.7, 0.8, 0.1)
+    for variant in Variant:
+        protocols.cnot_distribution(source, ProtocolConfig(0.3, 0.9, variant))
+    protocols.gottesman_distribution(source, 0.3)
+    for swap in (False, True):
+        protocols.direct_distribution(source, 0.3, swap)
+    protocols.run_memory_unmodified(3, 2, source, 0.3, rng_seed=1)
+    registers = sum(isinstance(state, se.QubitRegister) for _, state, _ in seen)
+    assert registers and len(seen) > registers
+
+    rng = np.random.default_rng(5)
+    for gate, state, mass in seen:
+        amps = _dense(state)
+        if isinstance(state, se.QubitRegister):
+            assert mass == pytest.approx(_mass_from_gather(gate, amps, state.mode_count), abs=1e-15)
+            dense = se.StateVector(amps, state.mode_count, 1)
+            assert original(gate, dense) == _mass_from_gather(gate, amps, state.mode_count)
+        else:
+            assert mass == _mass_from_gather(gate, amps, state.mode_count)
+        # a state with weight on every label, the invalid ones included
+        raw = rng.normal(size=amps.size) + 1j * rng.normal(size=amps.size)
+        noisy = se.StateVector(raw / np.linalg.norm(raw), state.mode_count, state.n_max)
+        assert original(gate, noisy) == _mass_from_gather(gate, noisy.amplitudes, state.mode_count)
+
+
+def test_cached_invalid_index_is_shared_read_only_and_keyed_on_content():
+    from qtelescopy import gates, protocols
+    from qtelescopy.sources import StellarSource
+
+    gate = gates.cnot_fock(0, 1, 2)
+    key = (gate.target_modes, gate.n_max, gate.valid_mask.tobytes(), 6)
+    index = se._invalid_index(*key)
+    assert se._invalid_index(*key) is index and not index.flags.writeable
+    # a gate built again has the same content, and so the same entry
+    assert se._invalid_index(*key[:2], gates.cnot_fock(0, 1, 2).valid_mask.tobytes(), 6) is index
+    table = se._gather((0, 1), 3, 6)
+    np.testing.assert_array_equal(index, table[~gate.valid_mask].ravel())
+    # gottesman_distribution builds its beam splitters afresh on every call
+    protocols.gottesman_distribution(StellarSource(0.7, 0.8, 0.1), 0.3)
+    before = se._invalid_index.cache_info()
+    protocols.gottesman_distribution(StellarSource(0.2, 0.5, 0.3), 1.1)
+    after = se._invalid_index.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize) and after.hits > before.hits
+
+
+def test_invalid_support_message_is_unchanged():
+    from qtelescopy import gates
+
+    state = se.StateVector(np.sqrt([0.5, 0, 0, 0, 0, 0, 0.25, 0.25, 0]).astype(complex), 2, 2)
+    gate = gates.cnot_fock(0, 1, 2)
+    labels = gate.invalid_labels()
+    assert labels == [(0, 2), (1, 2), (2, 0), (2, 1), (2, 2)]
+    with pytest.raises(InvalidSubspaceError) as caught:
+        se.apply_unitary(state, gate)
+    assert str(caught.value) == (
+        f"cnot_fock on modes (0, 1) is undefined for labels {labels}; "
+        "input carries probability 5.000e-01 there"
+    )
