@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from . import analytic
-from .errors import ConfigError, NumericalInvariantError, QTelescopyError
+from .errors import PAIR_ATOL, SLD_ATOL, SUM_ATOL, TABLE_ATOL, ConfigError, NumericalInvariantError, QTelescopyError
 from .estimation import (
     DEFAULT_SCHEDULE,
     ExperimentPlan,
@@ -396,9 +396,9 @@ def cmd_simulate(args) -> int:
 
 
 def _pair_symbol(vec) -> str:
-    if abs(abs(np.vdot(BELL_PLUS, vec)) - 1.0) < 1e-9:
+    if abs(abs(np.vdot(BELL_PLUS, vec)) - 1.0) < PAIR_ATOL:
         return "|Φ+⟩"
-    if abs(abs(np.vdot(BELL_MINUS, vec)) - 1.0) < 1e-9:
+    if abs(abs(np.vdot(BELL_MINUS, vec)) - 1.0) < PAIR_ATOL:
         return "|Φ−⟩"
     return "|?⟩"
 
@@ -461,7 +461,7 @@ def _validate_checks():
         from .state_engine import basis_index
 
         residual = abs(state.amplitudes[basis_index((1, 1), n_max)])
-        return residual < 1e-12, f"|11> residual after balanced splitter = {residual:.2e}"
+        return residual < TABLE_ATOL, f"|11> residual after balanced splitter = {residual:.2e}"
 
     def circuit_matches_reference():
         worst = 0.0
@@ -477,7 +477,7 @@ def _validate_checks():
                             worst,
                             max(abs(sim.get(k, 0.0) - ref.get(k, 0.0)) for k in keys),
                         )
-        return worst < 1e-12, f"worst |circuit - reference| = {worst:.2e}"
+        return worst < TABLE_ATOL, f"worst |circuit - reference| = {worst:.2e}"
 
     def wiring_variants_agree():
         worst = 0.0
@@ -487,7 +487,7 @@ def _validate_checks():
             b = cnot_distribution(src, ProtocolConfig(delta, eta, Variant.PARITY_FEED_FORWARD))
             keys = set(a) | set(b)
             worst = max(worst, max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys))
-        return worst < 1e-12, f"worst |A - B| = {worst:.2e}"
+        return worst < TABLE_ATOL, f"worst |A - B| = {worst:.2e}"
 
     def heralds_sound():
         from .protocols import cnot_branches
@@ -510,7 +510,7 @@ def _validate_checks():
             sum(direct_distribution(src, 0.5).values()),
         ]
         worst = max(abs(t - 1.0) for t in totals)
-        return worst < 1e-10, f"worst |sum - 1| = {worst:.2e}"
+        return worst < SUM_ATOL, f"worst |sum - 1| = {worst:.2e}"
 
     def sld_closed_forms():
         worst = 0.0
@@ -525,7 +525,7 @@ def _validate_checks():
                     (l_phi @ rho + rho @ l_phi) / 2.0 - conditional_phi_derivative(phi, g)
                 ).max()
                 worst = max(worst, residual)
-        return worst < 1e-10, f"worst SLD deviation = {worst:.2e}"
+        return worst < SLD_ATOL, f"worst SLD deviation = {worst:.2e}"
 
     def memory_round_trip():
         for arrival in [None] + list(range(1, 8)):
@@ -544,7 +544,7 @@ def _validate_checks():
             sim = direct_distribution(StellarSource(phi, g, 0.1), delta)
             ref = analytic.direct_outcome_table(phi, g, delta)
             worst = max(worst, max(abs(sim[k] - ref[k]) for k in ref))
-        return worst < 1e-12, f"worst |direct - reference| = {worst:.2e}"
+        return worst < TABLE_ATOL, f"worst |direct - reference| = {worst:.2e}"
 
     return [
         ("beam_splitter_bunching", beam_splitter_bunching),

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import analytic
-from .errors import EstimationError, NumericalInvariantError
+from .errors import CHOICE_ATOL, PHASE_ATOL, TABLE_ATOL, EstimationError, NumericalInvariantError, check_table
 from .fisher import FisherMatrix, OutcomeModel, classical_fisher
 from .protocols import (
     N_MAX,
@@ -46,10 +46,6 @@ from .state_engine import basis_labels
 PHI_GRID_POINTS = 1024
 # the refine stops at a step of one ulp of a phase, or after enough halvings to get there
 NEWTON_TOL, NEWTON_ITERATIONS = math.ulp(math.pi), 64
-# compiled probabilities below this are a broken circuit, not round-off
-NEGATIVE_PROB_TOL = 1e-12
-# how far a sampled table may sum from 1, as numpy's Generator.choice allows
-CHOICE_ATOL = math.sqrt(np.finfo(float).eps)
 
 
 def wrap_phase(phi: float) -> float:
@@ -331,10 +327,7 @@ class FringeTable:
         basis = _fringe_basis(phi, g)
         probs = basis @ self.coefficients[:, columns]
         total = basis @ self.herald
-        if np.any(probs < -NEGATIVE_PROB_TOL):
-            raise NumericalInvariantError(
-                f"compiled outcome probability {probs.min()!r} is negative"
-            )
+        check_table(probs, "compiled outcome law", negative_atol=TABLE_ATOL)
         if np.any(total <= 0.0):
             raise NumericalInvariantError(
                 "the heralded class has no probability at some phase; "
@@ -449,7 +442,7 @@ def _check_schedule_identifiable(settings) -> None:
     distinct = sorted(set(settings))
     for i, di in enumerate(distinct):
         for dj in distinct[i + 1 :]:
-            if abs(math.sin(di - dj)) > 1e-9:
+            if abs(math.sin(di - dj)) > PHASE_ATOL:
                 return
     raise EstimationError(
         "the delta schedule cannot distinguish phi from -phi; add a second "

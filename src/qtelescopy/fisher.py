@@ -13,19 +13,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    FisherDivergenceError,
-    GBoundaryError,
-    KernelSupportError,
-    NumericalInvariantError,
-)
+from .errors import DERIVATIVE_FLOOR, FD_STEP, G_BOUNDARY, KERNEL_TOL, PROB_FLOOR, SLD_ATOL, SUM_ATOL, TABLE_ATOL
+from .errors import FisherDivergenceError, GBoundaryError, KernelSupportError, NumericalInvariantError, check_table
 
 PARAMETERS = ("phi", "g")
-G_BOUNDARY = 1.0 - 1e-6
-PROB_FLOOR = 1e-12
-DERIVATIVE_FLOOR = 1e-8
-KERNEL_TOL = 1e-12
-FD_STEP = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +55,7 @@ class OutcomeModel:
             raise NumericalInvariantError(
                 f"model {self.name or '?'} produced outcome {exc} outside its declared label set"
             ) from None
-        if np.any(p < -1e-12):
-            raise NumericalInvariantError(f"negative probability in model {self.name or '?'}")
-        if abs(p.sum() - 1.0) > 1e-10:
-            raise NumericalInvariantError(
-                f"model {self.name or '?'} probabilities sum to {p.sum()!r}, not 1"
-            )
+        check_table(p, f"model {self.name or '?'}", TABLE_ATOL, SUM_ATOL)
         return p
 
 
@@ -137,11 +123,12 @@ def classical_fisher(
     """Classical Fisher matrix of ``model`` at ``at = (phi, g)``.
 
     Entries outside ``wrt`` are left at zero.  Outcomes with probability
-    below ``PROB_FLOOR`` are excluded from the sum, provided their
-    derivative also vanishes; otherwise the Fisher integrand diverges and
-    a :class:`FisherDivergenceError` is raised.  Derivatives with respect
-    to g are refused within 1e-6 of the g = 1 boundary, where the
-    visibility information diverges.
+    below ``PROB_FLOOR`` are excluded from the sum, provided their derivative
+    stays below ``DERIVATIVE_FLOOR``, and below that fraction of the largest
+    kept one; otherwise the sum diverges, or would drop information on the
+    scale of the kept outcomes (heralded ones at a tiny arrival probability),
+    and a :class:`FisherDivergenceError` is raised.  Derivatives with respect
+    to g are refused from ``G_BOUNDARY`` on, where they diverge.
     """
     wrt = tuple(wrt)
     for param in wrt:
@@ -158,12 +145,13 @@ def classical_fisher(
     grads: dict[str, np.ndarray] = {}
     for param in wrt:
         dp = _derivative(model, at, param, p0)
-        bad = ~keep & (np.abs(dp) >= DERIVATIVE_FLOOR)
+        floor = DERIVATIVE_FLOOR * min(1.0, np.abs(dp[keep]).max(initial=0.0))
+        bad = ~keep & (np.abs(dp) >= floor) & (dp != 0.0)
         if np.any(bad):
             labels = [model.outcomes[i] for i in np.flatnonzero(bad)]
             raise FisherDivergenceError(
-                f"outcomes {labels} have vanishing probability but "
-                f"non-vanishing {param} derivative; Fisher information diverges"
+                f"outcomes {labels} have probability below {PROB_FLOOR} but a non-vanishing "
+                f"{param} derivative; the Fisher information diverges, or would drop them"
             )
         grads[param] = dp
 
@@ -171,9 +159,7 @@ def classical_fisher(
     for i, pi in enumerate(PARAMETERS):
         for j, pj in enumerate(PARAMETERS):
             if pi in grads and pj in grads:
-                mat[i, j] = float(
-                    np.sum(grads[pi][keep] * grads[pj][keep] / p0[keep])
-                )
+                mat[i, j] = float(np.sum(grads[pi][keep] * grads[pj][keep] / p0[keep]))
     return FisherMatrix(mat)
 
 
@@ -203,7 +189,7 @@ def sld(rho, drho) -> np.ndarray:
     denom = lam[:, None] + lam[None, :]
     live = denom >= KERNEL_TOL
     dead_weight = np.abs(mid[~live])
-    if dead_weight.size and dead_weight.max() > 1e-10:
+    if dead_weight.size and dead_weight.max() > SLD_ATOL:
         raise KernelSupportError(
             f"state derivative has weight {dead_weight.max():.3e} on the kernel "
             "of the state; the logarithmic derivative is undefined there"

@@ -24,22 +24,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidSubspaceError, NumericalInvariantError, QubitRegisterError
+from .errors import LIFT_ATOL, NORM_ATOL, QubitRegisterError, check_table
 from .state_engine import (
     ModeUnitary,
-    NORM_ATOL,
     QubitRegister,
     StateVector,
     _apply_block,
     _apply_one_mode,
     _check_modes,
-    _invalid_mass,
     basis_index,
+    check_support,
     labels_array,
     space_dim,
 )
-
-_LIFT_ATOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +71,7 @@ def _lift_matrix(u: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
                 )
                 amp[(k, l)] += coeff
         kept = sum(abs(a) ** 2 for (k, l), a in amp.items() if k <= n_max and l <= n_max)
-        if kept < 1.0 - _LIFT_ATOL:
+        if kept < 1.0 - LIFT_ATOL:
             mask[j] = False
             continue
         for (k, l), a in amp.items():
@@ -264,12 +261,9 @@ def measurement_distribution(state, basis: MeasurementBasis) -> np.ndarray:
 def measure_in_basis(state, basis: MeasurementBasis, rng=None):
     """Sample one outcome and collapse. Returns ``(outcome, post_state)``.
     A weight at most ``NORM_ATOL`` below zero is round-off and counts as zero."""
-    if not isinstance(state, (StateVector, QubitRegister)):
-        raise TypeError("basis sampling requires a StateVector or a QubitRegister")
     rng = np.random.default_rng(rng)
     weights = measurement_distribution(state, basis)
-    if weights.min() < -NORM_ATOL:
-        raise NumericalInvariantError(f"outcome weight {weights.min()!r} is negative")
+    check_table(weights, f"{basis.name or 'basis'} readout", negative_atol=NORM_ATOL)
     weights = np.maximum(weights, 0.0)
     outcome = basis.outcomes[int(rng.choice(len(weights), p=weights / weights.sum()))]
     return outcome, project(state, basis, outcome)[1]
@@ -282,8 +276,6 @@ def project(state, basis: MeasurementBasis, outcome):
     is ``None`` when the outcome has zero weight.  Useful for enumerating
     measurement branches deterministically.
     """
-    if not isinstance(state, (StateVector, QubitRegister)):
-        raise TypeError("branch projection requires a StateVector or a QubitRegister")
     state, modes = _readout(state, basis)
     try:
         idx = basis.outcomes.index(outcome)
@@ -300,13 +292,10 @@ def project(state, basis: MeasurementBasis, outcome):
 def _readout(state, basis: MeasurementBasis):
     """The state a readout of ``basis`` reads, and the modes it reads there: a
     :class:`QubitRegister` is read in its ``paired`` layout, where the measured mode leads."""
+    if not isinstance(state, (StateVector, QubitRegister)):
+        raise TypeError("a readout acts on a StateVector or a QubitRegister")
     _check_modes(basis.target_modes, state.mode_count)
-    mass = _invalid_mass(basis, state)
-    if mass > NORM_ATOL:
-        raise InvalidSubspaceError(
-            f"{basis.name or 'basis'} measurement on modes {basis.target_modes} is "
-            f"undefined outside the dual-rail subspace; input carries {mass:.3e} there"
-        )
+    check_support(basis, state, f"{basis.name or 'basis'} measurement")
     if not isinstance(state, QubitRegister):
         return state, basis.target_modes
     if basis.n_max != 1 or len(basis.target_modes) != 1:

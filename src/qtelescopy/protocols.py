@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalInvariantError
+from .errors import NORM_ATOL, SUM_ATOL, check_table
 from .gates import (
     MeasurementBasis,
     beam_splitter,
@@ -240,11 +240,7 @@ def _mixture(rows, register: str) -> dict:
     for weight, table in rows:
         for label, p in table.items():
             merged[label] = merged.get(label, 0.0) + weight * p
-    total = sum(merged.values())
-    if abs(total - 1.0) > 1e-10:
-        raise NumericalInvariantError(
-            f"{register} outcome probabilities sum to {total!r}; circuit wiring is leaking"
-        )
+    check_table(np.fromiter(merged.values(), float, len(merged)), f"{register} outcome table", sum_atol=SUM_ATOL)
     return merged
 
 
@@ -428,7 +424,7 @@ class BellRegister:
             arr = np.array(vec, dtype=complex)
             if arr.shape != (4,):
                 raise ValueError("each pair state must be a 4-vector")
-            if abs(np.linalg.norm(arr) - 1.0) > 1e-10:
+            if abs(np.linalg.norm(arr) - 1.0) > NORM_ATOL:
                 raise ValueError("pair states must be normalized")
             arr.setflags(write=False)
             frozen.append(arr)

@@ -30,9 +30,8 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import CutoffError, InvalidSubspaceError, LeakageError, QubitRegisterError
+from .errors import NORM_ATOL, CutoffError, InvalidSubspaceError, LeakageError, QubitRegisterError
 
-NORM_ATOL = 1e-10
 MAX_QUBIT_MODES = 62  # int64 labels: a bit per mode, one above them for a new leading mode, the sign bit
 
 
@@ -276,8 +275,8 @@ class ModeUnitary:
         return bool(self.valid_mask.all()) and np.array_equal(self.matrix, np.eye(len(self.matrix)))
 
     def invalid_labels(self) -> list[tuple[int, ...]]:
-        labs = labels_array(len(self.target_modes), self.n_max)
-        return [tuple(row) for row in labs[~self.valid_mask]]
+        """Local labels outside ``valid_mask`` as int tuples; also read off a measurement basis."""
+        return list(map(tuple, labels_array(len(self.target_modes), self.n_max)[~self.valid_mask].tolist()))
 
 
 @lru_cache(maxsize=256)
@@ -353,13 +352,23 @@ def _invalid_mass(gate, state) -> float:
     return float(np.vdot(outside, outside).real)
 
 
+def check_support(op, state, what: str) -> None:
+    """Refuse ``state`` by :class:`InvalidSubspaceError` if it carries more than ``NORM_ATOL``
+    probability outside ``op.valid_mask``; ``op``, a gate or a measurement basis, is named ``what``."""
+    mass = _invalid_mass(op, state)
+    if mass > NORM_ATOL:
+        raise InvalidSubspaceError(
+            f"{what} on modes {op.target_modes} is undefined for labels "
+            f"{ModeUnitary.invalid_labels(op)}; input carries probability {mass:.3e} there"
+        )
+
+
 def apply_unitary(state, gate: ModeUnitary):
     """Apply a local unitary to a :class:`StateVector` or a :class:`QubitRegister`.
 
-    Raises :class:`InvalidSubspaceError` if the input carries probability
-    above ``NORM_ATOL`` on labels where the gate is undefined, and
-    :class:`LeakageError` if the application loses norm (weight pushed
-    past the cutoff).  Exact identities are returned unchanged.  A register
+    Raises :class:`InvalidSubspaceError` by :func:`check_support`, and
+    :class:`LeakageError` if the application loses more than ``NORM_ATOL``
+    of squared norm (weight pushed past the cutoff).  Exact identities are returned unchanged.  A register
     refuses a gate that is not a signed permutation at cutoff 1 (:class:`QubitRegisterError`).
     """
     qubits = isinstance(state, QubitRegister)
@@ -373,13 +382,7 @@ def apply_unitary(state, gate: ModeUnitary):
     if gate.is_identity:
         return state
 
-    mass = _invalid_mass(gate, state)
-    if mass > NORM_ATOL:
-        raise InvalidSubspaceError(
-            f"{gate.name or 'gate'} on modes {gate.target_modes} is undefined for "
-            f"labels {gate.invalid_labels()}; input carries probability {mass:.3e} there"
-        )
-
+    check_support(gate, state, gate.name or "gate")
     before = float(np.vdot(state.amplitudes, state.amplitudes).real)
     if qubits:
         local = state._local_index(gate.target_modes)
