@@ -30,11 +30,11 @@ PAIR_ATOL = 1e-9  # overlap off 1 with |Phi+> or |Phi-> that names a Bell pair i
 
 
 def check_table(p, what: str, negative_atol: float | None = None, sum_atol: float | None = None) -> None:
-    """Refuse outcome probabilities ``p``, an array named ``what``, with an entry below ``-negative_atol`` or a
-    total off 1 by more than ``sum_atol``, by :class:`NumericalInvariantError`; a check with no tolerance is skipped."""
-    if negative_atol is not None and p.min(initial=0.0) < -negative_atol:
+    """Refuse outcome probabilities ``p``, an array named ``what``, with an entry below ``-negative_atol``, a total off
+    1 by more than ``sum_atol`` or a nan, by :class:`NumericalInvariantError`; a check with no tolerance is skipped."""
+    if negative_atol is not None and not -p.min(initial=0.0) <= negative_atol:  # nan fails it too
         raise NumericalInvariantError(f"{what} has a negative probability {p.min()!r}")
-    if sum_atol is not None and abs(p.sum() - 1.0) > sum_atol:
+    if sum_atol is not None and not abs(p.sum() - 1.0) <= sum_atol:
         raise NumericalInvariantError(f"{what} probabilities sum to {p.sum()!r}, not 1")
 
 

@@ -91,19 +91,10 @@ def two_mode_unitary(
     return ModeUnitary((mode_a, mode_b), mat, n_max, mask, name or "two_mode_unitary")
 
 
-@lru_cache(maxsize=None)
-def _balanced_lift(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    u = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
-    mat, mask = _lift_matrix(u, n_max)
-    mat.setflags(write=False)
-    mask.setflags(write=False)
-    return mat, mask
-
-
+@lru_cache(maxsize=1024)
 def beam_splitter(mode_a: int, mode_b: int, n_max: int) -> ModeUnitary:
     """Balanced beam splitter with the i-on-reflection convention."""
-    mat, mask = _balanced_lift(n_max)
-    return ModeUnitary((mode_a, mode_b), mat, n_max, mask, "beam_splitter")
+    return two_mode_unitary(np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0), mode_a, mode_b, n_max, "beam_splitter")
 
 
 def phase_shift(mode: int, theta: float, n_max: int) -> ModeUnitary:

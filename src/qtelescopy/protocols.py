@@ -30,7 +30,8 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -143,17 +144,17 @@ def _cnot_input_state(star: StateVector, ancilla_present: bool) -> StateVector:
     between the two inner ancilla modes; when it is lost those modes are
     left in vacuum.
     """
-    n_max = star.n_max
-    if ancilla_present:
-        # factor modes ordered (EXTRA_L, ANC_L, ANC_R, EXTRA_R)
-        left = fock((1, 1, 0, 1), n_max)
-        right = fock((1, 0, 1, 1), n_max)
-        anc = StateVector(
-            (left.amplitudes + right.amplitudes) / np.sqrt(2.0), 4, n_max
-        )
-    else:
-        anc = fock((1, 0, 0, 1), n_max)
+    anc = _ancilla_factor(ancilla_present, star.n_max)
     return tensor_at([(anc, (EXTRA_L, ANC_L, ANC_R, EXTRA_R)), (star, (STAR_L, STAR_R))])
+
+
+@lru_cache(maxsize=4)
+def _ancilla_factor(present: bool, n_max: int) -> StateVector:
+    """The read-only state of modes (EXTRA_L, ANC_L, ANC_R, EXTRA_R) of :func:`_cnot_input_state`."""
+    labels = ((1, 1, 0, 1), (1, 0, 1, 1)) if present else ((1, 0, 0, 1),)
+    amps = sum(fock(label, n_max).amplitudes for label in labels) / np.sqrt(len(labels))
+    amps.setflags(write=False)
+    return StateVector(amps, 4, n_max)
 
 
 @lru_cache(maxsize=64)
@@ -215,12 +216,19 @@ def _count_table(state, steps) -> dict:
     return table
 
 
-def cnot_branches(source: StellarSource, config: ProtocolConfig) -> list[tuple[str, bool, float, dict]]:
+@lru_cache(maxsize=128)
+def _vacuum_table(delta: float, variant: Variant, present: bool) -> MappingProxyType:
+    """Read-only count table of the vacuum branch (star in |00>), which depends only on the setting."""
+    star = fock((0, 0), N_MAX)
+    return MappingProxyType(_count_table(_cnot_input_state(star, present), _cnot_steps(delta, variant)))
+
+
+def cnot_branches(source: StellarSource, config: ProtocolConfig) -> list[tuple[str, bool, float, Mapping]]:
     """Per-branch outcome tables: (source branch, ancilla present, weight, table).
 
-    The window state is an exact mixture of three pure source branches
-    (vacuum and the two fringe eigenstates) crossed with the ancilla
-    present/lost alternative; each combination is simulated separately.
+    The window state is an exact mixture of three pure source branches (vacuum and the two fringe
+    eigenstates) crossed with the ancilla present/lost alternative; each combination is simulated
+    separately, the vacuum ones once per setting (:func:`_vacuum_table`).
     """
     names = ("vacuum", "plus", "minus")
     steps = _cnot_steps(config.delta, config.variant)
@@ -230,7 +238,9 @@ def cnot_branches(source: StellarSource, config: ProtocolConfig) -> list[tuple[s
             weight = w_src * w_anc
             if weight == 0.0:
                 continue
-            rows.append((name, present, weight, _count_table(_cnot_input_state(star, present), steps)))
+            table = (_vacuum_table(config.delta, config.variant, present) if name == "vacuum"
+                     else _count_table(_cnot_input_state(star, present), steps))
+            rows.append((name, present, weight, table))
     return rows
 
 

@@ -14,9 +14,10 @@ A :class:`QubitRegister` (a cutoff-1 state held on its support) takes a gate
 whose matrix is a signed permutation of its local labels (the Fock-qubit
 gates and phase shifts at ``n_max = 1``): the image and phase of each label
 are read off the matrix once per gate and placement, and applied as XORs and
-phases of the register's labels.  On a dense register gates multiply their
-matrix into the target modes through ``_gather``, a cached table of flat
-indices with those modes leading.  One-mode projectors act on
+phases of the register's labels.  On a dense register a gate with entries 0
+and +-1 only (the Fock-qubit gates) is one signed gather of the amplitudes;
+others multiply their matrix into the target modes through ``_gather``, a
+cached table of flat indices with those modes leading.  One-mode projectors act on
 the ``(d**m, d, rest)`` view of mode ``m``.  A rank-1 one-mode projection
 leaves the product of its vector and a state of the other modes, so a caller
 that never gates the measured mode again may drop it and keep that factor.
@@ -311,6 +312,21 @@ def _apply_block(matrix: np.ndarray, modes: tuple[int, ...], state: StateVector)
     return out
 
 
+@lru_cache(maxsize=256)
+def _signed_gather(gate: ModeUnitary, mode_count: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Read-only ``(src, sign)`` with ``amps[src] * sign`` the block product of ``gate`` on a dense register, bit
+    for bit, when its entries are exactly 0 or +-1, at most one per row (the Fock-qubit gates); else ``None``."""
+    m = gate.matrix
+    if not np.isin(m, (-1, 0, 1)).all() or (m != 0).sum(axis=1).max() > 1:
+        return None
+    cols, table = (m != 0).argmax(axis=1), _gather(gate.target_modes, gate.n_max + 1, mode_count)
+    src, sign = np.empty(table.size, np.intp), np.empty(table.size, complex)
+    src[table], sign[table] = table[cols], m[range(len(m)), cols][:, None]
+    for array in (src, sign):
+        array.setflags(write=False)
+    return src, sign
+
+
 def _apply_one_mode(op: np.ndarray, mode: int, amps: np.ndarray, d: int) -> np.ndarray:
     """Apply a ``(d, d)`` operator to ``mode`` on the ``(d**mode, d, rest)`` view."""
     v = amps.reshape(d**mode, d, -1)
@@ -387,6 +403,8 @@ def apply_unitary(state, gate: ModeUnitary):
     if qubits:
         local = state._local_index(gate.target_modes)
         new = QubitRegister(state.labels ^ flips[local], state.amplitudes * phases[local], state.mode_count)
+    elif signed := _signed_gather(gate, state.mode_count):
+        new = StateVector(state.amplitudes[signed[0]] * signed[1], state.mode_count, state.n_max)
     else:
         new = StateVector(_apply_block(gate.matrix, gate.target_modes, state), state.mode_count, state.n_max)
     after = float(np.vdot(new.amplitudes, new.amplitudes).real)

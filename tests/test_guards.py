@@ -194,6 +194,24 @@ def test_table_guard_of_a_sampled_readout_holds_at_its_tolerance(monkeypatch):
         gates.measure_in_basis(state, basis, rng=0)
 
 
+def test_table_guard_refuses_nan_at_every_site(monkeypatch):
+    # nan is neither above nor below a tolerance: each check is written to fail on it
+    with pytest.raises(NumericalInvariantError, match="model edge has a negative probability"):
+        fisher.OutcomeModel(lambda phi, g: {"a": math.nan, "b": 1.0}, ("a", "b"), "edge").probs(0.0, 0.5)
+    with pytest.raises(NumericalInvariantError, match="edge outcome table probabilities sum to .*nan"):
+        protocols._mixture([(1.0, {"a": math.nan})], "edge")
+    law = estimation.FringeTable(("a", "b"), np.array([[1.0, 0.0], [0.0, math.nan], [0.0, 0.0]]), np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(NumericalInvariantError, match="compiled outcome law has a negative probability"):
+        law.joint(0.0, 1.0)
+    monkeypatch.setattr(gates, "measurement_distribution", lambda *a: np.array([1.0, math.nan]))
+    with pytest.raises(NumericalInvariantError, match="x readout has a negative probability"):
+        gates.measure_in_basis(se.fock((1,), 1), gates.x_basis(0, 1), rng=0)
+    for tolerance in ({"negative_atol": TABLE_ATOL}, {"sum_atol": SUM_ATOL}):
+        with pytest.raises(NumericalInvariantError):
+            errors.check_table(np.array([0.5, math.nan, 0.5]), "table", **tolerance)
+    errors.check_table(np.array([math.nan]), "table")  # no tolerance, no check
+
+
 # ---------------------------------------------------------------------------
 # guard sites no other test reaches
 

@@ -167,6 +167,38 @@ def test_branch_decomposition_weights():
         np.testing.assert_allclose(sum(table.values()), 1.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("eta", [1.0, 0.6, 0.0])
+def test_vacuum_branch_is_one_read_only_table_per_setting(variant, eta):
+    cfg = ProtocolConfig(delta=0.3, eta=eta, variant=variant)
+    vacuum = state_engine.fock((0, 0), protocols.N_MAX)
+    steps = protocols._cnot_steps(0.3, variant)
+    rows = [row for row in cnot_branches(StellarSource(0.7, 0.8, 0.1), cfg) if row[0] == "vacuum"]
+    assert [present for _, present, _, _ in rows] == [present for present, w in ((True, eta), (False, 1 - eta)) if w]
+    for _, present, _, table in rows:
+        # another star at the same setting reads the same table
+        other = cnot_branches(StellarSource(-2.0, 0.1, 0.9), cfg)
+        assert table is next(t for name, p, _, t in other if name == "vacuum" and p == present)
+        assert table is protocols._vacuum_table(0.3, variant, present)
+        # equal, in its order, to a fresh walk of the |00> branch
+        fresh = protocols._count_table(protocols._cnot_input_state(vacuum, present), steps)
+        assert list(table.items()) == list(fresh.items())
+        with pytest.raises(TypeError):
+            table[next(iter(table))] = 0.0
+        anc = protocols._ancilla_factor(present, protocols.N_MAX)
+        assert protocols._ancilla_factor(present, protocols.N_MAX) is anc
+        with pytest.raises(ValueError, match="read-only"):
+            anc.amplitudes[0] = 1.0
+
+
+def test_validate_heralds_sound_reads_the_cached_vacuum_table():
+    from qtelescopy import cli
+
+    check = dict(cli._validate_checks())["heralds_sound"]
+    assert check()[0]  # the first run may fill the table, the second reads it
+    assert check() == (True, "photon windows agree, vacuum windows disagree")
+
+
 def test_classify_herald_cases():
     assert classify_herald((1, 1, 0, 1, 0, 1)) is Herald.PHOTON_ARRIVED
     assert classify_herald((0, 0, 1, 1, 0, 0)) is Herald.PHOTON_ARRIVED

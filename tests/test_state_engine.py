@@ -309,7 +309,9 @@ def test_cached_invalid_index_is_shared_read_only_and_keyed_on_content():
     assert se._invalid_index(*key[:2], gates.cnot_fock(0, 1, 2).valid_mask.tobytes(), 6) is index
     table = se._gather((0, 1), 3, 6)
     np.testing.assert_array_equal(index, table[~gate.valid_mask].ravel())
-    # gottesman_distribution builds its beam splitters afresh on every call
+    # beam splitters are shared, as the Fock-qubit gates are; a second
+    # gottesman call, at another star and phase, adds no entry
+    assert gates.beam_splitter(0, 1, 2) is gates.beam_splitter(0, 1, 2)
     protocols.gottesman_distribution(StellarSource(0.7, 0.8, 0.1), 0.3)
     before = se._invalid_index.cache_info()
     protocols.gottesman_distribution(StellarSource(0.2, 0.5, 0.3), 1.1)
@@ -332,3 +334,91 @@ def test_invalid_support_message_is_unchanged():
         "cnot_fock on modes (0, 1) is undefined for labels [(0, 2), (1, 2), (2, 0), (2, 1), (2, 2)]; "
         "input carries probability 5.000e-01 there"
     )
+
+
+# ---------------------------------------------------------------------------
+# the signed gather of the Fock-qubit gates on a dense register
+
+
+def _qubit_gates(mode_count, n_max):
+    """NOT and Z at every mode, CNOT and CZ at every ordered mode pair; at cutoff 2 also a
+    signed 3-cycle at every mode, which, unlike those, is not its own inverse."""
+    from qtelescopy import gates
+
+    modes = range(mode_count)
+    ones = [make(m, n_max) for make in (gates.not_fock, gates.z_fock) for m in modes]
+    if n_max == 2:
+        ones += [se.ModeUnitary((m,), [[0, 0, 1], [1, 0, 0], [0, -1, 0]], 2, name="cycle") for m in modes]
+    pairs = [(a, b) for a in modes for b in modes if a != b]
+    return ones + [make(a, b, n_max) for make in (gates.cnot_fock, gates.cz_fock) for a, b in pairs]
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+@pytest.mark.parametrize("mode_count", range(2, 7))
+def test_signed_gather_equals_the_block_product_exactly(mode_count, n_max):
+    rng = np.random.default_rng(10 * mode_count + n_max)
+    dim = se.space_dim(mode_count, n_max)
+    for gate in _qubit_gates(mode_count, n_max):
+        src, sign = se._signed_gather(gate, mode_count)
+        assert se._signed_gather(gate, mode_count)[0] is src
+        assert not src.flags.writeable and not sign.flags.writeable
+        # weight on every label, the undefined ones included
+        raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        block = se._apply_block(gate.matrix, gate.target_modes, se.StateVector(raw, mode_count, n_max))
+        assert np.array_equal(raw[src] * sign, block)
+        # through apply_unitary, on the labels where the gate is defined
+        raw[se._invalid_index(gate.target_modes, n_max, gate.valid_mask.tobytes(), mode_count)] = 0.0
+        state = se.StateVector(raw, mode_count, n_max)
+        block = se._apply_block(gate.matrix, gate.target_modes, state)
+        assert np.array_equal(se.apply_unitary(state, gate).amplitudes, block)
+
+
+def test_gates_with_other_entries_keep_the_block_product():
+    import math
+
+    from qtelescopy import gates
+
+    for gate in (
+        gates.phase_shift(1, 0.3, 2),
+        gates.phase_shift(1, math.pi, 2),  # exp(i pi) is not exactly -1
+        gates.beam_splitter(0, 2, 2),
+        se.ModeUnitary((0,), [[1, 1], [1, -1]], 1),  # two entries in a row
+    ):
+        assert se._signed_gather(gate, 3) is None
+
+
+def _six_mode_with(amplitude, at):
+    """A six-mode cutoff-2 register: 1e-3 on a label the gate takes, ``amplitude`` at flat index ``at``.
+    The small first entry keeps the rounding of the lost norm far below 1e-6 of ``NORM_ATOL``."""
+    amps = np.zeros(3**6, dtype=complex)
+    amps[se.basis_index((1, 0, 1, 0, 0, 1), 2)] = 1e-3
+    amps[at] = amplitude
+    return se.StateVector(amps, 6, 2)
+
+
+def test_signed_gather_keeps_the_support_guard_at_its_tolerance():
+    from qtelescopy import gates
+    from qtelescopy.errors import NORM_ATOL
+
+    gate = gates.cnot_fock(2, 4, 2)  # a gate of the six-mode CNOT chain
+    assert se._signed_gather(gate, 6) is not None
+    at = se._invalid_index(gate.target_modes, 2, gate.valid_mask.tobytes(), 6)[0]
+    within, past = (np.sqrt(NORM_ATOL * (1.0 + s)) for s in (-1e-6, 1e-6))
+    se.apply_unitary(_six_mode_with(within, at), gate)
+    with pytest.raises(InvalidSubspaceError) as caught:
+        se.apply_unitary(_six_mode_with(past, at), gate)
+    assert str(caught.value) == (
+        "cnot_fock on modes (2, 4) is undefined for labels [(0, 2), (1, 2), (2, 0), (2, 1), (2, 2)]; "
+        "input carries probability 1.000e-10 there"
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_signed_gather_refuses_amplitudes_that_are_not_finite(bad):
+    from qtelescopy import gates
+
+    for gate in (gates.cnot_fock(2, 4, 2), gates.z_fock(0, 2)):
+        state = _six_mode_with(bad, se.basis_index((1, 0, 0, 0, 0, 1), 2))
+        # inf times the zero imaginary part of a sign is nan, and warns, as in the block product
+        with np.errstate(invalid="ignore"), pytest.raises(LeakageError, match="or not finite"):
+            se.apply_unitary(state, gate)
