@@ -31,6 +31,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -269,7 +270,7 @@ QUICK = ("cnot_distribution", "direct_distribution", "sample_cnot_windows", "run
 def canonical(value):
     """``value`` as nested lists of str, int, bool, None and float, in a fixed
     order: a mapping becomes ``["dict", [[key, value], ...]]`` in key order,
-    an array ``["array", dtype, shape, entries]``."""
+    an array ``["array", dtype, shape, entries]``, any other sequence a list."""
     if isinstance(value, enum.Enum):
         return canonical(value.value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -281,12 +282,12 @@ def canonical(value):
         return ["array", value.dtype.str, list(value.shape), canonical(value.ravel().tolist())]
     if isinstance(value, np.generic):
         return canonical(value.item())
-    if isinstance(value, (list, tuple)):
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, Sequence):  # a list, a tuple, or a sequence such as sample_cnot_windows returns
         return [canonical(v) for v in value]
     if isinstance(value, complex):
         return ["complex", value.real, value.imag]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
     raise TypeError(f"no canonical form for {type(value).__name__}")
 
 

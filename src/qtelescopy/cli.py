@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
 
@@ -48,6 +49,7 @@ from .protocols import (
     Variant,
     bell_register,
     classify_herald,
+    cnot_branches,
     cnot_distribution,
     decode_time_bin,
     direct_distribution,
@@ -65,7 +67,7 @@ from .sources import (
     conditional_phi_derivative,
     single_photon_conditional,
 )
-from .state_engine import apply_unitary, fock
+from .state_engine import apply_unitary, basis_index, fock
 
 SCHEMA_VERSION = 1
 # the unmodified memory run holds one state of 2 + 4 * bit_length(n_bins)
@@ -458,8 +460,6 @@ def _validate_checks():
 
     def beam_splitter_bunching():
         state = apply_unitary(fock((1, 1), n_max), beam_splitter(0, 1, n_max))
-        from .state_engine import basis_index
-
         residual = abs(state.amplitudes[basis_index((1, 1), n_max)])
         return residual < TABLE_ATOL, f"|11> residual after balanced splitter = {residual:.2e}"
 
@@ -490,8 +490,6 @@ def _validate_checks():
         return worst < TABLE_ATOL, f"worst |A - B| = {worst:.2e}"
 
     def heralds_sound():
-        from .protocols import cnot_branches
-
         src = StellarSource(0.8, 0.7, 0.2)
         for name, present, _, table in cnot_branches(src, ProtocolConfig(0.4, 0.7)):
             for label in table:
@@ -579,7 +577,9 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; :func:`main` looks up ``cmd_<command>`` for each fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -592,28 +592,21 @@ def build_parser() -> argparse.ArgumentParser:
         "long-baseline stellar interferometry",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("probs", parents=[common], help="outcome probabilities").set_defaults(
-        fn=cmd_probs
-    )
-    sub.add_parser("fisher", parents=[common], help="information sweep").set_defaults(
-        fn=cmd_fisher
-    )
-    sub.add_parser("simulate", parents=[common], help="Monte-Carlo run + MLE").set_defaults(
-        fn=cmd_simulate
-    )
-    sub.add_parser(
-        "memory-demo", parents=[common], help="time-bin memory transcript"
-    ).set_defaults(fn=cmd_memory_demo)
-    sub.add_parser("validate", parents=[common], help="run invariant checks").set_defaults(
-        fn=cmd_validate
-    )
+    for name, text in (
+        ("probs", "outcome probabilities"),
+        ("fisher", "information sweep"),
+        ("simulate", "Monte-Carlo run + MLE"),
+        ("memory-demo", "time-bin memory transcript"),
+        ("validate", "run invariant checks"),
+    ):
+        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

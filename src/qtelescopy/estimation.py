@@ -1,18 +1,16 @@
 """Protocol registry, Monte-Carlo experiment runner, maximum-likelihood phase
 estimation and Cramer-Rao accounting.
 
-Every protocol has one entry in :data:`PROTOCOLS`: its circuit call, its
-outcome labels, its herald rule, whether its table is conditioned on a
-photon arrival, and its window sampler.  Each protocol setting is compiled
-once, from three circuit runs of the state engine, into the exact law of its
-heralded outcomes, p_o(phi, g) = A_o + g cos(phi) B_o + g sin(phi) C_o,
-rather than simulating the circuit again for every phase it is scored at.
-A window is the index of its outcome in the protocol's declared labels.
-The estimator counts the heralded outcomes of each setting and maximizes
-their log-likelihood under that law on a dense phase grid, then refines the
-peak by Newton steps on the exact score of the same law.  The Cramer-Rao
-bound 1/(M * fisher-per-window) takes its Fisher information from finite
-differences of the setting's circuit.
+Every protocol has one entry in :data:`PROTOCOLS`: its circuit call, its outcome labels, its
+herald rule, whether its table is conditioned on a photon arrival, and its window sampler.  Each
+protocol setting is compiled once, from three circuit runs of the state engine, into the exact
+law of its heralded outcomes, p_o(phi, g) = A_o + g cos(phi) B_o + g sin(phi) C_o, rather than
+simulating the circuit again for every phase it is scored at.  A window is the index of its
+outcome in the protocol's declared labels; for cnot, whose labels are in flat basis order, the
+sampler's flat outcome index.  The estimator counts the heralded outcomes of each setting and
+maximizes their log-likelihood under that law on a dense phase grid, then refines the peak by
+Newton steps on the exact score of the same law.  The Cramer-Rao bound 1/(M * fisher-per-window)
+takes its Fisher information from finite differences of the setting's circuit.
 """
 
 from __future__ import annotations
@@ -114,14 +112,12 @@ def _outcome_index(protocol: str) -> MappingProxyType:
 
 
 def _sample_cnot(plan: ExperimentPlan, rng) -> np.ndarray:
-    index = _outcome_index(plan.protocol)
     n_settings = len(plan.delta_schedule)
     outcomes = np.empty(plan.n_windows, dtype=np.int64)
-    # settings beyond the last window draw nothing
+    # settings beyond the last window draw nothing; a flat basis index is the declared index
     for s, delta in enumerate(plan.delta_schedule[: plan.n_windows]):
         config = ProtocolConfig(delta, plan.eta, plan.variant)
-        sampled = sample_cnot_windows(plan.source, config, len(outcomes[s::n_settings]), rng)
-        outcomes[s::n_settings] = [index[record.counts] for _, _, record in sampled]
+        outcomes[s::n_settings] = sample_cnot_windows(plan.source, config, len(outcomes[s::n_settings]), rng).outcome
     return outcomes
 
 

@@ -15,13 +15,13 @@ Four measurement schemes over the same two-port stellar source:
   into Bell pairs, in the original (memory-qubit) and the halved-resource
   variants.
 
-Every distribution here is produced by running the corresponding circuit
-through the state engine; closed-form outcome tables live only in the test
-oracles.  Each wiring of the six-mode circuit, the four-mode baseline and
-the direct readout is written once as a tuple of gates and readouts:
-:func:`_walk` enumerates its readout outcomes into a table, or samples one
-outcome each for a window.  The local X readouts that decode a Bell pair
-are the direct readout at delta = 0, drawn from the same enumeration.
+Every distribution here is produced by running the corresponding circuit through the state
+engine; closed-form outcome tables live only in the test oracles.  Each wiring of the six-mode
+circuit, the four-mode baseline and the direct readout is written once as a tuple of gates and
+readouts: :func:`_walk` enumerates its readout outcomes into a table, or samples one outcome each
+for a window.  The six-mode batch sampler draws each window's branch and flat outcome index from
+those tables, as arrays.  The local X readouts that decode a Bell pair are the direct readout at
+delta = 0, drawn from the same enumeration.
 """
 
 from __future__ import annotations
@@ -58,8 +58,11 @@ from .state_engine import (
     QubitRegister,
     StateVector,
     apply_unitary,
+    basis_index,
+    basis_label,
     fock,
     number_measurement_distribution,
+    space_dim,
     tensor_at,
 )
 
@@ -144,17 +147,22 @@ def _cnot_input_state(star: StateVector, ancilla_present: bool) -> StateVector:
     between the two inner ancilla modes; when it is lost those modes are
     left in vacuum.
     """
-    anc = _ancilla_factor(ancilla_present, star.n_max)
-    return tensor_at([(anc, (EXTRA_L, ANC_L, ANC_R, EXTRA_R)), (star, (STAR_L, STAR_R))])
+    index = _cnot_placement(ancilla_present, star.n_max)
+    nz = np.flatnonzero(star.amplitudes)
+    amps = np.zeros(space_dim(6, star.n_max), dtype=complex)
+    amps[index[:, nz]] = (1.0 / np.sqrt(len(index))) * star.amplitudes[nz]  # the ancilla's equal amplitudes
+    return StateVector(amps, 6, star.n_max)
 
 
 @lru_cache(maxsize=4)
-def _ancilla_factor(present: bool, n_max: int) -> StateVector:
-    """The read-only state of modes (EXTRA_L, ANC_L, ANC_R, EXTRA_R) of :func:`_cnot_input_state`."""
-    labels = ((1, 1, 0, 1), (1, 0, 1, 1)) if present else ((1, 0, 0, 1),)
-    amps = sum(fock(label, n_max).amplitudes for label in labels) / np.sqrt(len(labels))
-    amps.setflags(write=False)
-    return StateVector(amps, 4, n_max)
+def _cnot_placement(present: bool, n_max: int) -> np.ndarray:
+    """Read-only flat indices of each ancilla label on (EXTRA_L, ANC_L, ANC_R, EXTRA_R), one row
+    each, crossed with every star label on (STAR_L, STAR_R), in :func:`tensor_at`'s factor order."""
+    ancilla = ((1, 1, 0, 1), (1, 0, 1, 1)) if present else ((1, 0, 0, 1),)
+    star = list(np.ndindex(n_max + 1, n_max + 1))
+    index = np.array([[basis_index((el, sl, al, sr, ar, er), n_max) for sl, sr in star] for el, al, ar, er in ancilla])
+    index.setflags(write=False)
+    return index
 
 
 @lru_cache(maxsize=64)
@@ -259,35 +267,50 @@ def cnot_distribution(source: StellarSource, config: ProtocolConfig) -> dict:
     return _mixture(((w, table) for _, _, w, table in cnot_branches(source, config)), "six-mode")
 
 
-def sample_cnot_windows(
-    source: StellarSource, config: ProtocolConfig, n_windows: int, rng=None
-) -> list[tuple[str, bool, DetectionRecord]]:
+class CnotWindows(Sequence):
+    """The windows of :func:`sample_cnot_windows`: read-only arrays of each window's (source branch, ancilla present)
+    row, ``branch``, and the flat basis index of its counts, ``outcome``; item ``w`` is its ``(source branch,
+    ancilla present, DetectionRecord)``, built once per (branch row, outcome) and shared."""
+
+    def __init__(self, rows: list[tuple[str, bool]], branch: np.ndarray, outcome: np.ndarray):
+        self._rows, self.branch, self.outcome = rows, branch, outcome
+        for array in (branch, outcome):
+            array.setflags(write=False)
+
+    @staticmethod
+    @lru_cache(maxsize=None)  # at most 6 rows times 729 outcomes
+    def _item(row: tuple[str, bool], o: int) -> tuple[str, bool, DetectionRecord]:
+        counts = basis_label(o, 6, N_MAX)
+        return (*row, DetectionRecord(classify_herald(counts), counts=counts))
+
+    def __len__(self) -> int:
+        return len(self.outcome)
+
+    def __getitem__(self, w):
+        if isinstance(w, slice):
+            return [self._item(self._rows[b], o) for b, o in zip(self.branch[w].tolist(), self.outcome[w].tolist())]
+        return self._item(self._rows[int(self.branch[w])], int(self.outcome[w]))
+
+
+def sample_cnot_windows(source: StellarSource, config: ProtocolConfig, n_windows: int, rng=None) -> CnotWindows:
     """Batch window sampler: (source branch, ancilla present, record) per window.
 
-    Each window draws its branch, then its outcome given the branch, the same
-    law as collapsing one window's circuit; but the pure-branch circuits are
-    simulated once and reused, which is what makes 1e5-window runs cheap.
+    Each window draws its branch, then its outcome given the branch, the same law as collapsing one
+    window's circuit, from pure-branch tables simulated once: one ``rng.choice`` picks every branch,
+    then one per branch drawn from picks its outcomes, in that table's own key order.
     """
     rng = np.random.default_rng(rng)
     branches = cnot_branches(source, config)
     weights = np.array([w for _, _, w, _ in branches])
     picks = rng.choice(len(branches), size=n_windows, p=weights / weights.sum())
     pick_counts = np.bincount(picks, minlength=len(branches))
-    slots = np.empty(n_windows, dtype=object)
-    for b, (name, present, _, table) in enumerate(branches):
-        n_b = int(pick_counts[b])
-        if n_b == 0:
-            continue
-        labels = list(table.keys())
-        probs = np.array([table[lab] for lab in labels])
-        outcome_ids = rng.choice(len(labels), size=n_b, p=probs / probs.sum())
-        # a record depends only on (branch, label); filled one by one, since
-        # numpy would read a list of 3-tuples as a 2-D array
-        records = np.empty(len(labels), dtype=object)
-        for k, counts in enumerate(labels):
-            records[k] = (name, present, DetectionRecord(classify_herald(counts), counts=counts))
-        slots[picks == b] = records[outcome_ids]
-    return slots.tolist()
+    outcome = np.empty(n_windows, dtype=np.int64)
+    for b, (_, _, _, table) in enumerate(branches):
+        if pick_counts[b]:
+            flat = np.array([basis_index(label, N_MAX) for label in table])
+            probs = np.array(list(table.values()))
+            outcome[picks == b] = flat[rng.choice(len(flat), size=int(pick_counts[b]), p=probs / probs.sum())]
+    return CnotWindows([(name, present) for name, present, _, _ in branches], picks, outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -382,9 +382,9 @@ def check_support(op, state, what: str) -> None:
 def apply_unitary(state, gate: ModeUnitary):
     """Apply a local unitary to a :class:`StateVector` or a :class:`QubitRegister`.
 
-    Raises :class:`InvalidSubspaceError` by :func:`check_support`, and
-    :class:`LeakageError` if the application loses more than ``NORM_ATOL``
-    of squared norm (weight pushed past the cutoff).  Exact identities are returned unchanged.  A register
+    Raises :class:`InvalidSubspaceError` by :func:`check_support`, and :class:`LeakageError` if the
+    application loses more than ``NORM_ATOL`` of squared norm (weight pushed past the cutoff), or the
+    input's norm is not finite, before any gate arithmetic.  Exact identities are returned unchanged.  A register
     refuses a gate that is not a signed permutation at cutoff 1 (:class:`QubitRegisterError`).
     """
     qubits = isinstance(state, QubitRegister)
@@ -400,7 +400,9 @@ def apply_unitary(state, gate: ModeUnitary):
 
     check_support(gate, state, gate.name or "gate")
     before = float(np.vdot(state.amplitudes, state.amplitudes).real)
-    if qubits:
+    if not np.isfinite(before):
+        new = state  # refused below as not finite, before the gate's arithmetic warns on it
+    elif qubits:
         local = state._local_index(gate.target_modes)
         new = QubitRegister(state.labels ^ flips[local], state.amplitudes * phases[local], state.mode_count)
     elif signed := _signed_gather(gate, state.mode_count):
@@ -408,7 +410,7 @@ def apply_unitary(state, gate: ModeUnitary):
     else:
         new = StateVector(_apply_block(gate.matrix, gate.target_modes, state), state.mode_count, state.n_max)
     after = float(np.vdot(new.amplitudes, new.amplitudes).real)
-    if not before - after <= NORM_ATOL:  # a nan norm fails this test too
+    if not before - after <= NORM_ATOL:  # a nan norm, or inf - inf, fails this test too
         raise LeakageError(
             f"{gate.name or 'gate'} on modes {gate.target_modes} took the squared norm from "
             f"{before!r} to {after!r}: lost past the cutoff n_max={state.n_max}, or not finite"

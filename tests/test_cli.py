@@ -274,6 +274,17 @@ def test_simulate_seed_override_changes_trace(tmp_path):
     assert (a / "trace.jsonl").read_bytes() != (b / "trace.jsonl").read_bytes()
 
 
+def test_main_calls_share_the_parser_and_no_parsed_state(tmp_path):
+    # the parser is built once per process; a --seed given to one call must
+    # not carry over to the next, which reads the config's seed 7
+    assert cli.build_parser() is cli.build_parser()
+    cfg = _write_config(tmp_path, protocol="direct", g=0.8, n_windows=2000)
+    for out, extra, seed in (("first", ["--seed", "5"], 5), ("second", [], 7)):
+        code = cli.main(["simulate", "--config", str(cfg), "--format", "json", "--out", str(tmp_path / out), *extra])
+        assert code == 0
+        assert json.loads((tmp_path / out / "summary.json").read_text())["seed"] == seed
+
+
 def test_simulate_loss_halves_reported_fisher(tmp_path):
     base = _write_config(
         tmp_path, "full.json", delta_schedule=[0.0, math.pi / 2.0], n_windows=1000

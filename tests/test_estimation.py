@@ -23,15 +23,18 @@ from qtelescopy.estimation import (
     wrap_phase,
 )
 from qtelescopy.protocols import (
+    DetectionRecord,
     Herald,
     ProtocolConfig,
     Variant,
     classify_herald,
+    cnot_branches,
     cnot_distribution,
     direct_distribution,
     gottesman_distribution,
     run_memory_modified,
     run_memory_unmodified,
+    sample_cnot_windows,
 )
 from qtelescopy.sources import StellarSource, sample_arrival
 
@@ -200,6 +203,76 @@ def test_table_sampler_matches_per_window_choice(protocol, swap, epsilon, n_wind
         n_windows, seed=n_windows + int(100 * epsilon), swap_bases=swap,
     )
     np.testing.assert_array_equal(run_experiment(plan), _per_window_outcomes(plan))
+
+
+def _cnot_record_list(source, config, n_windows, rng):
+    """Reference of ``sample_cnot_windows``: the same two ``rng.choice`` calls
+    over ``cnot_branches``, then one (branch, present, record) slot per window."""
+    branches = cnot_branches(source, config)
+    weights = np.array([w for _, _, w, _ in branches])
+    picks = rng.choice(len(branches), size=n_windows, p=weights / weights.sum())
+    windows = [None] * n_windows
+    for b, (name, present, _, table) in enumerate(branches):
+        n_b = int((picks == b).sum())
+        if n_b:
+            labels = list(table)
+            probs = np.array([table[label] for label in labels])
+            drawn = rng.choice(len(labels), size=n_b, p=probs / probs.sum())
+            for w, k in zip(np.flatnonzero(picks == b), drawn):
+                windows[w] = (name, present, DetectionRecord(classify_herald(labels[k]), counts=labels[k]))
+    return windows
+
+
+def _per_window_cnot(plan):
+    """Per-window oracle of the cnot sampler: each setting's record list,
+    every window's counts looked up among the declared labels."""
+    index = {label: o for o, label in enumerate(estimation.PROTOCOLS["cnot"].outcomes())}
+    rng = np.random.default_rng(plan.seed)
+    n_settings = len(plan.delta_schedule)
+    outcomes = np.empty(plan.n_windows, dtype=np.int64)
+    for s, delta in enumerate(plan.delta_schedule[: plan.n_windows]):
+        config = ProtocolConfig(delta, plan.eta, plan.variant)
+        windows = _cnot_record_list(plan.source, config, len(outcomes[s::n_settings]), rng)
+        outcomes[s::n_settings] = [index[record.counts] for _, _, record in windows]
+    return outcomes
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
+def test_cnot_sampler_matches_per_window_record_list(variant, eta):
+    # 34 seeded plans per wiring and eta, 204 in all: epsilon and g at both
+    # ends and inside, one to three settings, and window counts that end mid-cycle
+    rng = np.random.default_rng([list(Variant).index(variant), int(10 * eta)])
+    for plan_seed in range(34):
+        epsilon = (0.0, 1.0, rng.uniform())[plan_seed % 3]
+        g = (0.0, 1.0, rng.uniform())[plan_seed // 3 % 3]
+        schedule = tuple(rng.uniform(-math.pi, math.pi, size=3 - plan_seed // 9 % 3))
+        # the first plans, of three settings, stop before the last one draws a window
+        n_windows = int(rng.integers(1, 3 if plan_seed < 4 else 400))
+        n_windows += len(schedule) > 1 and n_windows % len(schedule) == 0
+        plan = ExperimentPlan("cnot", StellarSource(rng.uniform(-math.pi, math.pi), g, epsilon), schedule,
+                              n_windows, seed=plan_seed, eta=eta, variant=variant)
+        np.testing.assert_array_equal(run_experiment(plan), _per_window_cnot(plan))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_cnot_window_sequence_reads_as_the_record_list(variant):
+    source, config = StellarSource(0.9, 0.7, 0.4), ProtocolConfig(0.3, 0.6, variant)
+    windows = sample_cnot_windows(source, config, 3001, np.random.default_rng(5))
+    reference = _cnot_record_list(source, config, 3001, np.random.default_rng(5))
+    assert len(windows) == len(reference) == 3001
+    assert list(windows) == reference
+    for w in (0, 7, -1, -3001):
+        assert windows[w] == reference[w]
+    for cut in (slice(2, 9), slice(None, None, -2), slice(-5, None), slice(4, 4)):
+        assert windows[cut] == reference[cut]
+    with pytest.raises(IndexError):
+        windows[3001]
+    # one record per (branch, outcome), shared by the windows that drew it
+    assert len({id(item) for item in windows}) == len(set(zip(windows.branch.tolist(), windows.outcome.tolist())))
+    for array in (windows.branch, windows.outcome):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 @pytest.mark.parametrize(

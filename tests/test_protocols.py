@@ -185,10 +185,10 @@ def test_vacuum_branch_is_one_read_only_table_per_setting(variant, eta):
         assert list(table.items()) == list(fresh.items())
         with pytest.raises(TypeError):
             table[next(iter(table))] = 0.0
-        anc = protocols._ancilla_factor(present, protocols.N_MAX)
-        assert protocols._ancilla_factor(present, protocols.N_MAX) is anc
+        placement = protocols._cnot_placement(present, protocols.N_MAX)
+        assert protocols._cnot_placement(present, protocols.N_MAX) is placement
         with pytest.raises(ValueError, match="read-only"):
-            anc.amplitudes[0] = 1.0
+            placement[0, 0] = 1
 
 
 def test_validate_heralds_sound_reads_the_cached_vacuum_table():

@@ -1,5 +1,7 @@
 """Tests for the truncated multimode Fock register."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -417,8 +419,13 @@ def test_signed_gather_keeps_the_support_guard_at_its_tolerance():
 def test_signed_gather_refuses_amplitudes_that_are_not_finite(bad):
     from qtelescopy import gates
 
-    for gate in (gates.cnot_fock(2, 4, 2), gates.z_fock(0, 2)):
+    # two signed gathers and a block product: inf times the zero imaginary part
+    # of a sign, or of a matrix entry, is nan and warns, so the norm is checked first
+    splitter = gates.beam_splitter(1, 2, 2)
+    assert se._signed_gather(splitter, 6) is None
+    for gate in (gates.cnot_fock(2, 4, 2), gates.z_fock(0, 2), splitter):
         state = _six_mode_with(bad, se.basis_index((1, 0, 0, 0, 0, 1), 2))
-        # inf times the zero imaginary part of a sign is nan, and warns, as in the block product
-        with np.errstate(invalid="ignore"), pytest.raises(LeakageError, match="or not finite"):
-            se.apply_unitary(state, gate)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(LeakageError, match="or not finite"):
+                se.apply_unitary(state, gate)
