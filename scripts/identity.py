@@ -12,8 +12,11 @@ two revisions on one machine; no digest is meant to be stored.
 ``--against REV`` extracts REV's ``src/`` from git into a temporary directory
 and runs this same script there, in a subprocess with that tree's package,
 as it runs this checkout's.  A family that cannot run at REV (a name that is
-not there yet, or no longer) is reported as absent, not as different.  The
-command exits 1 when a family differs or cannot run in this checkout.
+not there yet, or no longer) is reported as absent, not as different.  A
+family that differs is reported with its largest absolute and relative
+deviation over every number it holds, numbers written in text included, and
+with whether its keys, lengths and text match.  The command exits 1 when a
+family differs or cannot run in this checkout.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -303,30 +307,89 @@ def digest(canon) -> str:
     return hashlib.sha256(json.dumps(_hexed(canon)).encode()).hexdigest()
 
 
-def collect(names) -> dict[str, dict]:
-    """``{"digest": ...}`` per family, or ``{"absent": reason}`` if it cannot run."""
+def _values(names) -> dict[str, dict]:
+    """``{"value": canonical value}`` per family, or ``{"absent": reason}`` if it cannot run."""
     results = {}
     for name in names:
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                results[name] = {"digest": digest(canonical(FAMILIES[name]()))}
+                results[name] = {"value": canonical(FAMILIES[name]())}
         except Exception as exc:  # a family that cannot run at this revision is reported, not fatal
             results[name] = {"absent": f"{type(exc).__name__}: {exc}"}
     return results
+
+
+def _digests(values: dict[str, dict]) -> dict[str, dict]:
+    return {name: {"digest": digest(r["value"])} if "value" in r else r for name, r in values.items()}
+
+
+def collect(names) -> dict[str, dict]:
+    """``{"digest": ...}`` per family, or ``{"absent": reason}`` if it cannot run."""
+    return _digests(_values(names))
+
+
+# a number written in text, split out of it with its surroundings kept
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|NaN|inf|Infinity))")
+
+
+def _is_dict(canon) -> bool:
+    return isinstance(canon, list) and len(canon) == 2 and canon[0] == "dict" and isinstance(canon[1], list)
+
+
+def deviation(a, b) -> tuple[float, float, bool]:
+    """The largest absolute and relative deviation between the numbers of two
+    canonical values, and whether the rest of them matches: keys, lengths, and
+    text outside its numbers.  Numbers are paired by key and position as far as
+    both values reach; two nans, or two equal infinities, do not deviate."""
+    worst = [0.0, 0.0]
+    same = True
+
+    def visit(x, y):
+        nonlocal same
+        if isinstance(x, str) and isinstance(y, str):
+            xs, ys = _NUMBER.split(x), _NUMBER.split(y)
+            same &= len(xs) == len(ys) and xs[::2] == ys[::2]
+            for u, v in zip(xs[1::2], ys[1::2]):
+                visit(float(u), float(v))
+        elif _is_dict(x) and _is_dict(y):
+            xd, yd = ({json.dumps(k): v for k, v in c[1]} for c in (x, y))
+            same &= xd.keys() == yd.keys()
+            for key in xd.keys() & yd.keys():
+                visit(xd[key], yd[key])
+        elif isinstance(x, list) and isinstance(y, list):
+            same &= len(x) == len(y)
+            for u, v in zip(x, y):
+                visit(u, v)
+        elif all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in (x, y)):
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                return
+            gap = abs(x - y) if math.isfinite(x) and math.isfinite(y) else math.inf
+            worst[0] = max(worst[0], gap)
+            worst[1] = max(worst[1], gap / max(abs(x), abs(y)) if math.isfinite(gap) else math.inf)
+        else:
+            same &= x == y
+
+    visit(a, b)
+    return worst[0], worst[1], same
 
 
 # ---------------------------------------------------------------------------
 # command line
 
 
-def _collect_in_child(src: Path, names) -> dict[str, dict]:
-    """:func:`collect` in a fresh interpreter that imports qtelescopy from ``src``."""
+def _values_in_child(src: Path, names) -> dict[str, dict]:
+    """:func:`_values` in a fresh interpreter that imports qtelescopy from ``src``."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
     cmd = [sys.executable, str(Path(__file__).resolve()), "--src", str(src), "--json", *names]
     done = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=src.parent)
     if done.returncode != 0:
         raise SystemExit(f"identity: the run under {src} failed:\n{done.stderr}")
-    return json.loads(done.stdout)
+    return json.loads(done.stdout)  # floats are written as repr, so each value comes back exactly
+
+
+def _collect_in_child(src: Path, names) -> dict[str, dict]:
+    """:func:`collect` in a fresh interpreter that imports qtelescopy from ``src``."""
+    return _digests(_values_in_child(src, names))
 
 
 def _src_at(rev: str, into: Path) -> Path:
@@ -351,16 +414,17 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown families {sorted(unknown)}")
 
-    if args.json:  # the child of _collect_in_child
+    if args.json:  # the child of _values_in_child
         sys.path.insert(0, str(args.src))
         import qtelescopy
 
         if Path(qtelescopy.__file__).resolve().parent != (args.src / "qtelescopy").resolve():
             raise SystemExit(f"identity: imported qtelescopy from {qtelescopy.__file__}, not {args.src}")
-        print(json.dumps(collect(names)))
+        print(json.dumps(_values(names)))
         return 0
 
-    here = _collect_in_child(args.src, names)
+    values_here = _values_in_child(args.src, names)
+    here = _digests(values_here)
     broken = [name for name in names if "absent" in here[name]]
     if args.against is None:
         for name in names:
@@ -368,15 +432,21 @@ def main(argv=None) -> int:
         return 1 if broken else 0
 
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
-        there = _collect_in_child(_src_at(args.against, Path(tmp)), names)
+        values_there = _values_in_child(_src_at(args.against, Path(tmp)), names)
+    there = _digests(values_there)
     counts = {"identical": 0, "DIFFERS": 0, "absent": 0}
     for name in names:
         if name in broken:
             status, detail = "absent", f" here: {here[name]['absent']}"
         elif "absent" in there[name]:
             status, detail = "absent", f" at {args.against}: {there[name]['absent']}"
+        elif here[name] == there[name]:
+            status, detail = "identical", ""
         else:
-            status, detail = ("identical" if here[name] == there[name] else "DIFFERS"), ""
+            largest, relative, same = deviation(values_here[name]["value"], values_there[name]["value"])
+            status = "DIFFERS"
+            detail = (f"  largest deviation {largest:.3g} absolute, {relative:.3g} relative;"
+                      f" keys and lengths {'match' if same else 'DIFFER'}")
         counts[status] += 1
         print(f"{name:<28} {status}{detail}")
     print(f"against {args.against}: {counts['identical']} identical, {counts['DIFFERS']} differ, {counts['absent']} absent")

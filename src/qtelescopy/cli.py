@@ -227,10 +227,8 @@ def _emit_table(header: list[str], rows: list[list], args, stem: str) -> None:
         for row in rows:
             cells = []
             for cell in row:
-                if isinstance(cell, float):
+                if cell is None or isinstance(cell, float):
                     cells.append(fmt_float(cell))
-                elif cell is None:
-                    cells.append("")
                 else:
                     text_cell = str(cell)
                     if "," in text_cell:
@@ -318,11 +316,7 @@ def cmd_fisher(args) -> int:
     phis = cfg.phi_values or (cfg.phi,)
     gs = cfg.g_values or (cfg.g,)
     deltas = cfg.delta_values or (cfg.delta,)
-    rows = []
-    for phi in phis:
-        for g in gs:
-            for delta in deltas:
-                rows.append(_fisher_row(cfg, phi, g, delta))
+    rows = [_fisher_row(cfg, phi, g, delta) for phi in phis for g in gs for delta in deltas]
     header = [
         "phi",
         "g",
@@ -463,20 +457,18 @@ def _validate_checks():
         residual = abs(state.amplitudes[basis_index((1, 1), n_max)])
         return residual < TABLE_ATOL, f"|11> residual after balanced splitter = {residual:.2e}"
 
+    def gap(a: dict, b: dict) -> float:
+        """The worst |a - b| over the union of two tables' labels."""
+        return max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
+
     def circuit_matches_reference():
         worst = 0.0
         for phi in (0.3, 2.2):
             for delta in (0.15, 1.0):
                 for g in (0.5, 1.0):
                     for eta in (1.0, 0.6):
-                        src = StellarSource(phi, g, 0.1)
-                        sim = cnot_distribution(src, ProtocolConfig(delta, eta))
-                        ref = analytic.cnot_outcome_table(phi, g, 0.1, delta, eta)
-                        keys = set(sim) | set(ref)
-                        worst = max(
-                            worst,
-                            max(abs(sim.get(k, 0.0) - ref.get(k, 0.0)) for k in keys),
-                        )
+                        sim = cnot_distribution(StellarSource(phi, g, 0.1), ProtocolConfig(delta, eta))
+                        worst = max(worst, gap(sim, analytic.cnot_outcome_table(phi, g, 0.1, delta, eta)))
         return worst < TABLE_ATOL, f"worst |circuit - reference| = {worst:.2e}"
 
     def wiring_variants_agree():
@@ -485,8 +477,7 @@ def _validate_checks():
             src = StellarSource(phi, g, 0.1)
             a = cnot_distribution(src, ProtocolConfig(delta, eta, Variant.CNOT_SEQUENCE))
             b = cnot_distribution(src, ProtocolConfig(delta, eta, Variant.PARITY_FEED_FORWARD))
-            keys = set(a) | set(b)
-            worst = max(worst, max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys))
+            worst = max(worst, gap(a, b))
         return worst < TABLE_ATOL, f"worst |A - B| = {worst:.2e}"
 
     def heralds_sound():
@@ -541,7 +532,7 @@ def _validate_checks():
         for phi, delta, g in ((0.0, 0.0, 1.0), (0.9, 0.4, 0.6)):
             sim = direct_distribution(StellarSource(phi, g, 0.1), delta)
             ref = analytic.direct_outcome_table(phi, g, delta)
-            worst = max(worst, max(abs(sim[k] - ref[k]) for k in ref))
+            worst = max(worst, gap(sim, ref))
         return worst < TABLE_ATOL, f"worst |direct - reference| = {worst:.2e}"
 
     return [

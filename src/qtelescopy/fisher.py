@@ -207,11 +207,7 @@ def qfi_matrix(rho, drho_phi=None, drho_g=None) -> FisherMatrix:
     zero.  Real and symmetric by construction.
     """
     rho = _as_matrix(rho)
-    slds: dict[int, np.ndarray] = {}
-    if drho_phi is not None:
-        slds[0] = sld(rho, drho_phi)
-    if drho_g is not None:
-        slds[1] = sld(rho, drho_g)
+    slds = {i: sld(rho, drho) for i, drho in enumerate((drho_phi, drho_g)) if drho is not None}
     mat = np.zeros((2, 2))
     for i, li in slds.items():
         for j, lj in slds.items():

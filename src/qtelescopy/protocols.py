@@ -19,9 +19,10 @@ Every distribution here is produced by running the corresponding circuit through
 engine; closed-form outcome tables live only in the test oracles.  Each wiring of the six-mode
 circuit, the four-mode baseline and the direct readout is written once as a tuple of gates and
 readouts: :func:`_walk` enumerates its readout outcomes into a table, or samples one outcome each
-for a window.  The six-mode batch sampler draws each window's branch and flat outcome index from
-those tables, as arrays.  The local X readouts that decode a Bell pair are the direct readout at
-delta = 0, drawn from the same enumeration.
+for a window.  The six-mode window state is linear in nu = g e^{-i phi}: :func:`cnot_distribution`
+reads a law compiled from four walks per setting and ancilla flag, and the batch sampler draws each
+window's branch and flat outcome index from walked branch tables, as arrays.  The local X readouts
+that decode a Bell pair are the direct readout at delta = 0, drawn from the same enumeration.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NORM_ATOL, SUM_ATOL, check_table
+from .errors import NORM_ATOL, SUM_ATOL, TABLE_ATOL, check_table
 from .gates import (
     MeasurementBasis,
     beam_splitter,
@@ -62,7 +62,6 @@ from .state_engine import (
     basis_label,
     fock,
     number_measurement_distribution,
-    space_dim,
     tensor_at,
 )
 
@@ -147,22 +146,17 @@ def _cnot_input_state(star: StateVector, ancilla_present: bool) -> StateVector:
     between the two inner ancilla modes; when it is lost those modes are
     left in vacuum.
     """
-    index = _cnot_placement(ancilla_present, star.n_max)
-    nz = np.flatnonzero(star.amplitudes)
-    amps = np.zeros(space_dim(6, star.n_max), dtype=complex)
-    amps[index[:, nz]] = (1.0 / np.sqrt(len(index))) * star.amplitudes[nz]  # the ancilla's equal amplitudes
-    return StateVector(amps, 6, star.n_max)
+    anc = _ancilla_factor(ancilla_present, star.n_max)
+    return tensor_at([(anc, (EXTRA_L, ANC_L, ANC_R, EXTRA_R)), (star, (STAR_L, STAR_R))])
 
 
 @lru_cache(maxsize=4)
-def _cnot_placement(present: bool, n_max: int) -> np.ndarray:
-    """Read-only flat indices of each ancilla label on (EXTRA_L, ANC_L, ANC_R, EXTRA_R), one row
-    each, crossed with every star label on (STAR_L, STAR_R), in :func:`tensor_at`'s factor order."""
-    ancilla = ((1, 1, 0, 1), (1, 0, 1, 1)) if present else ((1, 0, 0, 1),)
-    star = list(np.ndindex(n_max + 1, n_max + 1))
-    index = np.array([[basis_index((el, sl, al, sr, ar, er), n_max) for sl, sr in star] for el, al, ar, er in ancilla])
-    index.setflags(write=False)
-    return index
+def _ancilla_factor(present: bool, n_max: int) -> StateVector:
+    """The read-only state of modes (EXTRA_L, ANC_L, ANC_R, EXTRA_R) of :func:`_cnot_input_state`."""
+    labels = ((1, 1, 0, 1), (1, 0, 1, 1)) if present else ((1, 0, 0, 1),)
+    amps = sum(fock(label, n_max).amplitudes for label in labels) / np.sqrt(len(labels))
+    amps.setflags(write=False)
+    return StateVector(amps, 4, n_max)
 
 
 @lru_cache(maxsize=64)
@@ -225,18 +219,29 @@ def _count_table(state, steps) -> dict:
 
 
 @lru_cache(maxsize=128)
-def _vacuum_table(delta: float, variant: Variant, present: bool) -> MappingProxyType:
-    """Read-only count table of the vacuum branch (star in |00>), which depends only on the setting."""
-    star = fock((0, 0), N_MAX)
-    return MappingProxyType(_count_table(_cnot_input_state(star, present), _cnot_steps(delta, variant)))
+def _cnot_law(delta: float, variant: Variant, present: bool) -> tuple[tuple, np.ndarray]:
+    """One ancilla flag of a setting: its support labels, V's leading in walk order, and read-only rows (V, K, X, Y)
+    over them.  V is the vacuum branch's table; the plus branch's, linear in e^{-i phi}, is K + cos phi X + sin phi Y,
+    walked at phi = 0, pi/2 and pi; the minus branch is the plus branch at phi + pi.  So, weighing the fringe
+    branches by eps (1 +- g) / 2, the flag's window table is (1 - eps) V + eps K + eps g (cos phi X + sin phi Y)."""
+    stars = [fock((0, 0), N_MAX)]
+    stars += [StellarSource(phi, 1.0, 1.0).pure_branches(N_MAX)[1][1] for phi in (0.0, math.pi / 2.0, math.pi)]
+    steps = _cnot_steps(delta, variant)
+    tables = [_count_table(_cnot_input_state(star, present), steps) for star in stars]
+    labels = tuple(dict.fromkeys(label for table in tables for label in table))
+    vacuum, at_0, at_half_pi, at_pi = (np.array([table.get(label, 0.0) for label in labels]) for table in tables)
+    mean = (at_0 + at_pi) / 2.0
+    rows = np.array([vacuum, mean, (at_0 - at_pi) / 2.0, at_half_pi - mean])
+    rows.setflags(write=False)
+    return labels, rows
 
 
 def cnot_branches(source: StellarSource, config: ProtocolConfig) -> list[tuple[str, bool, float, Mapping]]:
     """Per-branch outcome tables: (source branch, ancilla present, weight, table).
 
     The window state is an exact mixture of three pure source branches (vacuum and the two fringe
-    eigenstates) crossed with the ancilla present/lost alternative; each combination is simulated
-    separately, the vacuum ones once per setting (:func:`_vacuum_table`).
+    eigenstates) crossed with the ancilla present/lost alternative; each fringe combination is walked
+    separately, and each vacuum one is the nonzero entries of its setting's V row (:func:`_cnot_law`).
     """
     names = ("vacuum", "plus", "minus")
     steps = _cnot_steps(config.delta, config.variant)
@@ -246,25 +251,37 @@ def cnot_branches(source: StellarSource, config: ProtocolConfig) -> list[tuple[s
             weight = w_src * w_anc
             if weight == 0.0:
                 continue
-            table = (_vacuum_table(config.delta, config.variant, present) if name == "vacuum"
+            labels, law = _cnot_law(config.delta, config.variant, present)
+            table = ({label: p for label, p in zip(labels, law[0].tolist()) if p != 0.0} if name == "vacuum"
                      else _count_table(_cnot_input_state(star, present), steps))
             rows.append((name, present, weight, table))
     return rows
 
 
 def _mixture(rows, register: str) -> dict:
-    """Sum ``(weight, outcome table)`` rows of a source mixture; the total must be one."""
+    """Sum ``(weight, outcome table)`` rows of a source mixture; the total must be one, and no entry below zero."""
     merged: dict = {}
     for weight, table in rows:
         for label, p in table.items():
             merged[label] = merged.get(label, 0.0) + weight * p
-    check_table(np.fromiter(merged.values(), float, len(merged)), f"{register} outcome table", sum_atol=SUM_ATOL)
+    values = np.fromiter(merged.values(), float, len(merged))
+    check_table(values, f"{register} outcome table", sum_atol=SUM_ATOL)
+    check_table(values, f"{register} outcome table", negative_atol=TABLE_ATOL)
     return merged
 
 
 def cnot_distribution(source: StellarSource, config: ProtocolConfig) -> dict:
-    """Window outcome distribution over six-mode count tuples."""
-    return _mixture(((w, table) for _, _, w, table in cnot_branches(source, config)), "six-mode")
+    """Window outcome distribution over six-mode count tuples, read from the compiled law of each ancilla
+    flag (:func:`_cnot_law`) weighted by eta and 1 - eta; :func:`cnot_branches` walks the same mixture.
+    Exact zeros are dropped, and round-off below zero is set to zero after the table guard."""
+    eps, g, phi = source.epsilon, source.g, source.phi
+    coefficients = np.array([1.0 - eps, eps, eps * g * math.cos(phi), eps * g * math.sin(phi)])
+    rows = []
+    for present, weight in ((True, config.eta), (False, 1.0 - config.eta)):
+        if weight != 0.0:
+            labels, law = _cnot_law(config.delta, config.variant, present)
+            rows.append((weight, dict(zip(labels, (coefficients @ law).tolist()))))
+    return {label: max(p, 0.0) for label, p in _mixture(rows, "six-mode").items() if p != 0.0}
 
 
 class CnotWindows(Sequence):

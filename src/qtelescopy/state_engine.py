@@ -258,13 +258,9 @@ class ModeUnitary:
         dloc = space_dim(len(targets), self.n_max)
         if mat.shape != (dloc, dloc):
             raise ValueError(f"matrix shape {mat.shape} does not match {len(targets)} modes")
-        mask = self.valid_mask
-        if mask is None:
-            mask = np.ones(dloc, dtype=bool)
-        else:
-            mask = np.array(mask, dtype=bool)
-            if mask.shape != (dloc,):
-                raise ValueError("valid_mask length does not match the local dimension")
+        mask = np.ones(dloc, dtype=bool) if self.valid_mask is None else np.array(self.valid_mask, dtype=bool)
+        if mask.shape != (dloc,):
+            raise ValueError("valid_mask length does not match the local dimension")
         mat.setflags(write=False)
         mask.setflags(write=False)
         object.__setattr__(self, "target_modes", targets)

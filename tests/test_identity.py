@@ -62,3 +62,16 @@ def test_a_family_that_cannot_run_is_absent(monkeypatch):
     monkeypatch.setitem(identity.FAMILIES, "missing", missing)
     (result,) = identity.collect(["missing"]).values()
     assert result["absent"].startswith("ImportError: cannot import name 'a_name_that_is_not_there'")
+
+
+def test_deviation_reads_every_number_and_flags_the_structure():
+    before = identity.canonical({"table": {(0, 1): 0.25, (1, 0): 0.75}, "file": "phi,crb\n0.7,1.0e-3\n"})
+    after = identity.canonical({"table": {(0, 1): 0.25 + 1e-16, (1, 0): 0.75}, "file": "phi,crb\n0.7,1.1e-3\n"})
+    largest, relative, same = identity.deviation(after, before)
+    assert same and largest == pytest.approx(1e-4) and relative == pytest.approx(1e-4 / 1.1e-3)
+    assert identity.deviation(before, before) == (0.0, 0.0, True)
+    assert identity.deviation(identity.canonical([math.nan, math.inf]), identity.canonical([math.nan, math.inf])) == (0.0, 0.0, True)
+    fewer = identity.canonical({"table": {(0, 1): 0.5}, "file": "phi,crb\n0.7,1.0e-3\n"})
+    largest, relative, same = identity.deviation(fewer, before)
+    assert not same and largest == 0.25 and relative == 0.5
+    assert identity.deviation(identity.canonical(["phi,g\n"]), identity.canonical(["phi,crb\n"]))[2] is False

@@ -170,6 +170,8 @@ def test_branch_decomposition_weights():
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("eta", [1.0, 0.6, 0.0])
 def test_vacuum_branch_is_one_read_only_table_per_setting(variant, eta):
+    # the vacuum branch is the V row of its setting's compiled law: one read-only row per
+    # (setting, ancilla flag), whose labels lead the law's and whose entries are a walk's bits
     cfg = ProtocolConfig(delta=0.3, eta=eta, variant=variant)
     vacuum = state_engine.fock((0, 0), protocols.N_MAX)
     steps = protocols._cnot_steps(0.3, variant)
@@ -178,17 +180,60 @@ def test_vacuum_branch_is_one_read_only_table_per_setting(variant, eta):
     for _, present, _, table in rows:
         # another star at the same setting reads the same table
         other = cnot_branches(StellarSource(-2.0, 0.1, 0.9), cfg)
-        assert table is next(t for name, p, _, t in other if name == "vacuum" and p == present)
-        assert table is protocols._vacuum_table(0.3, variant, present)
+        assert list(table.items()) == list(next(t for name, p, _, t in other if name == "vacuum" and p == present).items())
         # equal, in its order, to a fresh walk of the |00> branch
         fresh = protocols._count_table(protocols._cnot_input_state(vacuum, present), steps)
         assert list(table.items()) == list(fresh.items())
-        with pytest.raises(TypeError):
-            table[next(iter(table))] = 0.0
-        placement = protocols._cnot_placement(present, protocols.N_MAX)
-        assert protocols._cnot_placement(present, protocols.N_MAX) is placement
+        labels, law = protocols._cnot_law(0.3, variant, present)
+        assert protocols._cnot_law(0.3, variant, present)[1] is law
+        assert labels[: len(table)] == tuple(table)
         with pytest.raises(ValueError, match="read-only"):
-            placement[0, 0] = 1
+            law[0, 0] = 1.0
+        anc = protocols._ancilla_factor(present, protocols.N_MAX)
+        assert protocols._ancilla_factor(present, protocols.N_MAX) is anc
+        with pytest.raises(ValueError, match="read-only"):
+            anc.amplitudes[0] = 1.0
+
+
+def _walked_mixture(source, config) -> dict:
+    """The oracle of cnot_distribution: the mixture of every branch, walked through the circuit."""
+    return protocols._mixture(((w, table) for _, _, w, table in cnot_branches(source, config)), "six-mode")
+
+
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    phi=st.floats(min_value=-math.pi, max_value=math.pi),
+    g=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    epsilon=_UNIT,
+    eta=_UNIT,
+    delta=st.floats(min_value=-math.pi, max_value=math.pi),
+    variant=st.sampled_from(list(Variant)),
+)
+def test_cnot_distribution_is_the_walked_mixture(phi, g, epsilon, eta, delta, variant):
+    source, config = StellarSource(phi, g, epsilon), ProtocolConfig(delta, eta, variant)
+    compiled, walked = cnot_distribution(source, config), _walked_mixture(source, config)
+    assert min(compiled.values()) >= 0.0
+    assert max(abs(compiled.get(k, 0.0) - walked.get(k, 0.0)) for k in compiled.keys() | walked.keys()) <= 1e-15
+
+
+def test_warm_cnot_distribution_reads_read_only_rows_and_walks_no_circuit(monkeypatch):
+    config = ProtocolConfig(0.3, 0.6, Variant.PARITY_FEED_FORWARD)
+    cnot_distribution(StellarSource(0.7, 0.8, 0.1), config)  # compiles both ancilla flags
+    for present in (True, False):
+        labels, rows = protocols._cnot_law(0.3, config.variant, present)
+        assert rows.shape == (4, len(labels)) == (4, len(set(labels)))
+        with pytest.raises(ValueError, match="read-only"):
+            rows[1, 0] = 0.0
+    calls = []
+    walk_gate = protocols.apply_unitary
+    monkeypatch.setattr(protocols, "apply_unitary", lambda *args: calls.append(args) or walk_gate(*args))
+    assert cnot_distribution(StellarSource(-1.2, 0.3, 0.9), config)
+    assert calls == []
+    cnot_branches(StellarSource(-1.2, 0.3, 0.9), config)  # the sampler's tables still walk
+    assert calls
 
 
 def test_validate_heralds_sound_reads_the_cached_vacuum_table():
