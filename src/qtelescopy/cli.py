@@ -208,12 +208,7 @@ def load_config(path: str | None, seed_override: int | None) -> RunConfig:
 
 
 def fmt_float(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if np.isnan(x):
-        return "nan"
-    return "%.17g" % x
+    return "" if x is None else "%.17g" % float(x)
 
 
 def _emit_table(header: list[str], rows: list[list], args, stem: str) -> None:
@@ -253,10 +248,8 @@ def _write_or_print(text: str | Iterable[str], args, filename: str) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _label_text(label) -> str:
-    if isinstance(label, tuple):
-        return "(" + ",".join(f"{v:+d}" if v < 0 else str(v) for v in label) + ")"
-    return str(label)
+def _label_text(label: tuple) -> str:
+    return "(" + ",".join(f"{v:+d}" if v < 0 else str(v) for v in label) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ def check_table(p, what: str, negative_atol: float | None = None, sum_atol: floa
     """Refuse outcome probabilities ``p``, an array named ``what``, with an entry below ``-negative_atol``, a total off
     1 by more than ``sum_atol`` or a nan, by :class:`NumericalInvariantError`; a check with no tolerance is skipped."""
     if negative_atol is not None and not -p.min(initial=0.0) <= negative_atol:  # nan fails it too
-        raise NumericalInvariantError(f"{what} has a negative probability {p.min()!r}")
+        raise NumericalInvariantError(f"{what} has a negative probability {float(p.min())!r}")
     if sum_atol is not None and not abs(p.sum() - 1.0) <= sum_atol:
-        raise NumericalInvariantError(f"{what} probabilities sum to {p.sum()!r}, not 1")
+        raise NumericalInvariantError(f"{what} probabilities sum to {float(p.sum())!r}, not 1")
 
 
 class QTelescopyError(Exception):

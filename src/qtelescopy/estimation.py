@@ -1,16 +1,16 @@
 """Protocol registry, Monte-Carlo experiment runner, maximum-likelihood phase
 estimation and Cramer-Rao accounting.
 
-Every protocol has one entry in :data:`PROTOCOLS`: its circuit call, its outcome labels, its
-herald rule, whether its table is conditioned on a photon arrival, and its window sampler.  Each
-protocol setting is compiled once, from three circuit runs of the state engine, into the exact
-law of its heralded outcomes, p_o(phi, g) = A_o + g cos(phi) B_o + g sin(phi) C_o, rather than
-simulating the circuit again for every phase it is scored at.  A window is the index of its
-outcome in the protocol's declared labels; for cnot, whose labels are in flat basis order, the
-sampler's flat outcome index.  The estimator counts the heralded outcomes of each setting and
-maximizes their log-likelihood under that law on a dense phase grid, then refines the peak by
-Newton steps on the exact score of the same law.  The Cramer-Rao bound 1/(M * fisher-per-window)
-takes its Fisher information from finite differences of the setting's circuit.
+Every protocol has one entry in :data:`PROTOCOLS`: its circuit call, the compiled laws it reads, its
+outcome labels, its herald rule, whether its table is conditioned on a photon arrival, and its window
+sampler.  The heralded outcomes of a setting follow the exact law p_o(phi, g) = A_o + g cos(phi) B_o
++ g sin(phi) C_o, sliced from the rows of the setting's compiled laws rather than simulating the
+circuit again for every phase it is scored at.  A window is the index of its outcome in the
+protocol's declared labels; for cnot, whose labels are in flat basis order, the sampler's flat
+outcome index.  The estimator counts the heralded outcomes of each setting and maximizes their
+log-likelihood under that law on a dense phase grid, then refines the peak by Newton steps on the
+exact score of the same law.  The Cramer-Rao bound 1/(M * fisher-per-window) takes its Fisher
+information from finite differences of the setting's outcome table.
 """
 
 from __future__ import annotations
@@ -32,6 +32,11 @@ from .protocols import (
     Herald,
     ProtocolConfig,
     Variant,
+    _cnot_laws,
+    _direct_circuit,
+    _fringe_mixing,
+    _gottesman_circuit,
+    _law,
     classify_herald,
     cnot_distribution,
     direct_distribution,
@@ -181,15 +186,17 @@ class Protocol:
     """Registry entry of one measurement protocol.
 
     ``run(source, delta, eta, variant, swap_bases)`` is the circuit's outcome
-    table, ``outcomes()`` its declared labels, ``herald`` the herald class of
-    one label.  A ``conditioned`` table is conditioned on a photon arrival.
-    Only a circuit that ``models_loss`` has an ancilla pair for eta < 1 to
-    lose.  ``reference`` is the closed-form table, if any; ``sample`` draws
-    the outcome index of every window.
+    table, read from its compiled laws ``laws(delta, eta, variant, swap_bases)``,
+    ``(weight, labels, rows)`` each; ``outcomes()`` its declared labels,
+    ``herald`` the herald class of one label.  A ``conditioned`` table is
+    conditioned on a photon arrival.  Only a circuit that ``models_loss`` has
+    an ancilla pair for eta < 1 to lose.  ``reference`` is the closed-form
+    table, if any; ``sample`` draws the outcome index of every window.
     """
 
     name: str
     run: Callable[..., dict]
+    laws: Callable[..., list]
     outcomes: Callable[[], tuple]
     herald: Callable[[tuple], Herald]
     sample: Callable[[ExperimentPlan, np.random.Generator], np.ndarray]
@@ -206,6 +213,7 @@ PROTOCOLS = {
             run=lambda source, delta, eta, variant, swap: cnot_distribution(
                 source, ProtocolConfig(delta, eta, variant)
             ),
+            laws=lambda delta, eta, variant, swap: _cnot_laws(delta, eta, variant),
             outcomes=lambda: tuple(basis_labels(6, N_MAX)),
             herald=classify_herald,
             sample=_sample_cnot,
@@ -217,6 +225,7 @@ PROTOCOLS = {
         Protocol(
             "direct",
             run=lambda source, delta, eta, variant, swap: direct_distribution(source, delta, swap),
+            laws=lambda delta, eta, variant, swap: [(1.0, *_law(_direct_circuit, delta, swap))],
             outcomes=lambda: ((-1, -1), (-1, 1), (1, -1), (1, 1)),
             herald=lambda label: Herald.PHOTON_ARRIVED,
             sample=_sample_table,
@@ -228,6 +237,7 @@ PROTOCOLS = {
         Protocol(
             "gottesman",
             run=lambda source, delta, eta, variant, swap: gottesman_distribution(source, delta),
+            laws=lambda delta, eta, variant, swap: [(1.0, *_law(_gottesman_circuit, delta))],
             outcomes=lambda: tuple(basis_labels(4, N_MAX)),
             # any photon beyond the ancilla's shows up in the counts
             herald=lambda counts: Herald.PHOTON_ARRIVED if sum(counts) == 2 else Herald.VACUUM,
@@ -289,28 +299,12 @@ def _phi_grid() -> np.ndarray:
     return np.linspace(-np.pi, np.pi, PHI_GRID_POINTS, endpoint=False)
 
 
-# the three (g, phi) points that fix the affine law of every outcome
-_COMPILE_POINTS = ((0.0, 0.0), (1.0, 0.0), (1.0, np.pi / 2.0))
-
-
-def _fringe_basis(phi, g) -> np.ndarray:
-    """Rows (1, g cos phi, g sin phi), one per phase."""
-    phi = np.asarray(phi, dtype=float)
-    return np.stack([np.ones_like(phi), g * np.cos(phi), g * np.sin(phi)], axis=-1)
-
-
 @dataclass(frozen=True, eq=False)
 class FringeTable:
-    """Heralded outcome law of one protocol setting, exact in (phi, g).
-
-    The window state is linear in nu = g exp(-i phi) and every circuit is a
-    fixed linear map, so each heralded outcome probability is
-
-        p_o(phi, g) = A_o + g cos(phi) B_o + g sin(phi) C_o.
-
-    ``coefficients`` holds the rows (A, B, C) over the protocol's declared
-    ``labels`` (zero outside the heralded class); ``herald`` the same three
-    coefficients of the heralded-class total.
+    """Heralded outcome law of one protocol setting, exact in (phi, g):
+    p_o(phi, g) = A_o + g cos(phi) B_o + g sin(phi) C_o, the rows (A, B, C)
+    of ``coefficients`` over the protocol's declared ``labels`` (zero outside
+    the heralded class), and ``herald`` those of the heralded-class total.
     """
 
     labels: tuple
@@ -320,7 +314,8 @@ class FringeTable:
     def joint(self, phi, g: float, columns=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Unnormalized probabilities of the ``columns`` outcomes and the
         heralded-class total, at one phase or along an array of phases."""
-        basis = _fringe_basis(phi, g)
+        phi = np.asarray(phi, dtype=float)
+        basis = np.stack([np.ones_like(phi), g * np.cos(phi), g * np.sin(phi)], axis=-1)
         probs = basis @ self.coefficients[:, columns]
         total = basis @ self.herald
         check_table(probs, "compiled outcome law", negative_atol=TABLE_ATOL)
@@ -334,13 +329,11 @@ class FringeTable:
 
 @lru_cache(maxsize=64)
 def _fringe_table(protocol: str, setting) -> FringeTable:
-    """Compile the setting (delta, epsilon, eta, variant, swap) from
-    three circuit runs, at (g, phi) = (0, 0), (1, 0) and (1, pi/2).
-
-    Outcomes outside the heralded class, and outcomes that vanish exactly at
-    all three points (and so everywhere), keep zero coefficients.  A
-    subnormal epsilon is refused: the heralded probabilities are of order
-    epsilon and keep no relative precision to condition on.
+    """The heralded slice of the setting's (delta, epsilon, eta, variant,
+    swap) compiled laws: their rows (V, K, X, Y), mixed into (A, B, C) at
+    epsilon, weighted and scattered onto the declared labels, the others
+    zero.  A subnormal epsilon is refused: the heralded probabilities are
+    of order epsilon and keep no relative precision to condition on.
     """
     entry = get_protocol(protocol)
     delta, epsilon, eta, variant, swap = setting
@@ -349,20 +342,14 @@ def _fringe_table(protocol: str, setting) -> FringeTable:
             f"arrival probability {epsilon!r} is subnormal; the heralded class "
             "cannot be conditioned on"
         )
-    labels = entry.outcomes()
-    runs = [
-        entry.run(StellarSource(phi, g, epsilon), delta, eta, variant, swap)
-        for g, phi in _COMPILE_POINTS
-    ]
-    at = np.array([[run.get(k, 0.0) for k in labels] for run in runs])
-    heralded = np.array([entry.herald(k) is Herald.PHOTON_ARRIVED for k in labels])
-    keep = np.flatnonzero(heralded & np.any(at != 0.0, axis=0))
-    points = np.array(_COMPILE_POINTS)
-    solved = np.linalg.solve(_fringe_basis(points[:, 1], points[:, 0]), at[:, keep])
-    coefficients = np.zeros_like(at)
-    coefficients[:, keep] = solved
+    index = _outcome_index(protocol)
+    mixing = _fringe_mixing(epsilon, entry.conditioned)
+    coefficients = np.zeros((3, len(index)))
+    for weight, labels, rows in entry.laws(delta, eta, variant, swap):
+        coefficients[:, [index[label] for label in labels]] += weight * (mixing @ rows)
+    coefficients[:, ~_herald_masks(protocol)[0][:-1]] = 0.0
     coefficients.setflags(write=False)
-    return FringeTable(labels, coefficients, solved.sum(axis=1))
+    return FringeTable(entry.outcomes(), coefficients, coefficients.sum(axis=1))
 
 
 def _log_likelihood(phi, g: float, observed) -> np.ndarray:
@@ -540,6 +527,9 @@ def window_fisher(protocol: str, setting, at: tuple[float, float], wrt=("phi",))
     def dist(phi: float, g: float) -> dict:
         return entry.run(StellarSource(phi, g, epsilon), delta, eta, variant, swap)
 
+    if entry.conditioned and epsilon == 0.0:
+        dist(*at)  # refuses a readout phase that is not finite; no photon arrives, and the table is empty
+        return FisherMatrix(np.zeros((2, 2)))
     model = OutcomeModel(dist, entry.outcomes(), name=f"{protocol}(delta={delta})")
     info = classical_fisher(model, at, wrt)
     return FisherMatrix(epsilon * info.matrix) if entry.conditioned else info

@@ -19,10 +19,11 @@ Every distribution here is produced by running the corresponding circuit through
 engine; closed-form outcome tables live only in the test oracles.  Each wiring of the six-mode
 circuit, the four-mode baseline and the direct readout is written once as a tuple of gates and
 readouts: :func:`_walk` enumerates its readout outcomes into a table, or samples one outcome each
-for a window.  The six-mode window state is linear in nu = g e^{-i phi}: :func:`cnot_distribution`
-reads a law compiled from four walks per setting and ancilla flag, and the batch sampler draws each
-window's branch and flat outcome index from walked branch tables, as arrays.  The local X readouts
-that decode a Bell pair are the direct readout at delta = 0, drawn from the same enumeration.
+for a window.  Each window state is linear in nu = g e^{-i phi} and each circuit a fixed linear map,
+so :func:`_compile` walks a circuit four times per setting into its law, rows (V, K, X, Y) over its
+support, which every distribution function reads (:func:`_read_laws`); the batch sampler draws each
+six-mode window's branch and flat outcome index from walked branch tables, as arrays.  The local X
+readouts that decode a Bell pair are the direct readout at delta = 0, drawn from the same enumeration.
 """
 
 from __future__ import annotations
@@ -218,46 +219,6 @@ def _count_table(state, steps) -> dict:
     return table
 
 
-@lru_cache(maxsize=128)
-def _cnot_law(delta: float, variant: Variant, present: bool) -> tuple[tuple, np.ndarray]:
-    """One ancilla flag of a setting: its support labels, V's leading in walk order, and read-only rows (V, K, X, Y)
-    over them.  V is the vacuum branch's table; the plus branch's, linear in e^{-i phi}, is K + cos phi X + sin phi Y,
-    walked at phi = 0, pi/2 and pi; the minus branch is the plus branch at phi + pi.  So, weighing the fringe
-    branches by eps (1 +- g) / 2, the flag's window table is (1 - eps) V + eps K + eps g (cos phi X + sin phi Y)."""
-    stars = [fock((0, 0), N_MAX)]
-    stars += [StellarSource(phi, 1.0, 1.0).pure_branches(N_MAX)[1][1] for phi in (0.0, math.pi / 2.0, math.pi)]
-    steps = _cnot_steps(delta, variant)
-    tables = [_count_table(_cnot_input_state(star, present), steps) for star in stars]
-    labels = tuple(dict.fromkeys(label for table in tables for label in table))
-    vacuum, at_0, at_half_pi, at_pi = (np.array([table.get(label, 0.0) for label in labels]) for table in tables)
-    mean = (at_0 + at_pi) / 2.0
-    rows = np.array([vacuum, mean, (at_0 - at_pi) / 2.0, at_half_pi - mean])
-    rows.setflags(write=False)
-    return labels, rows
-
-
-def cnot_branches(source: StellarSource, config: ProtocolConfig) -> list[tuple[str, bool, float, Mapping]]:
-    """Per-branch outcome tables: (source branch, ancilla present, weight, table).
-
-    The window state is an exact mixture of three pure source branches (vacuum and the two fringe
-    eigenstates) crossed with the ancilla present/lost alternative; each fringe combination is walked
-    separately, and each vacuum one is the nonzero entries of its setting's V row (:func:`_cnot_law`).
-    """
-    names = ("vacuum", "plus", "minus")
-    steps = _cnot_steps(config.delta, config.variant)
-    rows = []
-    for name, (w_src, star) in zip(names, source.pure_branches(N_MAX)):
-        for present, w_anc in ((True, config.eta), (False, 1.0 - config.eta)):
-            weight = w_src * w_anc
-            if weight == 0.0:
-                continue
-            labels, law = _cnot_law(config.delta, config.variant, present)
-            table = ({label: p for label, p in zip(labels, law[0].tolist()) if p != 0.0} if name == "vacuum"
-                     else _count_table(_cnot_input_state(star, present), steps))
-            rows.append((name, present, weight, table))
-    return rows
-
-
 def _mixture(rows, register: str) -> dict:
     """Sum ``(weight, outcome table)`` rows of a source mixture; the total must be one, and no entry below zero."""
     merged: dict = {}
@@ -270,18 +231,82 @@ def _mixture(rows, register: str) -> dict:
     return merged
 
 
-def cnot_distribution(source: StellarSource, config: ProtocolConfig) -> dict:
-    """Window outcome distribution over six-mode count tuples, read from the compiled law of each ancilla
-    flag (:func:`_cnot_law`) weighted by eta and 1 - eta; :func:`cnot_branches` walks the same mixture.
-    Exact zeros are dropped, and round-off below zero is set to zero after the table guard."""
-    eps, g, phi = source.epsilon, source.g, source.phi
-    coefficients = np.array([1.0 - eps, eps, eps * g * math.cos(phi), eps * g * math.sin(phi)])
+def _compile(table) -> tuple[tuple, np.ndarray]:
+    """A circuit's law: its support labels and read-only rows (V, K, X, Y) over them, ``table(star)`` its outcome
+    table of a two-mode star.  V is the vacuum's table; the plus branch's, linear in e^{-i phi}, is K + cos phi X
+    + sin phi Y, walked at phi = 0, pi/2 and pi (the minus branch is the plus branch at phi + pi).  V's labels lead
+    in walk order, the rest follow in flat order: as the walked branches' mixture lists them at a generic phase."""
+    stars = [fock((0, 0), N_MAX)]
+    stars += [StellarSource(phi, 1.0, 1.0).pure_branches(N_MAX)[1][1] for phi in (0.0, math.pi / 2.0, math.pi)]
+    tables = [table(star) for star in stars]
+    labels = (*tables[0], *sorted({label for t in tables[1:] for label in t} - tables[0].keys()))
+    vacuum, at_0, at_half_pi, at_pi = (np.array([t.get(label, 0.0) for label in labels]) for t in tables)
+    mean = (at_0 + at_pi) / 2.0
+    rows = np.array([vacuum, mean, (at_0 - at_pi) / 2.0, at_half_pi - mean])
+    rows.setflags(write=False)
+    return labels, rows
+
+
+def _fringe_mixing(epsilon: float, conditioned: bool = False) -> np.ndarray:
+    """The map from a law's rows (V, K, X, Y) to the coefficients (A, B, C) of its table at arrival probability
+    ``epsilon``, p(phi, g) = A + g cos(phi) B + g sin(phi) C: weighing the fringe branches by eps (1 +- g) / 2,
+    A = (1 - eps) V + eps K, B = eps X and C = eps Y; conditioned on an arrival, K, X and Y, and none at eps = 0."""
+    if conditioned:
+        return np.eye(4)[1:] * (epsilon > 0.0)
+    return np.array([[1.0 - epsilon, epsilon, 0.0, 0.0], [0.0, 0.0, epsilon, 0.0], [0.0, 0.0, 0.0, epsilon]])
+
+
+def _read_laws(source: StellarSource, laws, register: str, conditioned: bool = False) -> dict:
+    """The table at ``source`` of a mixture of compiled laws, ``(weight, labels, rows)`` each, through the table
+    guard of :func:`_mixture`.  Exact zeros are dropped, and round-off below zero is set to zero after the guard."""
+    fringe = np.array([1.0, source.g * math.cos(source.phi), source.g * math.sin(source.phi)])
+    coefficients = fringe @ _fringe_mixing(source.epsilon, conditioned)
+    rows = ((weight, dict(zip(labels, (coefficients @ law).tolist()))) for weight, labels, law in laws)
+    return {label: max(p, 0.0) for label, p in _mixture(rows, register).items() if p != 0.0}
+
+
+@lru_cache(maxsize=256)
+def _law(circuit, *setting) -> tuple[tuple, np.ndarray]:
+    """The compiled law of ``circuit(*setting)``, a circuit's table of a two-mode star, once per setting."""
+    return _compile(circuit(*setting))
+
+
+def _cnot_circuit(delta: float, variant: Variant, present: bool):
+    """One ancilla flag of a six-mode setting, as :func:`_compile` reads it."""
+    steps = _cnot_steps(delta, variant)
+    return lambda star: _count_table(_cnot_input_state(star, present), steps)
+
+
+def _cnot_laws(delta: float, eta: float, variant: Variant) -> list:
+    """A six-mode setting's laws for :func:`_read_laws`: the ancilla flags weighted by eta and 1 - eta."""
+    return [(w, *_law(_cnot_circuit, delta, variant, present)) for present, w in ((True, eta), (False, 1 - eta)) if w]
+
+
+def cnot_branches(source: StellarSource, config: ProtocolConfig) -> list[tuple[str, bool, float, Mapping]]:
+    """Per-branch outcome tables: (source branch, ancilla present, weight, table).
+
+    The window state is an exact mixture of three pure source branches (vacuum and the two fringe
+    eigenstates) crossed with the ancilla present/lost alternative; each fringe combination is walked
+    separately, and each vacuum one is the nonzero entries of its setting's V row (:func:`_compile`).
+    """
+    names = ("vacuum", "plus", "minus")
     rows = []
-    for present, weight in ((True, config.eta), (False, 1.0 - config.eta)):
-        if weight != 0.0:
-            labels, law = _cnot_law(config.delta, config.variant, present)
-            rows.append((weight, dict(zip(labels, (coefficients @ law).tolist()))))
-    return {label: max(p, 0.0) for label, p in _mixture(rows, "six-mode").items() if p != 0.0}
+    for name, (w_src, star) in zip(names, source.pure_branches(N_MAX)):
+        for present, w_anc in ((True, config.eta), (False, 1.0 - config.eta)):
+            weight = w_src * w_anc
+            if weight == 0.0:
+                continue
+            labels, law = _law(_cnot_circuit, config.delta, config.variant, present)
+            table = ({label: p for label, p in zip(labels, law[0].tolist()) if p != 0.0} if name == "vacuum"
+                     else _cnot_circuit(config.delta, config.variant, present)(star))
+            rows.append((name, present, weight, table))
+    return rows
+
+
+def cnot_distribution(source: StellarSource, config: ProtocolConfig) -> dict:
+    """Window outcome distribution over six-mode count tuples, read from the compiled laws of the two ancilla
+    flags (:func:`_cnot_laws`); :func:`cnot_branches` walks the same mixture."""
+    return _read_laws(source, _cnot_laws(config.delta, config.eta, config.variant), "six-mode")
 
 
 class CnotWindows(Sequence):
@@ -352,6 +377,12 @@ def _direct_steps(delta: float, n_max: int, swap_bases: bool) -> tuple:
     return (left, ((), ())), (right, ((), ()))
 
 
+def _direct_circuit(delta: float, swap_bases: bool):
+    """The direct readout of a two-mode star, as :func:`_compile` reads it: its four outcome pairs."""
+    steps = _direct_steps(delta, N_MAX, swap_bases)
+    return lambda star: {outcomes: p for outcomes, p, _ in _walk(star, steps)}
+
+
 def direct_distribution(
     source: StellarSource, delta: float, swap_bases: bool = False
 ) -> dict[tuple[int, int], float]:
@@ -361,17 +392,13 @@ def direct_distribution(
     X basis and the right lab in the delta-rotated basis (swappable).
     All four outcomes are listed, labeled by the +-1 eigenvalues, left first.
     The two single-photon fringe branches weigh (1 +- g)/2 for every
-    epsilon > 0; at epsilon = 0 no photon arrives and the table is empty.
+    epsilon > 0, read from the compiled law as K + g (cos phi X + sin phi Y);
+    at epsilon = 0 no photon arrives and the table is empty.
     """
-    steps = _direct_steps(delta, N_MAX, swap_bases)
+    labels, rows = _law(_direct_circuit, delta, swap_bases)
     if source.epsilon == 0.0:
         return {}
-    table = {(left, right): 0.0 for left in (+1, -1) for right in (+1, -1)}
-    for w, psi in _fringe_branches(source, N_MAX):
-        if w != 0.0:
-            for outcomes, p, _ in _walk(psi, steps, weight=w):
-                table[outcomes] += p
-    return table
+    return dict.fromkeys(labels, 0.0) | _read_laws(source, [(1.0, labels, rows)], "direct", conditioned=True)
 
 
 def run_direct_window(
@@ -391,34 +418,23 @@ def run_direct_window(
 STAR_L4, ANC_L4, STAR_R4, ANC_R4 = range(4)
 
 
-def gottesman_distribution(
-    source: StellarSource,
-    delta: float,
-    u_left: np.ndarray | None = None,
-    u_right: np.ndarray | None = None,
-) -> dict:
-    """Count distribution of the shared-single-photon baseline protocol.
-
-    One ancilla photon is split coherently between the labs with a relative
-    phase delta; each lab may apply an extra passive 2x2 unitary to its
-    (star, ancilla) mode pair before the closing balanced beam splitter and
-    photon counting.  ``u_left``/``u_right`` default to none, which is the
-    plain protocol.
-    """
+def _gottesman_circuit(delta: float, optics: tuple = ()):
+    """The baseline on a two-mode star, as :func:`_compile` reads it: one ancilla photon split between the labs
+    with relative phase delta; ``optics``, gates on each lab's (star, ancilla) pair; then each lab's balanced
+    beam splitter and photon counting."""
     if not math.isfinite(delta):
         raise ValueError(f"ancilla phase {delta!r} is not a finite angle")
     one = fock((1, 0), N_MAX)
     other = fock((0, 1), N_MAX)
     anc = StateVector((one.amplitudes + np.exp(1j * delta) * other.amplitudes) / np.sqrt(2.0), 2, N_MAX)
-    optics = ((u_left, STAR_L4, ANC_L4, "u_left"), (u_right, STAR_R4, ANC_R4, "u_right"))
-    steps = tuple(two_mode_unitary(u, a, b, N_MAX, name) for u, a, b, name in optics if u is not None)
-    steps += (beam_splitter(STAR_L4, ANC_L4, N_MAX), beam_splitter(STAR_R4, ANC_R4, N_MAX))
-    rows = (
-        (w, _count_table(tensor_at([(star, (STAR_L4, STAR_R4)), (anc, (ANC_L4, ANC_R4))]), steps))
-        for w, star in source.pure_branches(N_MAX)
-        if w != 0.0
-    )
-    return _mixture(rows, "four-mode")
+    steps = optics + (beam_splitter(STAR_L4, ANC_L4, N_MAX), beam_splitter(STAR_R4, ANC_R4, N_MAX))
+    return lambda star: _count_table(tensor_at([(star, (STAR_L4, STAR_R4)), (anc, (ANC_L4, ANC_R4))]), steps)
+
+
+def gottesman_distribution(source: StellarSource, delta: float) -> dict:
+    """Count distribution of the shared-single-photon baseline protocol
+    (:func:`_gottesman_circuit`, no local optics), read from its compiled law."""
+    return _read_laws(source, [(1.0, *_law(_gottesman_circuit, delta))], "four-mode")
 
 
 def linear_bound_search(n_trials: int, rng_seed) -> float:
@@ -427,7 +443,8 @@ def linear_bound_search(n_trials: int, rng_seed) -> float:
     Draws ``n_trials`` pairs of Haar-random passive 2x2 unitaries, one per
     lab, evaluates the classical phase information of the resulting count
     distribution at phi = 0.7, g = 1, epsilon = 0.1 and ancilla phase
-    delta = 0.3, and returns the largest value found.
+    delta = 0.3, and returns the largest value found.  Each trial's circuit
+    is compiled once.
     """
     from scipy.stats import unitary_group
 
@@ -440,13 +457,13 @@ def linear_bound_search(n_trials: int, rng_seed) -> float:
     all_labels = tuple(basis_labels(4, N_MAX))
     best = -np.inf
     for _ in range(n_trials):
-        u_left = unitary_group.rvs(2, random_state=rng)
-        u_right = unitary_group.rvs(2, random_state=rng)
-
-        def distribution(phi_val: float, g_val: float, ul=u_left, ur=u_right) -> dict:
-            return gottesman_distribution(StellarSource(phi_val, g_val, 0.1), 0.3, ul, ur)
-
-        model = OutcomeModel(distribution, all_labels)
+        optics = tuple(
+            two_mode_unitary(unitary_group.rvs(2, random_state=rng), a, b, N_MAX, name)
+            for a, b, name in ((STAR_L4, ANC_L4, "u_left"), (STAR_R4, ANC_R4, "u_right"))
+        )
+        law = (1.0, *_compile(_gottesman_circuit(0.3, optics)))
+        model = OutcomeModel(
+            lambda phi, g, law=law: _read_laws(StellarSource(phi, g, 0.1), [law], "four-mode"), all_labels)
         info = classical_fisher(model, (0.7, 1.0), wrt=("phi",)).phi_phi
         best = max(best, info)
     return float(best)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import walks
 from qtelescopy import analytic, cli, estimation
 from qtelescopy.errors import EstimationError, FisherDivergenceError, NumericalInvariantError
 from qtelescopy.fisher import DERIVATIVE_FLOOR, FD_STEP, G_BOUNDARY, PROB_FLOOR
@@ -203,6 +204,31 @@ def test_table_sampler_matches_per_window_choice(protocol, swap, epsilon, n_wind
         n_windows, seed=n_windows + int(100 * epsilon), swap_bases=swap,
     )
     np.testing.assert_array_equal(run_experiment(plan), _per_window_outcomes(plan))
+
+
+# the walked oracles in the registry's call form, for the table sampler
+_WALKED_RUNS = {
+    "direct": lambda source, delta, eta, variant, swap: walks.walked_direct(source, delta, swap),
+    "gottesman": lambda source, delta, eta, variant, swap: walks.walked_gottesman(source, delta),
+}
+
+
+def test_compiled_tables_draw_the_stream_of_the_walked_tables(monkeypatch):
+    # the table sampler draws in its table's key order: the compiled law must list
+    # the labels as the walked mixture does, at delta = 0 and at the fringe ends too
+    rng = np.random.default_rng(20251019)
+    plans = []
+    for i, (phi, g, epsilon, d1, d2) in enumerate(rng.uniform(size=(240, 5)).tolist()):
+        protocol, swap = (("direct", False), ("direct", True), ("gottesman", False))[i % 3]
+        d1, d2 = 2.0 * math.pi * d1 - math.pi, 2.0 * math.pi * d2 - math.pi
+        schedule = ((0.0, HALF_PI), (0.0, d1), (d1, d2))[i // 3 % 3]
+        source = StellarSource(2.0 * math.pi * phi - math.pi, (0.0, 1.0, g)[i // 9 % 3], 0.05 + 0.95 * epsilon)
+        plans.append(ExperimentPlan(protocol, source, schedule, 500, seed=i, swap_bases=swap))
+    compiled = [estimation._sample_table(plan, np.random.default_rng(plan.seed)) for plan in plans]
+    for name, run in _WALKED_RUNS.items():
+        monkeypatch.setitem(estimation.PROTOCOLS, name, dataclasses.replace(estimation.PROTOCOLS[name], run=run))
+    for plan, drawn in zip(plans, compiled):
+        np.testing.assert_array_equal(estimation._sample_table(plan, np.random.default_rng(plan.seed)), drawn)
 
 
 def _cnot_record_list(source, config, n_windows, rng):
@@ -456,6 +482,18 @@ def test_crb_report_refuses_an_empty_schedule():
         crb_report("direct", StellarSource(0.7, 1.0, 0.1), ())
 
 
+@pytest.mark.parametrize("protocol", sorted(estimation.PROTOCOLS))
+def test_crb_report_at_zero_arrival_probability_reports_no_information(protocol):
+    # direct's conditioned table is empty at epsilon = 0: it raised an invariant error
+    report = crb_report(protocol, StellarSource(0.7, 0.8, 0.0), DEFAULT_SCHEDULE)
+    assert list(report.per_setting.values()) == [0.0, 0.0]
+    assert report.fisher_per_window == 0.0 and report.crb_for(1000) == math.inf
+    for delta in (math.nan, math.inf):  # a readout phase that is not finite is still refused
+        with pytest.raises(ValueError) as caught:
+            crb_report(protocol, StellarSource(0.7, 0.8, 0.0), (0.0, delta))
+        assert not isinstance(caught.value, NumericalInvariantError)
+
+
 def _exact_window_fisher(protocol, setting, phi, g):
     """Fisher matrix of one setting with exact derivatives of the affine law
     p = A + g cos(phi) B + g sin(phi) C, fitted to three circuit runs, over the
@@ -533,14 +571,14 @@ def test_default_schedule_has_quadrature_pair():
 
 
 def _circuit_conditional(protocol, source, delta, eta, variant, swap):
-    """Heralded-class outcome table at one (phi, g), straight from the circuit."""
+    """Heralded-class outcome table at one (phi, g), walked through the circuit branch by branch."""
     if protocol == "cnot":
-        full = cnot_distribution(source, ProtocolConfig(delta, eta, variant))
+        full = walks.walked_cnot(source, ProtocolConfig(delta, eta, variant))
         kept = {k: v for k, v in full.items() if classify_herald(k) is Herald.PHOTON_ARRIVED}
     elif protocol == "direct":
-        kept = direct_distribution(source, delta, swap)
+        kept = walks.walked_direct(source, delta, swap)
     else:
-        full = gottesman_distribution(source, delta)
+        full = walks.walked_gottesman(source, delta)
         kept = {k: v for k, v in full.items() if sum(k) == 2}
     total = sum(kept.values())
     return {k: v / total for k, v in kept.items()} if total > 0.0 else None

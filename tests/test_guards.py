@@ -172,6 +172,16 @@ def test_table_guard_of_a_source_mixture_holds_at_its_tolerance():
             protocols._mixture([(1.0, {"a": 0.5, "b": 0.5 + sign * SUM_ATOL * (1.0 + 1e-4)})], "edge")
 
 
+def test_table_guard_prints_plain_floats():
+    # the messages printed numpy scalars as np.float64(...) reprs
+    with pytest.raises(NumericalInvariantError) as caught:
+        errors.check_table(np.zeros(4), "direct", sum_atol=SUM_ATOL)
+    assert str(caught.value) == "direct probabilities sum to 0.0, not 1"
+    with pytest.raises(NumericalInvariantError) as caught:
+        errors.check_table(np.array([1.5, -0.5]), "edge", negative_atol=TABLE_ATOL)
+    assert str(caught.value) == "edge has a negative probability -0.5"
+
+
 def test_table_guard_of_a_compiled_law_holds_at_its_tolerance():
     def table(dip):
         # p_b = dip * g cos(phi), which is dip at phi = 0, g = 1

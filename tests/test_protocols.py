@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import unitary_group
 
+import walks
 from qtelescopy import analytic, protocols, sources, state_engine
+from qtelescopy.gates import two_mode_unitary
 from qtelescopy.protocols import (
     DetectionRecord,
     Herald,
@@ -184,8 +187,8 @@ def test_vacuum_branch_is_one_read_only_table_per_setting(variant, eta):
         # equal, in its order, to a fresh walk of the |00> branch
         fresh = protocols._count_table(protocols._cnot_input_state(vacuum, present), steps)
         assert list(table.items()) == list(fresh.items())
-        labels, law = protocols._cnot_law(0.3, variant, present)
-        assert protocols._cnot_law(0.3, variant, present)[1] is law
+        labels, law = protocols._law(protocols._cnot_circuit, 0.3, variant, present)
+        assert protocols._law(protocols._cnot_circuit, 0.3, variant, present)[1] is law
         assert labels[: len(table)] == tuple(table)
         with pytest.raises(ValueError, match="read-only"):
             law[0, 0] = 1.0
@@ -195,12 +198,8 @@ def test_vacuum_branch_is_one_read_only_table_per_setting(variant, eta):
             anc.amplitudes[0] = 1.0
 
 
-def _walked_mixture(source, config) -> dict:
-    """The oracle of cnot_distribution: the mixture of every branch, walked through the circuit."""
-    return protocols._mixture(((w, table) for _, _, w, table in cnot_branches(source, config)), "six-mode")
-
-
 _UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+_ANGLE = st.one_of(st.sampled_from([0.0, math.pi / 2.0]), st.floats(min_value=-math.pi, max_value=math.pi))
 
 
 @settings(max_examples=80, deadline=None)
@@ -209,12 +208,12 @@ _UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_valu
     g=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
     epsilon=_UNIT,
     eta=_UNIT,
-    delta=st.floats(min_value=-math.pi, max_value=math.pi),
+    delta=_ANGLE,
     variant=st.sampled_from(list(Variant)),
 )
 def test_cnot_distribution_is_the_walked_mixture(phi, g, epsilon, eta, delta, variant):
     source, config = StellarSource(phi, g, epsilon), ProtocolConfig(delta, eta, variant)
-    compiled, walked = cnot_distribution(source, config), _walked_mixture(source, config)
+    compiled, walked = cnot_distribution(source, config), walks.walked_cnot(source, config)
     assert min(compiled.values()) >= 0.0
     assert max(abs(compiled.get(k, 0.0) - walked.get(k, 0.0)) for k in compiled.keys() | walked.keys()) <= 1e-15
 
@@ -223,7 +222,7 @@ def test_warm_cnot_distribution_reads_read_only_rows_and_walks_no_circuit(monkey
     config = ProtocolConfig(0.3, 0.6, Variant.PARITY_FEED_FORWARD)
     cnot_distribution(StellarSource(0.7, 0.8, 0.1), config)  # compiles both ancilla flags
     for present in (True, False):
-        labels, rows = protocols._cnot_law(0.3, config.variant, present)
+        labels, rows = protocols._law(protocols._cnot_circuit, 0.3, config.variant, present)
         assert rows.shape == (4, len(labels)) == (4, len(set(labels)))
         with pytest.raises(ValueError, match="read-only"):
             rows[1, 0] = 0.0
@@ -234,6 +233,71 @@ def test_warm_cnot_distribution_reads_read_only_rows_and_walks_no_circuit(monkey
     assert calls == []
     cnot_branches(StellarSource(-1.2, 0.3, 0.9), config)  # the sampler's tables still walk
     assert calls
+
+
+def _haar_optics(seed):
+    rng = np.random.default_rng(seed)
+    labs = ((protocols.STAR_L4, protocols.ANC_L4), (protocols.STAR_R4, protocols.ANC_R4))
+    return tuple(two_mode_unitary(unitary_group.rvs(2, random_state=rng), a, b, protocols.N_MAX) for a, b in labs)
+
+
+# direct and gottesman: (the compiled table, its walked oracle) at (source, delta, seed); the
+# six-mode circuit is held to its walk by test_cnot_distribution_is_the_walked_mixture
+_COMPILED_AND_WALKED = {
+    **{
+        f"direct swap={swap}": lambda source, delta, seed, swap=swap: (
+            direct_distribution(source, delta, swap), walks.walked_direct(source, delta, swap)
+        )
+        for swap in (False, True)
+    },
+    "gottesman": lambda source, delta, seed: (
+        gottesman_distribution(source, delta), walks.walked_gottesman(source, delta)
+    ),
+    "gottesman, Haar optics": lambda source, delta, seed: (
+        protocols._read_laws(
+            source, [(1.0, *protocols._compile(protocols._gottesman_circuit(delta, _haar_optics(seed))))], "four-mode"
+        ),
+        walks.walked_gottesman(source, delta, _haar_optics(seed)),
+    ),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    circuit=st.sampled_from(sorted(_COMPILED_AND_WALKED)),
+    phi=st.floats(min_value=-math.pi, max_value=math.pi),
+    g=_UNIT,
+    epsilon=_UNIT,
+    delta=_ANGLE,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_direct_and_gottesman_tables_are_their_walks(circuit, phi, g, epsilon, delta, seed):
+    # the law of each circuit, read at a source, is the mixture of its branches walked there
+    compiled, walked = _COMPILED_AND_WALKED[circuit](StellarSource(phi, g, epsilon), delta, seed)
+    assert min(compiled.values(), default=0.0) >= 0.0
+    gaps = [abs(compiled.get(k, 0.0) - walked.get(k, 0.0)) for k in compiled.keys() | walked.keys()]
+    assert max(gaps, default=0.0) <= 1e-15
+    if circuit.startswith("direct"):
+        assert list(compiled) == list(walked)
+
+
+def test_warm_direct_and_gottesman_distributions_walk_no_circuit(monkeypatch):
+    source = StellarSource(0.7, 0.8, 0.1)
+    for swap in (False, True):
+        direct_distribution(source, 0.3, swap)
+    gottesman_distribution(source, 0.3)  # compiles each law once
+    calls = []
+    for name in ("apply_unitary", "project"):
+        real = getattr(protocols, name)
+        monkeypatch.setattr(protocols, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    other = StellarSource(-1.2, 0.3, 0.9)
+    for swap in (False, True):
+        assert direct_distribution(other, 0.3, swap)
+    assert gottesman_distribution(other, 0.3)
+    assert calls == []
+    walks.walked_direct(other, 0.3)
+    walks.walked_gottesman(other, 0.3)  # the walks themselves still reach both
+    assert set(calls) == {"apply_unitary", "project"}
 
 
 def test_validate_heralds_sound_reads_the_cached_vacuum_table():

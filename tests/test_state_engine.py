@@ -272,8 +272,10 @@ def test_cached_invalid_mass_is_the_mass_outside_the_valid_labels(monkeypatch):
         seen.append((gate, state, mass))
         return mass
 
-    # the one support guard, of gates and readouts alike, reads the mass here
+    # the one support guard, of gates and readouts alike, reads the mass here; each
+    # circuit walks once per compiled law, so the laws are compiled afresh
     monkeypatch.setattr(se, "_invalid_mass", spy)
+    protocols._law.cache_clear()
     source = StellarSource(0.7, 0.8, 0.1)
     for variant in Variant:
         protocols.cnot_distribution(source, ProtocolConfig(0.3, 0.9, variant))
@@ -311,9 +313,10 @@ def test_cached_invalid_index_is_shared_read_only_and_keyed_on_content():
     assert se._invalid_index(*key[:2], gates.cnot_fock(0, 1, 2).valid_mask.tobytes(), 6) is index
     table = se._gather((0, 1), 3, 6)
     np.testing.assert_array_equal(index, table[~gate.valid_mask].ravel())
-    # beam splitters are shared, as the Fock-qubit gates are; a second
-    # gottesman call, at another star and phase, adds no entry
+    # beam splitters are shared, as the Fock-qubit gates are; a second gottesman
+    # compile, at another phase, adds no entry (a warm law walks no circuit)
     assert gates.beam_splitter(0, 1, 2) is gates.beam_splitter(0, 1, 2)
+    protocols._law.cache_clear()
     protocols.gottesman_distribution(StellarSource(0.7, 0.8, 0.1), 0.3)
     before = se._invalid_index.cache_info()
     protocols.gottesman_distribution(StellarSource(0.2, 0.5, 0.3), 1.1)
