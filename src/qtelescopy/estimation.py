@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable
 
@@ -132,15 +132,8 @@ def _choice_cdf(probs: np.ndarray) -> np.ndarray:
     sqrt(eps)."""
     with np.errstate(all="ignore"):
         p = probs / probs.sum()
-    if not (
-        p.size
-        and np.isfinite(p).all()
-        and (p >= 0.0).all()
-        and abs(math.fsum(p) - 1.0) <= CHOICE_ATOL
-    ):
-        raise NumericalInvariantError(
-            f"outcome table {probs.tolist()!r} is not a probability distribution"
-        )
+    if not (p.size and np.isfinite(p).all() and (p >= 0.0).all() and abs(math.fsum(p) - 1.0) <= CHOICE_ATOL):
+        raise NumericalInvariantError(f"outcome table {probs.tolist()!r} is not a probability distribution")
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf
@@ -158,19 +151,9 @@ def _sample_table(plan: ExperimentPlan, rng) -> np.ndarray:
         table = entry.run(plan.source, delta, plan.eta, plan.variant, plan.swap_bases)
         ids = np.array([index[label] for label in table])
         tables.append((ids, np.array(list(table.values()))))
-    if entry.conditioned:
-        epsilon, draw = plan.source.epsilon, rng.random
-        uniforms = np.fromiter(
-            (
-                draw() if sample_arrival(epsilon, rng) else math.nan
-                for _ in range(plan.n_windows)
-            ),
-            dtype=float,
-            count=plan.n_windows,
-        )
-    else:
-        uniforms = rng.random(plan.n_windows)
-    outcomes = np.full(plan.n_windows, -1, dtype=np.int64)
+    n = plan.n_windows
+    uniforms = sample_arrival(plan.source.epsilon, rng, n) if entry.conditioned else rng.random(n)  # nan: no arrival
+    outcomes = np.full(n, -1, dtype=np.int64)
     n_settings = len(tables)
     for s, (ids, probs) in enumerate(tables):
         u = uniforms[s::n_settings]
@@ -311,6 +294,13 @@ class FringeTable:
     coefficients: np.ndarray
     herald: np.ndarray
 
+    @cached_property
+    def varies(self) -> np.ndarray:
+        """Whether each outcome's heralded law p_o / T depends on phi at g > 0:
+        its (A, B, C) is not proportional to the total's, to TABLE_ATOL of their norms."""
+        cross = np.linalg.norm(np.cross(self.coefficients.T, self.herald), axis=1)
+        return cross > TABLE_ATOL * np.linalg.norm(self.coefficients, axis=0) * np.linalg.norm(self.herald)
+
     def joint(self, phi, g: float, columns=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Unnormalized probabilities of the ``columns`` outcomes and the
         heralded-class total, at one phase or along an array of phases."""
@@ -420,17 +410,12 @@ def _newton_max(terms, center: float, step: float) -> float:
 
 
 def _check_schedule_identifiable(settings) -> None:
-    """The sign of the fringe is ambiguous unless two settings differ by
-    something other than a multiple of pi."""
-    distinct = sorted(set(settings))
-    for i, di in enumerate(distinct):
-        for dj in distinct[i + 1 :]:
-            if abs(math.sin(di - dj)) > PHASE_ATOL:
-                return
-    raise EstimationError(
-        "the delta schedule cannot distinguish phi from -phi; add a second "
-        "setting offset by pi/2"
-    )
+    """The sign of the fringe is ambiguous unless two settings differ by other than a multiple of pi."""
+    distinct = set(settings)
+    if not any(abs(math.sin(a - b)) > PHASE_ATOL for a in distinct for b in distinct):
+        raise EstimationError(
+            "the delta schedule cannot distinguish phi from -phi; add a second setting offset by pi/2"
+        )
 
 
 def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
@@ -441,8 +426,9 @@ def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
     heralded counts on a dense phase grid, and refines the peak by Newton
     steps on the exact score of the compiled law, within the grid cell
     around it (:func:`_newton_max`).  Vacuum windows carry no phase
-    information and are counted but never scored.  At g = 0 the heralded
-    law does not depend on phi, and the estimate is refused.
+    information and are counted but never scored.  When no observed
+    outcome's heralded law depends on phi (at g = 0, or with every ancilla
+    lost), the likelihood is flat and the estimate is refused.
     """
     source = plan.source
     heralded, vacuum = _herald_masks(plan.protocol)
@@ -463,9 +449,6 @@ def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
     n_vacuum = int(counts[:, vacuum].sum())
     if n_heralded == 0:
         raise EstimationError("no heralded windows: the likelihood is flat in phi")
-    if source.g == 0.0:
-        raise EstimationError("at g = 0 the heralded law carries no phase: the likelihood is flat in phi")
-    _check_schedule_identifiable(plan.delta_schedule)
 
     observed = []
     for s, delta in enumerate(plan.delta_schedule):
@@ -473,24 +456,23 @@ def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
         seen = np.flatnonzero(k)
         if not seen.size:
             continue
-        setting = (delta, source.epsilon, plan.eta, plan.variant, plan.swap_bases)
-        table = _fringe_table(plan.protocol, setting)
+        table = _fringe_table(plan.protocol, (delta, source.epsilon, plan.eta, plan.variant, plan.swap_bases))
         if not table.coefficients[:, seen].any(axis=0).all():
             raise EstimationError("an observed outcome is impossible under the model")
         observed.append((table, seen, k[seen].astype(float)))
+    if not (source.g > 0.0 and any(table.varies[seen].any() for table, seen, _ in observed)):
+        raise EstimationError("the heralded law carries no phase (as at g = 0): the likelihood is flat in phi")
+    _check_schedule_identifiable(plan.delta_schedule)
 
     grid = _phi_grid()
     center = grid[int(np.argmax(_log_likelihood(grid, source.g, observed)))]
     phi_hat = wrap_phase(_newton_max(lambda phi: _score(phi, source.g, observed), center, grid[1] - grid[0]))
     err = wrap_phase(phi_hat - source.phi)
     info = crb_report(
-        plan.protocol,
-        source,
-        plan.delta_schedule,
-        plan.eta,
-        variant=plan.variant,
-        swap_bases=plan.swap_bases,
+        plan.protocol, source, plan.delta_schedule, plan.eta, variant=plan.variant, swap_bases=plan.swap_bases
     )
+    if not info.fisher_per_window > 0.0:  # a law too nearly flat for the finite differences to see
+        raise EstimationError(f"no phase information per window at g = {source.g!r}: the Cramer-Rao bound is infinite")
     crb = info.crb_for(plan.n_windows)
     return EstimateReport(phi_hat, err * err, crb, n_heralded, n_vacuum, info.fisher_per_window)
 

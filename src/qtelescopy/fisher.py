@@ -32,16 +32,6 @@ class OutcomeModel:
     outcomes: tuple
     name: str = ""
 
-    @classmethod
-    def from_distribution(
-        cls,
-        distribution: Callable[[float, float], dict],
-        anchor: tuple[float, float],
-        name: str = "",
-    ) -> "OutcomeModel":
-        labels = tuple(sorted(distribution(*anchor).keys()))
-        return cls(distribution, labels, name)
-
     @cached_property
     def _position(self) -> dict:
         return {label: i for i, label in enumerate(self.outcomes)}

@@ -99,14 +99,39 @@ def conditional_g_derivative(phi: float, g: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-window arrival draw
+# arrival draw, one window or a block of windows
 
 NO_PHOTON = None  # the arrival bin of a window without a photon
+ARRIVAL_CHUNK = 1 << 16  # uniforms per block of a many-window draw: 512 KiB, whatever the window count
 
 
-def sample_arrival(epsilon: float, rng: np.random.Generator) -> bool:
+def sample_arrival(epsilon: float, rng: np.random.Generator, size=None):
     """Draw one collection window: whether a photon arrived, with probability
-    ``epsilon``.  At most one photon per window by construction."""
+    ``epsilon``.  At most one photon per window by construction.
+
+    ``size`` windows give each window's outcome uniform, or nan where no photon arrived: the stream of ``size``
+    single draws, each followed by ``rng.random()`` on an arrival, drawn in blocks of at most ``ARRIVAL_CHUNK``
+    uniforms.  Within a run of uniforms below epsilon the even offsets are arrival draws, each followed by its
+    outcome uniform.  Past the last window the generator may have drawn more than single draws would."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"arrival probability must lie in [0, 1], got {epsilon}")
-    return rng.random() < epsilon
+    if size is None:
+        return rng.random() < epsilon
+    if (n := _integer(size, "size")) < 0:
+        raise ValueError(f"size must be a non-negative integer, got {size}")
+    out, filled, pending = np.empty(n), 0, False  # pending: the last window filled arrived on its block's end
+    while filled < n or pending:
+        u = rng.random(min(ARRIVAL_CHUNK, pending + 2 * (n - filled)))
+        if pending:
+            out[filled - 1], u = u[0], u[1:]
+        if filled == n:
+            break
+        below, position = u < epsilon, np.arange(u.size)
+        run_head = below & np.insert(~below[:-1], 0, True)
+        arrival = below & ((position - np.maximum.accumulate(np.where(run_head, position, 0))) % 2 == 0)
+        draws = np.flatnonzero(np.insert(~arrival[:-1], 0, True))[: n - filled]
+        # a window that arrived on the block's last uniform takes a clipped placeholder until the next block
+        out[filled : filled + draws.size] = np.where(arrival[draws], u.take(draws + 1, mode="clip"), math.nan)
+        filled += draws.size
+        pending = bool(arrival[draws[-1]]) and draws[-1] == u.size - 1
+    return out

@@ -65,14 +65,14 @@ def _cnot_model(delta, eta=1.0):
         src = StellarSource(phi=phi, g=g, epsilon=EPSILON)
         return cnot_distribution(src, ProtocolConfig(delta=delta, eta=eta))
 
-    return fisher.OutcomeModel.from_distribution(dist, anchor=(0.7, 1.0))
+    return fisher.OutcomeModel(dist, tuple(sorted(dist(0.7, 1.0))))
 
 
 def _gottesman_model(delta):
     def dist(phi, g):
         return gottesman_distribution(StellarSource(phi=phi, g=g, epsilon=EPSILON), delta)
 
-    return fisher.OutcomeModel.from_distribution(dist, anchor=(0.7, 1.0))
+    return fisher.OutcomeModel(dist, tuple(sorted(dist(0.7, 1.0))))
 
 
 def test_criterion_01_circuit_distribution_matches_reference():

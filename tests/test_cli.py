@@ -249,6 +249,17 @@ def test_simulate_at_g_zero_exits_1_with_a_message(tmp_path, capsys, protocol):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("variant", ["cnot_sequence", "parity_feed_forward"])
+def test_simulate_with_every_ancilla_lost_exits_1_with_a_message(tmp_path, capsys, variant):
+    # at eta = 0 the lost-ancilla windows herald, but their law is flat in phi
+    cfg = _write_config(tmp_path, eta=0.0, variant=variant, g=0.8, phi=0.7, n_windows=10_000, seed=1)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "flat in phi" in err and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+
+
 def test_simulate_deterministic_outputs(tmp_path):
     cfg = _write_config(
         tmp_path, phi=0.7, delta_schedule=[0.0, math.pi / 2.0], n_windows=2000

@@ -206,6 +206,21 @@ def test_table_sampler_matches_per_window_choice(protocol, swap, epsilon, n_wind
     np.testing.assert_array_equal(run_experiment(plan), _per_window_outcomes(plan))
 
 
+def test_direct_block_draw_matches_the_per_window_oracle_on_random_plans():
+    # the block arrival draw keeps the stream of one sample_arrival call per window
+    cases = np.random.default_rng(20261021)
+    edges = (0.0, 1.0, 1e-12, 1.0 - 1e-12)
+    for i in range(200):
+        epsilon = edges[i // 2] if i < 2 * len(edges) else float(cases.uniform())
+        phi, g = float(cases.uniform(-math.pi, math.pi)), float(cases.uniform())
+        schedule = tuple(cases.uniform(-math.pi, math.pi, size=int(cases.integers(1, 4))).tolist())
+        plan = ExperimentPlan(
+            "direct", StellarSource(phi, g, epsilon), schedule, int(cases.integers(1, 300)),
+            seed=int(cases.integers(2**32)), swap_bases=bool(i % 2),
+        )
+        np.testing.assert_array_equal(run_experiment(plan), _per_window_outcomes(plan))
+
+
 # the walked oracles in the registry's call form, for the table sampler
 _WALKED_RUNS = {
     "direct": lambda source, delta, eta, variant, swap: walks.walked_direct(source, delta, swap),
@@ -891,6 +906,54 @@ def test_mle_refuses_g_zero(protocol):
     outcomes = run_experiment(plan)
     with pytest.raises(EstimationError, match="g = 0"):
         mle_phase(outcomes, plan)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_mle_refuses_a_flat_law_with_every_ancilla_lost(variant):
+    # at eta = 0 the lost-ancilla windows still herald, but no heralded outcome depends on phi
+    plan = dataclasses.replace(_plan(g=0.8, n_windows=4000, seed=3), eta=0.0, variant=variant)
+    outcomes = run_experiment(plan)
+    assert (outcomes >= 0).sum() > 0
+    with pytest.raises(EstimationError, match="flat in phi"):
+        mle_phase(outcomes, plan)
+
+
+_PHASES = st.one_of(
+    st.sampled_from([0.0, HALF_PI, -HALF_PI, math.pi / 4.0, -math.pi / 4.0, -math.pi, math.pi]),
+    st.floats(-math.pi, math.pi),
+)
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    protocol=st.sampled_from(sorted(estimation.PROTOCOLS)),
+    variant=st.sampled_from(list(Variant)),
+    swap=st.booleans(),
+    phi=_PHASES,
+    g=_UNIT,
+    epsilon=_UNIT,
+    eta=_UNIT,
+    schedule=st.one_of(st.just(DEFAULT_SCHEDULE), st.lists(_PHASES, min_size=1, max_size=3).map(tuple)),
+    n_windows=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_an_estimate_is_finite_with_a_finite_bound_or_refused(
+    protocol, variant, swap, phi, g, epsilon, eta, schedule, n_windows, seed
+):
+    # over the whole parameter box, g = 1 face included: a flat or unidentifiable
+    # likelihood is refused by a typed error, never reported as phi_hat with crb = inf
+    eta = eta if estimation.PROTOCOLS[protocol].models_loss else 1.0
+    plan = ExperimentPlan(
+        protocol, StellarSource(phi, g, epsilon), schedule, n_windows,
+        seed=seed, eta=eta, variant=variant, swap_bases=swap,
+    )
+    try:
+        report = mle_phase(run_experiment(plan), plan)
+    except (EstimationError, NumericalInvariantError):
+        return
+    assert math.isfinite(report.phi_hat) and -math.pi <= report.phi_hat < math.pi
+    assert 0.0 < report.crb < math.inf
 
 
 def test_constant_tables_are_built_once_and_read_only():

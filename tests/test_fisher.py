@@ -29,7 +29,7 @@ def _direct_model(delta):
     def dist(phi, g):
         return analytic.direct_outcome_table(phi, g, delta)
 
-    return fisher.OutcomeModel.from_distribution(dist, anchor=(0.7, 0.8))
+    return fisher.OutcomeModel(dist, tuple(sorted(dist(0.7, 0.8))))
 
 
 def _conditional(phi, g):

@@ -124,12 +124,59 @@ def test_sample_arrival_refuses_a_non_finite_probability(epsilon):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="arrival probability"):
         sources.sample_arrival(epsilon, rng)
+    with pytest.raises(ValueError, match="arrival probability"):
+        sources.sample_arrival(epsilon, rng, 10)
 
 
-@pytest.mark.parametrize("epsilon", [-0.1, 1.5])
+@pytest.mark.parametrize("epsilon", [-0.1, 1.5, -1e-300, 1.0 + 1e-15])
 def test_sample_arrival_refuses_a_probability_outside_the_unit_interval(epsilon):
     with pytest.raises(ValueError, match="arrival probability"):
         sources.sample_arrival(epsilon, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="arrival probability"):
+        sources.sample_arrival(epsilon, np.random.default_rng(0), 10)
+
+
+def test_block_arrival_draw_refuses_a_negative_or_non_integer_size():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="size"):
+        sources.sample_arrival(0.5, rng, -1)
+    for size in (2.0, True, "3"):
+        with pytest.raises(TypeError, match="size"):
+            sources.sample_arrival(0.5, rng, size)
+    empty = sources.sample_arrival(0.5, rng, 0)
+    assert empty.shape == (0,) and empty.dtype == float
+
+
+def _arrival_loop(epsilon, rng, n):
+    """Per-window oracle of the block draw: ``sample_arrival(epsilon, rng)``
+    once per window, then ``rng.random()`` when a photon arrived."""
+    return np.array([rng.random() if sources.sample_arrival(epsilon, rng) else math.nan for _ in range(n)])
+
+
+# the ends of the unit interval, and within 1e-12 of both
+_EDGE_EPSILONS = (0.0, 1.0, 5e-324, 1e-13, 1e-12, 1.0 - 1e-12, 1.0 - 1e-13, 1.0 - 2.0**-53)
+
+
+@pytest.mark.parametrize("chunk", [None, 2, 3, 8])
+def test_block_arrival_draw_is_the_per_window_stream(monkeypatch, chunk):
+    # small blocks put many block edges, and the outcome uniform carried across them, in every case
+    if chunk is not None:
+        monkeypatch.setattr(sources, "ARRIVAL_CHUNK", chunk)
+    cases = np.random.default_rng(20261020)
+    for i in range(60):
+        epsilon = _EDGE_EPSILONS[i] if i < len(_EDGE_EPSILONS) else float(cases.uniform())
+        n, seed = int(cases.integers(0, 400)), int(cases.integers(2**32))
+        drawn = sources.sample_arrival(epsilon, np.random.default_rng(seed), n)
+        np.testing.assert_array_equal(drawn, _arrival_loop(epsilon, np.random.default_rng(seed), n))
+        assert drawn.shape == (n,) and drawn.dtype == float
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 1.0])
+def test_block_arrival_draw_is_the_per_window_stream_at_block_edges(epsilon):
+    chunk = sources.ARRIVAL_CHUNK
+    for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        drawn = sources.sample_arrival(epsilon, np.random.default_rng(n), n)
+        np.testing.assert_array_equal(drawn, _arrival_loop(epsilon, np.random.default_rng(n), n))
 
 
 def test_sample_arrival_statistics():
