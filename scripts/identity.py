@@ -230,6 +230,8 @@ def cli_simulate():
         dict(protocol="cnot", epsilon=0.1, g=0.8, phi=0.7, n_windows=3000, seed=1),
         dict(protocol="direct", epsilon=0.1, g=0.8, phi=0.7, n_windows=3000, seed=1, swap_bases=True),
         dict(protocol="gottesman", epsilon=0.3, g=0.6, phi=-1.2, n_windows=3000, seed=2, delta_schedule=[0.0, 0.4, 1.9]),
+        # a trace across the 10^4 and 10^5 window-number digit edges
+        dict(protocol="direct", epsilon=0.1, g=0.8, phi=0.7, n_windows=123457, seed=3),
     ])
 
 

@@ -248,6 +248,20 @@ def _write_or_print(text: str | Iterable[str], args, filename: str) -> None:
         sys.stdout.writelines(chunks)
 
 
+def _trace_chunks(outcomes, prefixes: list[str]) -> Iterable[str]:
+    """``prefixes[o] + str(w) + "}\\n"`` for each window ``w`` of outcome index ``o``, as
+    NUL-padded byte rows 1000 windows at a time (json.dumps output holds no NUL byte)."""
+    table = np.array([p.encode() for p in prefixes]).view(np.uint8).reshape(len(prefixes), -1)
+    low = np.array([b"%03d}\n" % i for i in range(1000)]).view(np.uint8).reshape(1000, 5)
+    edges = [a for a in (0, 10, 100, *range(1000, len(outcomes), 1000)) if a < len(outcomes)]
+    for a, b in zip(edges, edges[1:] + [len(outcomes)]):
+        # every window number in [a, b) has the digit count and the high digits of a
+        high = np.frombuffer(str(a)[:-3].encode(), dtype=np.uint8)
+        tail = low[a % 1000 : a % 1000 + b - a, 3 - min(len(str(a)), 3) :]
+        rows = np.hstack([table[outcomes[a:b]], np.broadcast_to(high, (b - a, high.size)), tail])
+        yield rows[rows != 0].tobytes().decode("ascii")
+
+
 def _label_text(label: tuple) -> str:
     return "(" + ",".join(f"{v:+d}" if v < 0 else str(v) for v in label) + ")"
 
@@ -355,12 +369,7 @@ def cmd_simulate(args) -> int:
             "seed": cfg.seed,
         }
         prefixes.append(json.dumps(payload, sort_keys=True)[: -len("0}")])
-
-    def trace_lines():
-        for w, o in enumerate(outcomes.tolist()):
-            yield prefixes[o] + str(w) + "}\n"
-
-    _write_or_print(trace_lines(), args, "trace.jsonl")
+    _write_or_print(_trace_chunks(outcomes, prefixes), args, "trace.jsonl")
 
     summary = {
         "protocol": cfg.protocol,
@@ -528,16 +537,9 @@ def _validate_checks():
             worst = max(worst, gap(sim, ref))
         return worst < TABLE_ATOL, f"worst |direct - reference| = {worst:.2e}"
 
-    return [
-        ("beam_splitter_bunching", beam_splitter_bunching),
-        ("circuit_matches_reference", circuit_matches_reference),
-        ("wiring_variants_agree", wiring_variants_agree),
-        ("heralds_sound", heralds_sound),
-        ("distributions_normalized", distributions_normalized),
-        ("sld_closed_forms", sld_closed_forms),
-        ("memory_round_trip", memory_round_trip),
-        ("direct_matches_reference", direct_matches_reference),
-    ]
+    checks = (beam_splitter_bunching, circuit_matches_reference, wiring_variants_agree, heralds_sound,
+              distributions_normalized, sld_closed_forms, memory_round_trip, direct_matches_reference)
+    return [(check.__name__, check) for check in checks]
 
 
 def cmd_validate(args) -> int:

@@ -182,6 +182,35 @@ def test_simulate_writes_trace_and_summary(tmp_path):
     assert int(summary["n_heralded"]) + int(summary["n_vacuum"]) == 4000
 
 
+def _trace_lines(outcomes, prefixes):
+    """The per-window trace writer that cli._trace_chunks replaces: the reference."""
+    for w, o in enumerate(outcomes.tolist()):
+        yield prefixes[o] + str(w) + "}\n"
+
+
+@pytest.mark.parametrize("protocol", ["cnot", "direct", "gottesman"])
+@pytest.mark.parametrize("seed", [7, None])
+def test_trace_chunks_equal_the_per_window_lines_across_every_chunk_edge(
+    tmp_path, capsys, monkeypatch, protocol, seed
+):
+    captured = []
+    monkeypatch.setattr(cli, "_trace_chunks", lambda outcomes, prefixes: captured.append(prefixes) or [])
+    cfg = _write_config(tmp_path, protocol=protocol, seed=seed, epsilon=0.5, g=0.8, n_windows=200)
+    assert cli.main(["simulate", "--config", str(cfg), "--format", "json"]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    (prefixes,) = captured
+    rng = np.random.default_rng(11)
+    for n in (1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1999, 2000, 9999, 10000, 10001, 100001):
+        # every outcome index the sampler can draw, -1 (no photon) included
+        outcomes = rng.integers(-1, len(prefixes) - 1, n)
+        assert "".join(cli._trace_chunks(outcomes, prefixes)) == "".join(_trace_lines(outcomes, prefixes))
+
+
+# past the first 1000-window chunk edge of the trace writer
+N_TRACE = 2345
+
+
 @pytest.mark.parametrize("protocol", ["cnot", "direct", "gottesman"])
 @pytest.mark.parametrize("seed", [7, None])
 @pytest.mark.parametrize("to_stdout", [False, True])
@@ -190,7 +219,7 @@ def test_simulate_trace_lines_are_sorted_json_of_each_window(
 ):
     schedule = [0.0, math.pi / 2.0, 1.0]
     cfg = _write_config(
-        tmp_path, protocol=protocol, seed=seed, g=0.8, delta_schedule=schedule, n_windows=600
+        tmp_path, protocol=protocol, seed=seed, g=0.8, delta_schedule=schedule, n_windows=N_TRACE
     )
     argv = ["simulate", "--config", str(cfg), "--format", "json"]
     if not to_stdout:
@@ -198,11 +227,11 @@ def test_simulate_trace_lines_are_sorted_json_of_each_window(
     assert cli.main(argv) == 0
     if to_stdout:
         printed = capsys.readouterr().out.splitlines(keepends=True)
-        lines, rest = printed[:600], printed[600:]
+        lines, rest = printed[:N_TRACE], printed[N_TRACE:]
         assert rest[0] == "{\n"
     else:
         lines = (tmp_path / "out" / "trace.jsonl").read_text().splitlines(keepends=True)
-    assert len(lines) == 600
+    assert len(lines) == N_TRACE
 
     entry = estimation.PROTOCOLS[protocol]
     labels = entry.outcomes()
@@ -222,7 +251,7 @@ def test_simulate_trace_lines_are_sorted_json_of_each_window(
         outcomes.append(o)
     if seed is not None:
         plan = estimation.ExperimentPlan(
-            protocol, StellarSource(0.3, 0.8, 0.1), tuple(schedule), 600, seed=seed
+            protocol, StellarSource(0.3, 0.8, 0.1), tuple(schedule), N_TRACE, seed=seed
         )
         np.testing.assert_array_equal(outcomes, estimation.run_experiment(plan))
 
