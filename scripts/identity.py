@@ -175,6 +175,15 @@ def mle_phase():
     return [(repr(plan), mle_phase(run_experiment(plan), plan)) for plan in _plans()]
 
 
+def mc_cnot():
+    """The benchmark's warm estimate: 20 seeded plans of the headline protocol at g = 1."""
+    from qtelescopy.estimation import DEFAULT_SCHEDULE, ExperimentPlan, mle_phase, run_experiment
+    from qtelescopy.sources import StellarSource
+
+    plans = [ExperimentPlan("cnot", StellarSource(0.7, 1.0, 0.1), DEFAULT_SCHEDULE, 10**4, seed) for seed in range(20)]
+    return [(repr(plan), mle_phase(run_experiment(plan), plan)) for plan in plans]
+
+
 def crb_report():
     from qtelescopy.estimation import DEFAULT_SCHEDULE, crb_report
 
@@ -257,6 +266,7 @@ FAMILIES = {
         run_experiment,
         run_experiment_direct_1e6,
         mle_phase,
+        mc_cnot,
         crb_report,
         cli_probs,
         cli_fisher,

@@ -97,11 +97,12 @@ def memory_final_probs(n_minus: int, phi: float, g: float, delta: float) -> dict
 
 
 def fringe_fisher(theta: float, g: float) -> float:
-    """Phase information of a balanced two-outcome fringe (1 +- g cos(theta))/2."""
-    c = g * np.cos(theta)
-    if abs(1.0 - c * c) < 1e-15:
-        raise ZeroDivisionError("fringe Fisher diverges at a deterministic outcome")
-    return g * g * np.sin(theta) ** 2 / (1.0 - c * c)
+    """Phase information of a balanced two-outcome fringe (1 +- g cos(theta))/2, g^2 sin^2 / (1 - g^2 cos^2)
+    written so that nothing cancels near g = 1, where it is 1 at every theta."""
+    if g == 1.0:
+        return 1.0
+    s2 = g * g * np.sin(theta) ** 2
+    return s2 / ((1.0 - g) * (1.0 + g) + s2)
 
 
 def direct_fisher_phi(phi: float, g: float, delta: float) -> float:

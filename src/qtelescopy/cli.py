@@ -324,18 +324,7 @@ def cmd_fisher(args) -> int:
     gs = cfg.g_values or (cfg.g,)
     deltas = cfg.delta_values or (cfg.delta,)
     rows = [_fisher_row(cfg, phi, g, delta) for phi in phis for g in gs for delta in deltas]
-    header = [
-        "phi",
-        "g",
-        "delta",
-        "f_phiphi",
-        "f_gg",
-        "f_phig",
-        "h_phiphi",
-        "h_gg",
-        "h_phig",
-        "saturability",
-    ]
+    header = ["phi", "g", "delta", "f_phiphi", "f_gg", "f_phig", "h_phiphi", "h_gg", "h_phig", "saturability"]
     _emit_table(header, rows, args, f"fisher_{cfg.protocol}")
     return 0
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import analytic
-from .errors import CHOICE_ATOL, PHASE_ATOL, TABLE_ATOL, EstimationError, NumericalInvariantError, check_table
+from .errors import PHASE_ATOL, TABLE_ATOL, EstimationError, NumericalInvariantError, check_table
 from .fisher import FisherMatrix, OutcomeModel, classical_fisher
 from .protocols import (
     N_MAX,
@@ -33,6 +33,7 @@ from .protocols import (
     ProtocolConfig,
     Variant,
     _cnot_laws,
+    _draw,
     _direct_circuit,
     _fringe_mixing,
     _gottesman_circuit,
@@ -126,19 +127,6 @@ def _sample_cnot(plan: ExperimentPlan, rng) -> np.ndarray:
     return outcomes
 
 
-def _choice_cdf(probs: np.ndarray) -> np.ndarray:
-    """The cumulative table ``Generator.choice`` draws from, after its checks:
-    the normalized table must be finite, nonnegative and sum to 1 within
-    sqrt(eps)."""
-    with np.errstate(all="ignore"):
-        p = probs / probs.sum()
-    if not (p.size and np.isfinite(p).all() and (p >= 0.0).all() and abs(math.fsum(p) - 1.0) <= CHOICE_ATOL):
-        raise NumericalInvariantError(f"outcome table {probs.tolist()!r} is not a probability distribution")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
 def _sample_table(plan: ExperimentPlan, rng) -> np.ndarray:
     """One uniform per window, resolved against its setting's outcome table
     as ``Generator.choice`` would, one setting at a time.  A table
@@ -146,21 +134,16 @@ def _sample_table(plan: ExperimentPlan, rng) -> np.ndarray:
     same point in the RNG stream; a window without one keeps the index -1."""
     entry = get_protocol(plan.protocol)
     index = _outcome_index(plan.protocol)
-    tables = []
-    for delta in plan.delta_schedule:
-        table = entry.run(plan.source, delta, plan.eta, plan.variant, plan.swap_bases)
-        ids = np.array([index[label] for label in table])
-        tables.append((ids, np.array(list(table.values()))))
-    n = plan.n_windows
+    n, n_settings = plan.n_windows, len(plan.delta_schedule)
     uniforms = sample_arrival(plan.source.epsilon, rng, n) if entry.conditioned else rng.random(n)  # nan: no arrival
     outcomes = np.full(n, -1, dtype=np.int64)
-    n_settings = len(tables)
-    for s, (ids, probs) in enumerate(tables):
+    for s, delta in enumerate(plan.delta_schedule):
+        table = entry.run(plan.source, delta, plan.eta, plan.variant, plan.swap_bases)
         u = uniforms[s::n_settings]
         drawn = ~np.isnan(u)
         if drawn.any():
-            cdf = _choice_cdf(probs)
-            outcomes[s::n_settings][drawn] = ids[cdf.searchsorted(u[drawn], side="right")]
+            ids = np.array([index[label] for label in table])
+            outcomes[s::n_settings][drawn] = ids[_draw(np.array(list(table.values())), u[drawn])]
     return outcomes
 
 
@@ -287,7 +270,8 @@ class FringeTable:
     """Heralded outcome law of one protocol setting, exact in (phi, g):
     p_o(phi, g) = A_o + g cos(phi) B_o + g sin(phi) C_o, the rows (A, B, C)
     of ``coefficients`` over the protocol's declared ``labels`` (zero outside
-    the heralded class), and ``herald`` those of the heralded-class total.
+    the heralded class), and ``herald`` those of the heralded-class total;
+    a :func:`_stack` law has one herald column per setting.
     """
 
     labels: tuple
@@ -301,12 +285,12 @@ class FringeTable:
         cross = np.linalg.norm(np.cross(self.coefficients.T, self.herald), axis=1)
         return cross > TABLE_ATOL * np.linalg.norm(self.coefficients, axis=0) * np.linalg.norm(self.herald)
 
-    def joint(self, phi, g: float, columns=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Unnormalized probabilities of the ``columns`` outcomes and the
-        heralded-class total, at one phase or along an array of phases."""
+    def joint(self, phi, g: float) -> tuple[np.ndarray, np.ndarray]:
+        """Unnormalized probabilities of the outcomes and the heralded-class
+        total, or of one per herald column, at one phase or along an array of phases."""
         phi = np.asarray(phi, dtype=float)
         basis = np.stack([np.ones_like(phi), g * np.cos(phi), g * np.sin(phi)], axis=-1)
-        probs = basis @ self.coefficients[:, columns]
+        probs = basis @ self.coefficients
         total = basis @ self.herald
         check_table(probs, "compiled outcome law", negative_atol=TABLE_ATOL)
         if np.any(total <= 0.0):
@@ -342,37 +326,39 @@ def _fringe_table(protocol: str, setting) -> FringeTable:
     return FringeTable(entry.outcomes(), coefficients, coefficients.sum(axis=1))
 
 
+def _stack(settings) -> tuple[FringeTable, np.ndarray, np.ndarray]:
+    """One law of the observed settings, each its (table, seen columns, counts k): their seen columns side by
+    side and one herald column per setting, then all the counts k and each setting's heralded total K."""
+    tables, seen, counts = zip(*settings)
+    coefficients = np.concatenate([table.coefficients[:, cols] for table, cols in zip(tables, seen)], axis=1)
+    law = FringeTable((), coefficients, np.stack([table.herald for table in tables], axis=1))
+    return law, np.concatenate(counts), np.array([k.sum() for k in counts])
+
+
 def _log_likelihood(phi, g: float, observed) -> np.ndarray:
     """Sum over settings of sum_o k_o log P(o | heralded, phi), at one phase
-    or along an array of phases.  ``observed`` holds (table, seen columns,
-    counts) per setting; an impossible phase scores -inf."""
-    out = 0.0
-    for table, seen, k in observed:
-        probs, total = table.joint(phi, g, seen)
-        with np.errstate(divide="ignore"):
-            out = out + np.log(probs / total[..., None]) @ k
-    return out
+    or along an array of phases, of the :func:`_stack` law ``observed``:
+    log P @ k - log T @ K.  An impossible phase scores -inf."""
+    table, k, heralded = observed
+    probs, total = table.joint(phi, g)
+    with np.errstate(divide="ignore"):
+        return np.log(probs) @ k - np.log(total) @ heralded
 
 
 def _score(phi: float, g: float, observed) -> tuple[float, float, float]:
-    """Log-likelihood, score and curvature in phi at one phase; an impossible
-    phase gives non-finite values and no warning.  Each observed outcome and
-    the heralded total T have p = A + g cos(phi) B + g sin(phi) C, so
-    p' = g (-B sin phi + C cos phi) and p'' = -g (B cos phi + C sin phi); a
-    setting of K heralded windows scores sum_o k_o p'_o / p_o - K T' / T."""
+    """Log-likelihood, score and curvature in phi at one phase of the :func:`_stack` law ``observed``; an
+    impossible phase gives non-finite values and no warning.  Each observed outcome and each setting's
+    heralded total T have p = A + g cos(phi) B + g sin(phi) C, so p' = g (-B sin phi + C cos phi) and
+    p'' = -g (B cos phi + C sin phi); a setting of K heralded windows scores sum_o k_o p'_o / p_o - K T' / T."""
     c, s = g * math.cos(phi), g * math.sin(phi)
     slopes = np.array([[0.0, -s, c], [0.0, -c, -s]])
-    value = score = curvature = 0.0
+    table, k, heralded = observed
     with np.errstate(all="ignore"):
-        for table, seen, k in observed:
-            probs, total = table.joint(phi, g, seen)
-            value += np.log(probs / total) @ k
-            d1, d2 = slopes @ table.coefficients[:, seen] / probs
-            t1, t2 = slopes @ table.herald / total
-            heralded = k.sum()
-            score += d1 @ k - heralded * t1
-            curvature += (d2 - d1 * d1) @ k - heralded * (t2 - t1 * t1)
-    return value, score, curvature
+        probs, total = table.joint(phi, g)
+        d1, d2 = slopes @ table.coefficients / probs
+        t1, t2 = slopes @ table.herald / total
+        value = np.log(probs) @ k - np.log(total) @ heralded
+        return value, d1 @ k - t1 @ heralded, (d2 - d1 * d1) @ k - (t2 - t1 * t1) @ heralded
 
 
 def _newton_max(terms, center: float, step: float) -> float:
@@ -443,8 +429,8 @@ def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
         raise EstimationError(f"outcome indices must lie in [-1, {n_classes - 1})")
     # window w uses setting w mod n_settings; index -1 (no photon) lands in
     # the last column, the VACUUM class
-    cells = np.arange(outcomes.size) % n_settings * n_classes + outcomes % n_classes
-    counts = np.bincount(cells, minlength=n_settings * n_classes).reshape(n_settings, n_classes)
+    counts = np.roll([np.bincount(np.add(outcomes[s::n_settings], 1, dtype=np.int64), minlength=n_classes)
+                      for s in range(n_settings)], -1, axis=1)
     n_heralded = int(counts[:, heralded].sum())
     n_vacuum = int(counts[:, vacuum].sum())
     if n_heralded == 0:
@@ -464,6 +450,7 @@ def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
         raise EstimationError("the heralded law carries no phase (as at g = 0): the likelihood is flat in phi")
     _check_schedule_identifiable(plan.delta_schedule)
 
+    observed = _stack(observed)
     grid = _phi_grid()
     center = grid[int(np.argmax(_log_likelihood(grid, source.g, observed)))]
     phi_hat = wrap_phase(_newton_max(lambda phi: _score(phi, source.g, observed), center, grid[1] - grid[0]))

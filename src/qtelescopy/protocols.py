@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NORM_ATOL, SUM_ATOL, TABLE_ATOL, check_table
+from .errors import CHOICE_ATOL, NORM_ATOL, SUM_ATOL, TABLE_ATOL, NumericalInvariantError, check_table
 from .gates import (
     MeasurementBasis,
     beam_splitter,
@@ -53,7 +53,7 @@ from .gates import (
     x_basis,
     z_fock,
 )
-from .sources import NO_PHOTON, StellarSource, _integer
+from .sources import NO_PHOTON, StellarSource, _integer, _two_mode_kets
 from .state_engine import (
     ModeUnitary,
     QubitRegister,
@@ -309,6 +309,22 @@ def cnot_distribution(source: StellarSource, config: ProtocolConfig) -> dict:
     return _read_laws(source, _cnot_laws(config.delta, config.eta, config.variant), "six-mode")
 
 
+def _draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The index that each uniform in [0, 1) picks in ``probs``, a table of a few dozen entries at most, as
+    ``Generator.choice(len(probs), p=probs)`` resolves it after its checks (the table must be nonnegative and, once
+    normalized, finite and sum to 1 within sqrt(eps)): the inner steps of its cdf at or below the uniform, which is
+    ``cdf.searchsorted(u, side="right")``."""
+    with np.errstate(all="ignore"):
+        p = probs / probs.sum()
+    if not (p.size and probs.min() >= 0.0 and abs(math.fsum(p.tolist()) - 1.0) <= CHOICE_ATOL):  # nan fails both
+        raise NumericalInvariantError(f"outcome table {probs.tolist()!r} is not a probability distribution")
+    cdf = p.cumsum()
+    index = np.zeros(uniforms.shape, dtype=np.int64)
+    for step in cdf[:-1] / cdf[-1]:
+        index += uniforms >= step
+    return index
+
+
 class CnotWindows(Sequence):
     """The windows of :func:`sample_cnot_windows`: read-only arrays of each window's (source branch, ancilla present)
     row, ``branch``, and the flat basis index of its counts, ``outcome``; item ``w`` is its ``(source branch,
@@ -338,20 +354,18 @@ def sample_cnot_windows(source: StellarSource, config: ProtocolConfig, n_windows
     """Batch window sampler: (source branch, ancilla present, record) per window.
 
     Each window draws its branch, then its outcome given the branch, the same law as collapsing one
-    window's circuit, from pure-branch tables simulated once: one ``rng.choice`` picks every branch,
-    then one per branch drawn from picks its outcomes, in that table's own key order.
+    window's circuit, from pure-branch tables simulated once: one block of uniforms picks every branch,
+    then one per branch drawn from picks its outcomes, in that table's own key order, by :func:`_draw`.
     """
     rng = np.random.default_rng(rng)
     branches = cnot_branches(source, config)
-    weights = np.array([w for _, _, w, _ in branches])
-    picks = rng.choice(len(branches), size=n_windows, p=weights / weights.sum())
-    pick_counts = np.bincount(picks, minlength=len(branches))
+    picks = _draw(np.array([w for _, _, w, _ in branches]), rng.random(n_windows))
     outcome = np.empty(n_windows, dtype=np.int64)
     for b, (_, _, _, table) in enumerate(branches):
-        if pick_counts[b]:
+        picked = picks == b
+        if n_picked := np.count_nonzero(picked):
             flat = np.array([basis_index(label, N_MAX) for label in table])
-            probs = np.array(list(table.values()))
-            outcome[picks == b] = flat[rng.choice(len(flat), size=int(pick_counts[b]), p=probs / probs.sum())]
+            outcome[picked] = flat[_draw(np.array(list(table.values())), rng.random(n_picked))]
     return CnotWindows([(name, present) for name, present, _, _ in branches], picks, outcome)
 
 
@@ -424,9 +438,8 @@ def _gottesman_circuit(delta: float, optics: tuple = ()):
     beam splitter and photon counting."""
     if not math.isfinite(delta):
         raise ValueError(f"ancilla phase {delta!r} is not a finite angle")
-    one = fock((1, 0), N_MAX)
-    other = fock((0, 1), N_MAX)
-    anc = StateVector((one.amplitudes + np.exp(1j * delta) * other.amplitudes) / np.sqrt(2.0), 2, N_MAX)
+    _, one, other = _two_mode_kets(N_MAX)
+    anc = StateVector((one + np.exp(1j * delta) * other) / np.sqrt(2.0), 2, N_MAX)
     steps = optics + (beam_splitter(STAR_L4, ANC_L4, N_MAX), beam_splitter(STAR_R4, ANC_R4, N_MAX))
     return lambda star: _count_table(tensor_at([(star, (STAR_L4, STAR_R4)), (anc, (ANC_L4, ANC_R4))]), steps)
 

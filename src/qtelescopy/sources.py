@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,14 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+@lru_cache(maxsize=None)
+def _two_mode_kets(n_max: int) -> np.ndarray:
+    """Read-only amplitudes of |00>, |10> and |01> at the cutoff ``n_max``, one row each."""
+    kets = np.stack([fock(occupations, n_max).amplitudes for occupations in ((0, 0), (1, 0), (0, 1))])
+    kets.setflags(write=False)
+    return kets
 
 
 @dataclass(frozen=True)
@@ -66,12 +75,11 @@ class StellarSource:
             (1 - eps) |00> + eps (1+g)/2 psi_+ + eps (1-g)/2 psi_-.
         """
         phase = np.exp(-1j * self.phi)
-        one_l = fock((1, 0), n_max)
-        one_r = fock((0, 1), n_max)
-        psi_plus = StateVector((one_l.amplitudes + phase * one_r.amplitudes) / np.sqrt(2.0), 2, n_max)
-        psi_minus = StateVector((one_l.amplitudes - phase * one_r.amplitudes) / np.sqrt(2.0), 2, n_max)
+        vacuum, one_l, one_r = _two_mode_kets(n_max)
+        psi_plus = StateVector((one_l + phase * one_r) / np.sqrt(2.0), 2, n_max)
+        psi_minus = StateVector((one_l - phase * one_r) / np.sqrt(2.0), 2, n_max)
         return [
-            (1.0 - self.epsilon, fock((0, 0), n_max)),
+            (1.0 - self.epsilon, StateVector(vacuum, 2, n_max)),
             (self.epsilon * (1.0 + self.g) / 2.0, psi_plus),
             (self.epsilon * (1.0 - self.g) / 2.0, psi_minus),
         ]

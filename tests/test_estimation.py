@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walks
-from qtelescopy import analytic, cli, estimation
+from qtelescopy import analytic, cli, estimation, protocols
 from qtelescopy.errors import EstimationError, FisherDivergenceError, NumericalInvariantError
 from qtelescopy.fisher import DERIVATIVE_FLOOR, FD_STEP, G_BOUNDARY, PROB_FLOOR
 from qtelescopy.estimation import (
@@ -316,16 +316,16 @@ def test_cnot_window_sequence_reads_as_the_record_list(variant):
             array[0] = 0
 
 
+# (1, 1) and (1, -1) entries; the total of the third overflows, so its normalized table sums to 0, and
+# the last normalizes to a distribution, which Generator.choice(p=table / table.sum()) would draw from
+_NOT_DISTRIBUTIONS = [(-0.1, 1.1), (math.nan, 1.0), (1e308, 1e308), (), (-0.25, -0.75)]
+_NOT_DISTRIBUTION_IDS = ["negative", "nan", "overflow", "empty", "all-negative"]
+
+
 @pytest.mark.parametrize(
     "table",
-    [
-        {(1, 1): -0.1, (1, -1): 1.1},
-        {(1, 1): math.nan, (1, -1): 1.0},
-        # the total overflows, so the normalized table sums to 0
-        {(1, 1): 1e308, (1, -1): 1e308},
-        {},
-    ],
-    ids=["negative", "nan", "overflow", "empty"],
+    [dict(zip([(1, 1), (1, -1)], entries)) for entries in _NOT_DISTRIBUTIONS],
+    ids=_NOT_DISTRIBUTION_IDS,
 )
 def test_table_sampler_refuses_a_table_that_is_not_a_distribution(monkeypatch, table):
     entry = dataclasses.replace(estimation.PROTOCOLS["direct"], run=lambda *args: dict(table))
@@ -335,6 +335,21 @@ def test_table_sampler_refuses_a_table_that_is_not_a_distribution(monkeypatch, t
     # a table that is never drawn from is never checked
     no_photon = run_experiment(_plan(protocol="direct", epsilon=0.0, n_windows=100))
     np.testing.assert_array_equal(no_photon, np.full(100, -1))
+
+
+@pytest.mark.parametrize("entries", _NOT_DISTRIBUTIONS, ids=_NOT_DISTRIBUTION_IDS)
+@pytest.mark.parametrize("where", ["branch weights", "branch table"])
+def test_cnot_sampler_refuses_a_table_that_is_not_a_distribution(monkeypatch, entries, where):
+    # numpy's own Generator.choice raised a ValueError here; simulate maps this error to exit 3
+    labels = [(1, 0, 1, 0, 0, 1), (0, 0, 1, 1, 0, 0)]
+    good = dict(zip(labels, (0.25, 0.75)))
+    if where == "branch weights":
+        branches = [("plus", True, w, good) for w in entries]
+    else:
+        branches = [("plus", True, 0.5, good), ("minus", True, 0.5, dict(zip(labels, entries)))]
+    monkeypatch.setattr(protocols, "cnot_branches", lambda source, config: branches)
+    with pytest.raises(NumericalInvariantError, match="not a probability distribution"):
+        sample_cnot_windows(StellarSource(0.7, 1.0, 0.1), ProtocolConfig(0.0), 100, np.random.default_rng(3))
 
 
 def test_mle_recovers_phase_cnot():
@@ -644,7 +659,7 @@ def test_log_likelihood_on_the_grid_is_the_compiled_law():
     setting = (0.4, 0.1, 1.0, Variant.CNOT_SEQUENCE, False)
     table = estimation._fringe_table("cnot", setting)
     seen = np.flatnonzero(table.coefficients.any(axis=0))
-    observed = [(table, seen, np.arange(1.0, seen.size + 1.0))]
+    observed = estimation._stack([(table, seen, np.arange(1.0, seen.size + 1.0))])
     grid = estimation._phi_grid()
     scores = estimation._log_likelihood(grid, 0.8, observed)
     assert scores.shape == grid.shape
@@ -664,12 +679,38 @@ def test_log_likelihood_on_the_grid_is_the_compiled_law():
         )
 
 
+def test_stacked_law_scores_each_setting_against_its_own_heralded_total():
+    # every protocol's heralded total is flat in phi and alike across settings; these are neither
+    rng = np.random.default_rng(28)
+    settings = []
+    for n in (3, 2, 4):
+        coefficients = np.vstack([rng.uniform(1.0, 2.0, n), rng.uniform(-0.5, 0.5, (2, n))])
+        table = estimation.FringeTable(tuple(range(n)), coefficients, coefficients.sum(axis=1))
+        seen = np.arange(1, n)
+        settings.append((table, seen, rng.integers(1, 50, seen.size).astype(float)))
+    observed = estimation._stack(settings)
+
+    def per_setting(phi):
+        terms = [(table.joint(phi, 0.7), seen, k) for table, seen, k in settings]
+        return sum(np.log(probs[..., seen] / total[..., None]) @ k for (probs, total), seen, k in terms)
+
+    grid = estimation._phi_grid()
+    np.testing.assert_allclose(estimation._log_likelihood(grid, 0.7, observed), per_setting(grid), rtol=1e-12)
+    h = 1e-4
+    for phi in (-2.0, 0.3, 1.9):
+        value, score, curvature = estimation._score(phi, 0.7, observed)
+        below, at, above = (per_setting(phi + d) for d in (-h, 0.0, h))
+        assert value == pytest.approx(at, rel=1e-12)
+        assert score == pytest.approx((above - below) / (2 * h), rel=1e-6)
+        assert curvature == pytest.approx((above - 2 * at + below) / h**2, rel=1e-5)
+
+
 def test_log_likelihood_of_an_impossible_phase_is_minus_infinity():
     # p_a = (1 + cos phi) / 2 vanishes at phi = pi, where a was observed
     table = estimation.FringeTable(
         ("a", "b"), np.array([[0.5, 0.5], [0.5, -0.5], [0.0, 0.0]]), np.array([1.0, 0.0, 0.0])
     )
-    observed = [(table, np.array([0]), np.array([3.0]))]
+    observed = estimation._stack([(table, np.array([0]), np.array([3.0]))])
     scores = estimation._log_likelihood(np.array([0.0, math.pi]), 1.0, observed)
     assert scores[0] == pytest.approx(0.0, abs=1e-15)
     assert scores[1] == -math.inf
@@ -721,7 +762,9 @@ def test_mle_refuses_outcomes_of_the_wrong_length_or_type():
                 outcomes.astype(float), outcomes.astype(bool), list(map(str, outcomes))):
         with pytest.raises(EstimationError, match="10 outcome indices"):
             mle_phase(bad, plan)
+    # uint64 indices pass the dtype check; their tally once mixed int64 and uint64 into float64 cells
     assert mle_phase(outcomes.astype(np.int32), plan) == mle_phase(list(outcomes), plan)
+    assert mle_phase(outcomes.astype(np.uint64), plan) == mle_phase(outcomes, plan)
 
 
 def test_fringe_table_guards():
@@ -819,8 +862,9 @@ def _fringe(shift, weight, sign=1.0):
     return estimation.FringeTable(("a",), coefficients, np.array([1.0, 0.0, 0.0]))
 
 
-def _refine(observed, g=1.0):
-    """mle_phase's grid scan and refine on ``observed``; also the grid peak."""
+def _refine(settings, g=1.0):
+    """mle_phase's grid scan and refine on the (table, seen columns, counts) ``settings``; also the grid peak."""
+    observed = estimation._stack(settings)
     grid = estimation._phi_grid()
     center = grid[int(np.argmax(estimation._log_likelihood(grid, g, observed)))]
     terms = lambda phi: estimation._score(phi, g, observed)  # noqa: E731
@@ -831,15 +875,15 @@ def test_newton_refine_finds_a_maximum_at_the_cell_edge():
     grid = estimation._phi_grid()
     step = grid[1] - grid[0]
     peak = 0.3
-    observed = [(_fringe(peak, 1.0), np.array([0]), np.array([50.0]))]
+    observed = estimation._stack([(_fringe(peak, 1.0), np.array([0]), np.array([50.0]))])
     terms = lambda phi: estimation._score(phi, 1.0, observed)  # noqa: E731
     # the search interval ends at the maximum, on either side
     assert abs(estimation._newton_max(terms, peak - step, step) - peak) < 1e-12
     assert abs(estimation._newton_max(terms, peak + step, step) - peak) < 1e-12
     # halfway between two grid points, both score alike
     halfway = (grid[600] + grid[601]) / 2.0
-    observed = [(_fringe(halfway, 1.0), np.array([0]), np.array([50.0]))]
-    phi_hat, center = _refine(observed)
+    settings = [(_fringe(halfway, 1.0), np.array([0]), np.array([50.0]))]
+    phi_hat, center = _refine(settings)
     assert center in (grid[600], grid[601])
     assert abs(phi_hat - halfway) < 1e-12
 
@@ -857,14 +901,15 @@ def test_newton_refine_steps_around_an_observed_outcome_that_vanishes_in_the_cel
         np.array([[0.5, 0.5], [0.5 * math.cos(s), -0.5 * math.cos(s)], [0.5 * math.sin(s), -0.5 * math.sin(s)]]),
         np.array([1.0, 0.0, 0.0]),
     )
-    observed = [(table, np.array([0, 1]), np.array([1e6, 1.0]))]
+    settings = [(table, np.array([0, 1]), np.array([1e6, 1.0]))]
+    observed = estimation._stack(settings)
     assert table.joint(s, 1.0)[0][1] < 1e-15
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        phi_hat, center = _refine(observed)
+        phi_hat, center = _refine(settings)
     assert math.isfinite(phi_hat) and abs(phi_hat - center) <= step
     assert abs(center - s) < step
-    root = _mp_score_root(observed, 1.0, phi_hat)
+    root = _mp_score_root(settings, 1.0, phi_hat)
     assert root is not None and abs(phi_hat - root) < 1e-12
     # a maximum, no worse than the grid peak
     assert estimation._score(phi_hat, 1.0, observed)[0] >= estimation._score(center, 1.0, observed)[0]
@@ -892,7 +937,7 @@ def test_newton_refine_keeps_the_peak_side_of_a_worse_or_impossible_point(beyond
 
 def test_score_at_an_impossible_phase_is_not_finite_and_warns_nothing():
     # p_a = (1 + cos phi) / 2 is exactly zero at phi = pi
-    observed = [(_fringe(0.0, 1.0), np.array([0]), np.array([3.0]))]
+    observed = estimation._stack([(_fringe(0.0, 1.0), np.array([0]), np.array([3.0]))])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value, score, curvature = estimation._score(math.pi, 1.0, observed)

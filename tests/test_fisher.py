@@ -80,6 +80,23 @@ def test_classical_fisher_matches_fringe_formula(phi, g):
     )
 
 
+@pytest.mark.parametrize("g, theta", [(1.0 - 1e-12, 1e-6), (1.0 - 1e-9, 1e-5), (1.0 - 1e-6, 1e-4), (0.6, 1.3)])
+def test_fringe_fisher_oracle_does_not_cancel_near_unit_visibility(g, theta):
+    # the plain form g^2 sin^2 / (1 - g^2 cos^2) is 3e-5 relative off at the first point; the reference
+    # takes the float inputs as they are, or their own rounding would show as a 1.5e-5 error
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(60):
+        g_mp, theta_mp = mp.mpf(g), mp.mpf(theta)
+        exact = float(g_mp**2 * mp.sin(theta_mp) ** 2 / (1 - g_mp**2 * mp.cos(theta_mp) ** 2))
+    assert analytic.fringe_fisher(theta, g) == pytest.approx(exact, rel=4e-16, abs=0.0)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-9, 0.3, math.pi / 2.0, math.pi])
+def test_fringe_fisher_oracle_is_one_on_the_unit_visibility_face(theta):
+    # 1 at every theta, the limit at theta = 0 and pi too, where the plain form divides 0 by 0
+    assert analytic.fringe_fisher(theta, 1.0) == 1.0
+
+
 def test_classical_fisher_two_parameter_symmetry():
     model = _direct_model(0.3)
     fm = fisher.classical_fisher(model, at=(0.7, 0.8))

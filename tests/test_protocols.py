@@ -332,6 +332,26 @@ def test_window_sampler_agrees_with_per_window_circuit(variant):
     assert abs(p_slow - p_fast) < 4 * sigma
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.0, 1e-300, 0.25, 0.5, 1.0, 3.0]) | st.floats(0.0, 1.0), min_size=1, max_size=12),
+    st.integers(0, 2**32 - 1),
+)
+def test_table_draw_counts_cdf_steps_as_searchsorted_and_choice_do(weights, seed):
+    # zero-width steps, and uniforms exactly on a cdf value or one ulp below it
+    probs = np.array(weights)
+    if not probs.sum() > 0.0:
+        return
+    cdf = (probs / probs.sum()).cumsum()  # as Generator.choice forms it
+    cdf /= cdf[-1]
+    on_steps = cdf[cdf < 1.0]
+    uniforms = np.concatenate([on_steps, np.nextafter(on_steps, 0.0), [0.0, np.nextafter(1.0, 0.0)],
+                               np.random.default_rng(seed).random(50)])
+    np.testing.assert_array_equal(protocols._draw(probs, uniforms), cdf.searchsorted(uniforms, side="right"))
+    chosen = np.random.default_rng(seed).choice(len(probs), size=50, p=probs / probs.sum())
+    np.testing.assert_array_equal(protocols._draw(probs, np.random.default_rng(seed).random(50)), chosen)
+
+
 def test_sampled_heralds_match_branch_truth():
     src = StellarSource(phi=0.4, g=0.9, epsilon=0.2)
     cfg = ProtocolConfig(delta=0.5)
