@@ -103,17 +103,6 @@ def sample_cnot_windows():
     }
 
 
-def run_direct_window():
-    from qtelescopy.protocols import run_direct_window
-
-    return {
-        (swap, seed, point): run_direct_window(_source(point), point[3], seed, swap)
-        for swap in (False, True)
-        for seed in range(20)
-        for point in POINTS[:2]
-    }
-
-
 def _memory_runs(run):
     from qtelescopy.sources import NO_PHOTON
 
@@ -260,7 +249,6 @@ FAMILIES = {
         gottesman_haar_bound,
         direct_distribution,
         sample_cnot_windows,
-        run_direct_window,
         run_memory_modified,
         run_memory_unmodified,
         run_experiment,
@@ -276,7 +264,7 @@ FAMILIES = {
     )
 }
 # a subset that takes about a second, for the test suite
-QUICK = ("cnot_distribution", "direct_distribution", "sample_cnot_windows", "run_direct_window", "run_memory_unmodified")
+QUICK = ("cnot_distribution", "direct_distribution", "sample_cnot_windows", "run_memory_unmodified")
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,6 @@ from .protocols import (
     linear_bound_search,
     memory_resources,
     pairs_for_bins,
-    run_direct_window,
     run_memory_modified,
     run_memory_unmodified,
     sample_cnot_windows,

@@ -18,12 +18,13 @@ Four measurement schemes over the same two-port stellar source:
 Every distribution here is produced by running the corresponding circuit through the state
 engine; closed-form outcome tables live only in the test oracles.  Each wiring of the six-mode
 circuit, the four-mode baseline and the direct readout is written once as a tuple of gates and
-readouts: :func:`_walk` enumerates its readout outcomes into a table, or samples one outcome each
-for a window.  Each window state is linear in nu = g e^{-i phi} and each circuit a fixed linear map,
-so :func:`_compile` walks a circuit four times per setting into its law, rows (V, K, X, Y) over its
-support, which every distribution function reads (:func:`_read_laws`); the batch sampler draws each
-six-mode window's branch and flat outcome index from walked branch tables, as arrays.  The local X
-readouts that decode a Bell pair are the direct readout at delta = 0, drawn from the same enumeration.
+readouts: :func:`_walk` enumerates its readout outcomes, and never samples.  Each window state is
+linear in nu = g e^{-i phi} and each circuit a fixed linear map, so :func:`_compile` walks a circuit
+four times per setting into its law, rows (V, K, X, Y) over its support, which every distribution
+function reads (:func:`_read_laws`); the batch sampler draws each six-mode window's branch and flat
+outcome index from walked branch tables, as arrays, and the modified memory protocol draws its direct
+readout from the table it reports.  The local X readouts that decode a Bell pair are the direct
+readout at delta = 0, drawn from the same enumeration.
 """
 
 from __future__ import annotations
@@ -182,29 +183,23 @@ def _cnot_steps(delta: float, variant: Variant) -> tuple:
     return phase + lab(STAR_L, ANC_L, EXTRA_L) + lab(STAR_R, ANC_R, EXTRA_R) + closing
 
 
-def _walk(state, steps, rng=None, weight=1.0):
+def _walk(state, steps, weight=1.0):
     """Run a wiring on ``state``: yield ``(outcomes, weight, state)`` per readout path.
 
     A step is a gate, or a readout ``(basis, then)`` whose ``then[i]`` holds
-    the gates that follow ``basis.outcomes[i]``.  Without ``rng`` every
-    outcome of nonzero weight is followed through :func:`project`, its
-    weight multiplied into ``weight`` left to right; with ``rng`` each
-    readout samples one outcome, and the one path keeps ``weight``.
+    the gates that follow ``basis.outcomes[i]``.  Every outcome of nonzero
+    weight is followed through :func:`project`, its weight multiplied into
+    ``weight`` left to right.
     """
     for i, step in enumerate(steps):
         if isinstance(step, ModeUnitary):
             state = apply_unitary(state, step)
             continue
         basis, then = step
-        if rng is None:
-            reads = ((outcome, *project(state, basis, outcome)) for outcome in basis.outcomes)
-        else:
-            outcome, post = measure_in_basis(state, basis, rng)
-            reads = ((outcome, 1.0, post),)
-        for outcome, w, post in reads:
+        for outcome, after in zip(basis.outcomes, then):
+            w, post = project(state, basis, outcome)
             if post is not None:
-                rest = then[basis.outcomes.index(outcome)] + steps[i + 1 :]
-                for tail, leaf_weight, leaf in _walk(post, rest, rng, weight * w):
+                for tail, leaf_weight, leaf in _walk(post, after + steps[i + 1 :], weight * w):
                     yield (outcome,) + tail, leaf_weight, leaf
         return
     yield (), weight, state
@@ -373,13 +368,6 @@ def sample_cnot_windows(source: StellarSource, config: ProtocolConfig, n_windows
 # direct two-basis readout
 
 
-def _fringe_branches(source: StellarSource, n_max: int) -> list[tuple[float, StateVector]]:
-    """The two one-photon fringe eigenstates at cutoff ``n_max`` with their
-    conditional weights (1 +- g)/2."""
-    _, (_, psi_plus), (_, psi_minus) = source.pure_branches(n_max)
-    return [((1.0 + source.g) / 2.0, psi_plus), ((1.0 - source.g) / 2.0, psi_minus)]
-
-
 @lru_cache(maxsize=64)
 def _direct_steps(delta: float, n_max: int, swap_bases: bool) -> tuple:
     """The direct readout as :func:`_walk` steps: X in one lab, the
@@ -413,17 +401,6 @@ def direct_distribution(
     if source.epsilon == 0.0:
         return {}
     return dict.fromkeys(labels, 0.0) | _read_laws(source, [(1.0, labels, rows)], "direct", conditioned=True)
-
-
-def run_direct_window(
-    source: StellarSource, delta: float, rng=None, swap_bases: bool = False
-) -> tuple[int, int]:
-    """Sample one conditioned direct-readout outcome pair."""
-    rng = np.random.default_rng(rng)
-    fringe = _fringe_branches(source, N_MAX)
-    psi = fringe[int(rng.choice(2, p=np.array([w for w, _ in fringe])))][1]
-    ((outcomes, _, _),) = _walk(psi, _direct_steps(delta, N_MAX, swap_bases), rng)
-    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +611,9 @@ def run_memory_modified(
     The arrival bin is stamped into ceil(log2(N+1)) Bell pairs and decoded
     by local X measurements; because either lab's phase flip produces the
     same |Phi-> state, the stellar photon is left untouched and its two
-    ports are then measured exactly as in the direct readout.
+    ports are then measured exactly as in the direct readout: one uniform
+    picks the outcome pair from :func:`direct_distribution` conditioned on
+    the given arrival, the same table at every epsilon, 0 included.
     """
     arrival = _validate_arrival(n_bins, arrival, delta)
     rng = np.random.default_rng(rng_seed)
@@ -643,10 +622,9 @@ def run_memory_modified(
     decoded = decode_time_bin(register, rng)
     if arrival is NO_PHOTON:
         return MemoryRunResult(decoded, None, None, None)
-    outcome = run_direct_window(source, delta, rng, swap_bases)
-    return MemoryRunResult(
-        decoded, outcome, None, direct_distribution(source, delta, swap_bases)
-    )
+    table = direct_distribution(replace(source, epsilon=1.0), delta, swap_bases)
+    outcome = list(table)[_draw(np.array(list(table.values())), rng.random(1))[0]]
+    return MemoryRunResult(decoded, outcome, None, table)
 
 
 def _read(state: QubitRegister, modes: list, mode: int, rng, basis: MeasurementBasis | None = None):
@@ -716,7 +694,8 @@ def run_memory_unmodified(
     pair_l = [2 + 2 * n_pairs + 2 * i for i in range(n_pairs)]
     pair_r = [3 + 2 * n_pairs + 2 * i for i in range(n_pairs)]
 
-    (w_plus, star), (w_minus, _) = _fringe_branches(source, n_max)
+    _, (_, star), _ = source.pure_branches(n_max)
+    w_plus, w_minus = (1.0 + source.g) / 2.0, (1.0 - source.g) / 2.0
     # the memory qubits, named by no factor, start in vacuum
     factors = [(star, (star_l, star_r))]
     factors += [(StateVector(BELL_PLUS, 2, n_max), (pair_l[i], pair_r[i])) for i in range(n_pairs)]

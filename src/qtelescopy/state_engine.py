@@ -14,11 +14,10 @@ A :class:`QubitRegister` (a cutoff-1 state held on its support) takes a gate
 whose matrix is a signed permutation of its local labels (the Fock-qubit
 gates and phase shifts at ``n_max = 1``): the image and phase of each label
 are read off the matrix once per gate and placement, and applied as XORs and
-phases of the register's labels.  On a dense register a gate with entries 0
-and +-1 only (the Fock-qubit gates) is one signed gather of the amplitudes;
-others multiply their matrix into the target modes through ``_gather``, a
-cached table of flat indices with those modes leading.  One-mode projectors act on
-the ``(d**m, d, rest)`` view of mode ``m``.  A rank-1 one-mode projection
+phases of the register's labels.  On a dense register every gate multiplies
+its matrix into the target modes through ``_gather``, a cached table of flat
+indices with those modes leading.  One-mode projectors act on the
+``(d**m, d, rest)`` view of mode ``m``.  A rank-1 one-mode projection
 leaves the product of its vector and a state of the other modes, so a caller
 that never gates the measured mode again may drop it and keep that factor.
 """
@@ -26,7 +25,7 @@ that never gates the measured mode again may drop it and keep that factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -267,10 +266,6 @@ class ModeUnitary:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "valid_mask", mask)
 
-    @cached_property
-    def is_identity(self) -> bool:
-        return bool(self.valid_mask.all()) and np.array_equal(self.matrix, np.eye(len(self.matrix)))
-
     def invalid_labels(self) -> list[tuple[int, ...]]:
         """Local labels outside ``valid_mask`` as int tuples; also read off a measurement basis."""
         return list(map(tuple, labels_array(len(self.target_modes), self.n_max)[~self.valid_mask].tolist()))
@@ -306,21 +301,6 @@ def _apply_block(matrix: np.ndarray, modes: tuple[int, ...], state: StateVector)
     out = np.empty_like(state.amplitudes)
     out[table] = matrix @ state.amplitudes[table]
     return out
-
-
-@lru_cache(maxsize=256)
-def _signed_gather(gate: ModeUnitary, mode_count: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Read-only ``(src, sign)`` with ``amps[src] * sign`` the block product of ``gate`` on a dense register, bit
-    for bit, when its entries are exactly 0 or +-1, at most one per row (the Fock-qubit gates); else ``None``."""
-    m = gate.matrix
-    if not np.isin(m, (-1, 0, 1)).all() or (m != 0).sum(axis=1).max() > 1:
-        return None
-    cols, table = (m != 0).argmax(axis=1), _gather(gate.target_modes, gate.n_max + 1, mode_count)
-    src, sign = np.empty(table.size, np.intp), np.empty(table.size, complex)
-    src[table], sign[table] = table[cols], m[range(len(m)), cols][:, None]
-    for array in (src, sign):
-        array.setflags(write=False)
-    return src, sign
 
 
 def _apply_one_mode(op: np.ndarray, mode: int, amps: np.ndarray, d: int) -> np.ndarray:
@@ -380,8 +360,8 @@ def apply_unitary(state, gate: ModeUnitary):
 
     Raises :class:`InvalidSubspaceError` by :func:`check_support`, and :class:`LeakageError` if the
     application loses more than ``NORM_ATOL`` of squared norm (weight pushed past the cutoff), or the
-    input's norm is not finite, before any gate arithmetic.  Exact identities are returned unchanged.  A register
-    refuses a gate that is not a signed permutation at cutoff 1 (:class:`QubitRegisterError`).
+    input's norm is not finite, before any gate arithmetic.  A register refuses a gate that is not a
+    signed permutation at cutoff 1 (:class:`QubitRegisterError`).
     """
     qubits = isinstance(state, QubitRegister)
     if not qubits and not isinstance(state, StateVector):
@@ -391,8 +371,6 @@ def apply_unitary(state, gate: ModeUnitary):
     if gate.n_max != state.n_max:
         raise ValueError("gate and state cutoffs differ")
     _check_modes(gate.target_modes, state.mode_count)
-    if gate.is_identity:
-        return state
 
     check_support(gate, state, gate.name or "gate")
     before = float(np.vdot(state.amplitudes, state.amplitudes).real)
@@ -401,8 +379,6 @@ def apply_unitary(state, gate: ModeUnitary):
     elif qubits:
         local = state._local_index(gate.target_modes)
         new = QubitRegister(state.labels ^ flips[local], state.amplitudes * phases[local], state.mode_count)
-    elif signed := _signed_gather(gate, state.mode_count):
-        new = StateVector(state.amplitudes[signed[0]] * signed[1], state.mode_count, state.n_max)
     else:
         new = StateVector(_apply_block(gate.matrix, gate.target_modes, state), state.mode_count, state.n_max)
     after = float(np.vdot(new.amplitudes, new.amplitudes).real)

@@ -35,7 +35,6 @@ from qtelescopy.protocols import (
     linear_bound_search,
     memory_resources,
     pairs_for_bins,
-    run_direct_window,
     run_memory_modified,
     run_memory_unmodified,
     sample_cnot_windows,
@@ -61,7 +60,7 @@ def _collapse_cnot_window(source, config, rng) -> DetectionRecord:
     star = branches[int(rng.choice(3, p=weights / weights.sum()))][1]
     present = bool(rng.random() < config.eta)
     steps = protocols._cnot_steps(config.delta, config.variant)
-    ((_, _, state),) = protocols._walk(protocols._cnot_input_state(star, present), steps, rng)
+    state = walks.collapsed_walk(protocols._cnot_input_state(star, present), steps, rng)
     probs = state.probabilities()
     index = int(rng.choice(len(probs), p=probs / probs.sum()))
     counts = state_engine.basis_label(index, state.mode_count, state.n_max)
@@ -442,22 +441,14 @@ def test_direct_distribution_flat_at_zero_visibility():
         np.testing.assert_allclose(p, 0.25, atol=1e-12)
 
 
-def test_run_direct_window_deterministic(rng):
-    src = StellarSource(phi=0.9, g=0.8, epsilon=0.3)
-    a = [run_direct_window(src, 0.2, rng=np.random.default_rng(s)) for s in range(15)]
-    b = [run_direct_window(src, 0.2, rng=np.random.default_rng(s)) for s in range(15)]
-    assert a == b
-    assert all(x in (-1, 1) and r in (-1, 1) for x, r in a)
-
-
 @pytest.mark.parametrize("swap", [False, True])
 def test_direct_window_frequencies_match_the_distribution(swap):
-    # the sampled readout and the enumerated table walk the same wiring
+    # the modified memory protocol's direct readout, drawn window by window
     src = StellarSource(phi=0.9, g=0.8, epsilon=0.3)
     table = direct_distribution(src, 0.2, swap_bases=swap)
     rng = np.random.default_rng(41)
     n = 4000
-    draws = [run_direct_window(src, 0.2, rng=rng, swap_bases=swap) for _ in range(n)]
+    draws = [run_memory_modified(1, 1, src, 0.2, rng_seed=rng, swap_bases=swap).outcome for _ in range(n)]
     assert set(draws) <= set(table)
     for label, p in table.items():
         sigma = math.sqrt(p * (1.0 - p) / n)
@@ -565,6 +556,36 @@ def test_run_memory_modified_full_window():
     assert res.outcome[0] in (-1, 1) and res.outcome[1] in (-1, 1)
     ref = analytic.direct_outcome_table(0.4, 1.0, 0.3)
     assert _maxdiff(res.final_distribution, ref) < 1e-12
+    src = StellarSource(phi=0.9, g=0.8, epsilon=0.3)
+    a = [run_memory_modified(7, 3, src, 0.2, rng_seed=np.random.default_rng(s)).outcome for s in range(15)]
+    b = [run_memory_modified(7, 3, src, 0.2, rng_seed=np.random.default_rng(s)).outcome for s in range(15)]
+    assert a == b
+    assert all(x in (-1, 1) and r in (-1, 1) for x, r in a)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_run_memory_modified_draws_its_outcome_from_the_table_it_reports(swap):
+    # one uniform over final_distribution, from the generator as the decode leaves it
+    src = StellarSource(phi=0.4, g=0.9, epsilon=0.1)
+    register = encode_time_bin_modified(bell_register(3), 3)
+    for seed in range(20):
+        res = run_memory_modified(7, 3, src, 0.3, rng_seed=seed, swap_bases=swap)
+        rng = np.random.default_rng(seed)
+        assert decode_time_bin(register, rng) == res.decoded == 3
+        labels, values = list(res.final_distribution), np.array(list(res.final_distribution.values()))
+        assert res.outcome == labels[protocols._draw(values, rng.random(1))[0]]
+
+
+def test_run_memory_modified_reads_the_arrival_conditioned_table_at_epsilon_0():
+    # the protocol is given its arrival, so epsilon = 0 leaves the table it reports and draws from
+    for swap in (False, True):
+        res = run_memory_modified(7, 3, StellarSource(0.4, 0.9, 0.0), 0.3, rng_seed=2, swap_bases=swap)
+        ref = analytic.direct_outcome_table(0.4, 0.9, 0.3, swap_bases=swap)
+        assert res.decoded == 3 and res.outcome in ref
+        assert set(res.final_distribution) == set(ref)
+        assert _maxdiff(res.final_distribution, ref) < 1e-12
+        at_eps = run_memory_modified(7, 3, StellarSource(0.4, 0.9, 0.1), 0.3, rng_seed=2, swap_bases=swap)
+        assert res == at_eps
 
 
 def test_run_memory_modified_no_photon():
@@ -607,8 +628,6 @@ def test_samplers_draw_a_deterministic_fringe():
     for phi in np.linspace(-math.pi, math.pi, 31):
         src = StellarSource(phi=phi, g=1.0, epsilon=0.1)
         for seed in range(3):
-            left, right = run_direct_window(src, -phi, rng=seed)
-            assert left == right
             left, right = run_memory_modified(3, 2, src, -phi, rng_seed=seed).outcome
             assert left == right
             for arrival in (1, 2, 3):

@@ -342,54 +342,7 @@ def test_invalid_support_message_is_unchanged():
 
 
 # ---------------------------------------------------------------------------
-# the signed gather of the Fock-qubit gates on a dense register
-
-
-def _qubit_gates(mode_count, n_max):
-    """NOT and Z at every mode, CNOT and CZ at every ordered mode pair; at cutoff 2 also a
-    signed 3-cycle at every mode, which, unlike those, is not its own inverse."""
-    from qtelescopy import gates
-
-    modes = range(mode_count)
-    ones = [make(m, n_max) for make in (gates.not_fock, gates.z_fock) for m in modes]
-    if n_max == 2:
-        ones += [se.ModeUnitary((m,), [[0, 0, 1], [1, 0, 0], [0, -1, 0]], 2, name="cycle") for m in modes]
-    pairs = [(a, b) for a in modes for b in modes if a != b]
-    return ones + [make(a, b, n_max) for make in (gates.cnot_fock, gates.cz_fock) for a, b in pairs]
-
-
-@pytest.mark.parametrize("n_max", [1, 2])
-@pytest.mark.parametrize("mode_count", range(2, 7))
-def test_signed_gather_equals_the_block_product_exactly(mode_count, n_max):
-    rng = np.random.default_rng(10 * mode_count + n_max)
-    dim = se.space_dim(mode_count, n_max)
-    for gate in _qubit_gates(mode_count, n_max):
-        src, sign = se._signed_gather(gate, mode_count)
-        assert se._signed_gather(gate, mode_count)[0] is src
-        assert not src.flags.writeable and not sign.flags.writeable
-        # weight on every label, the undefined ones included
-        raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        block = se._apply_block(gate.matrix, gate.target_modes, se.StateVector(raw, mode_count, n_max))
-        assert np.array_equal(raw[src] * sign, block)
-        # through apply_unitary, on the labels where the gate is defined
-        raw[se._invalid_index(gate.target_modes, n_max, gate.valid_mask.tobytes(), mode_count)] = 0.0
-        state = se.StateVector(raw, mode_count, n_max)
-        block = se._apply_block(gate.matrix, gate.target_modes, state)
-        assert np.array_equal(se.apply_unitary(state, gate).amplitudes, block)
-
-
-def test_gates_with_other_entries_keep_the_block_product():
-    import math
-
-    from qtelescopy import gates
-
-    for gate in (
-        gates.phase_shift(1, 0.3, 2),
-        gates.phase_shift(1, math.pi, 2),  # exp(i pi) is not exactly -1
-        gates.beam_splitter(0, 2, 2),
-        se.ModeUnitary((0,), [[1, 1], [1, -1]], 1),  # two entries in a row
-    ):
-        assert se._signed_gather(gate, 3) is None
+# the guards of a gate on the six-mode dense register
 
 
 def _six_mode_with(amplitude, at):
@@ -401,12 +354,11 @@ def _six_mode_with(amplitude, at):
     return se.StateVector(amps, 6, 2)
 
 
-def test_signed_gather_keeps_the_support_guard_at_its_tolerance():
+def test_a_cnot_chain_gate_keeps_the_support_guard_at_its_tolerance():
     from qtelescopy import gates
     from qtelescopy.errors import NORM_ATOL
 
     gate = gates.cnot_fock(2, 4, 2)  # a gate of the six-mode CNOT chain
-    assert se._signed_gather(gate, 6) is not None
     at = se._invalid_index(gate.target_modes, 2, gate.valid_mask.tobytes(), 6)[0]
     within, past = (np.sqrt(NORM_ATOL * (1.0 + s)) for s in (-1e-6, 1e-6))
     se.apply_unitary(_six_mode_with(within, at), gate)
@@ -419,14 +371,12 @@ def test_signed_gather_keeps_the_support_guard_at_its_tolerance():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
-def test_signed_gather_refuses_amplitudes_that_are_not_finite(bad):
+def test_apply_unitary_refuses_amplitudes_that_are_not_finite(bad):
     from qtelescopy import gates
 
-    # two signed gathers and a block product: inf times the zero imaginary part
-    # of a sign, or of a matrix entry, is nan and warns, so the norm is checked first
-    splitter = gates.beam_splitter(1, 2, 2)
-    assert se._signed_gather(splitter, 6) is None
-    for gate in (gates.cnot_fock(2, 4, 2), gates.z_fock(0, 2), splitter):
+    # inf times a zero matrix entry, or a zero imaginary part, is nan and
+    # warns in the block product, so the norm is checked first
+    for gate in (gates.cnot_fock(2, 4, 2), gates.z_fock(0, 2), gates.beam_splitter(1, 2, 2)):
         state = _six_mode_with(bad, se.basis_index((1, 0, 0, 0, 0, 1), 2))
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
