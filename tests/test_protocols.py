@@ -441,6 +441,15 @@ def test_direct_distribution_flat_at_zero_visibility():
         np.testing.assert_allclose(p, 0.25, atol=1e-12)
 
 
+def test_run_direct_window_deterministic():
+    # the modified memory protocol's direct readout: one window per seed, the same each time
+    src = StellarSource(phi=0.9, g=0.8, epsilon=0.3)
+    a = [run_memory_modified(7, 3, src, 0.2, rng_seed=np.random.default_rng(s)).outcome for s in range(15)]
+    b = [run_memory_modified(7, 3, src, 0.2, rng_seed=np.random.default_rng(s)).outcome for s in range(15)]
+    assert a == b
+    assert all(x in (-1, 1) and r in (-1, 1) for x, r in a)
+
+
 @pytest.mark.parametrize("swap", [False, True])
 def test_direct_window_frequencies_match_the_distribution(swap):
     # the modified memory protocol's direct readout, drawn window by window
@@ -556,11 +565,6 @@ def test_run_memory_modified_full_window():
     assert res.outcome[0] in (-1, 1) and res.outcome[1] in (-1, 1)
     ref = analytic.direct_outcome_table(0.4, 1.0, 0.3)
     assert _maxdiff(res.final_distribution, ref) < 1e-12
-    src = StellarSource(phi=0.9, g=0.8, epsilon=0.3)
-    a = [run_memory_modified(7, 3, src, 0.2, rng_seed=np.random.default_rng(s)).outcome for s in range(15)]
-    b = [run_memory_modified(7, 3, src, 0.2, rng_seed=np.random.default_rng(s)).outcome for s in range(15)]
-    assert a == b
-    assert all(x in (-1, 1) and r in (-1, 1) for x, r in a)
 
 
 @pytest.mark.parametrize("swap", [False, True])
