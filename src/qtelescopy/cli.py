@@ -10,8 +10,8 @@ Subcommands::
 
 Configuration is a flat JSON object with a ``schema_version`` field;
 unknown keys are rejected.  Exit codes: 0 success, 2 configuration error,
-3 numerical-invariant violation, 1 any other error, a reader that closed
-the output pipe included.
+3 numerical-invariant violation, 1 any other error, a failed write and a
+reader that closed the output pipe included.
 """
 
 from __future__ import annotations
@@ -218,48 +218,44 @@ def _emit_table(header: list[str], rows: list[list], args, stem: str) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         suffix = ".json"
     else:
-        lines = [",".join(header)]
-        for row in rows:
-            cells = []
-            for cell in row:
-                if cell is None or isinstance(cell, float):
-                    cells.append(fmt_float(cell))
-                else:
-                    text_cell = str(cell)
-                    if "," in text_cell:
-                        text_cell = '"' + text_cell + '"'
-                    cells.append(text_cell)
-            lines.append(",".join(cells))
+        def cell(value) -> str:
+            written = fmt_float(value) if value is None or isinstance(value, float) else str(value)
+            return '"' + written + '"' if "," in written else written
+
+        lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
         text = "\n".join(lines) + "\n"
         suffix = ".csv"
     _write_or_print(text, args, stem + suffix)
 
 
-def _write_or_print(text: str | Iterable[str], args, filename: str) -> None:
-    """Write a string, or an iterable of string chunks as they come."""
-    chunks = [text] if isinstance(text, str) else text
+def _write_or_print(text: str | Iterable[bytes], args, filename: str) -> None:
+    """Write a string as text, or byte chunks in binary as they come; on stdout, after what it
+    holds, and decoded where stdout has no binary buffer (an ``io.StringIO``)."""
+    binary = not isinstance(text, str)
+    chunks = text if binary else [text]
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / filename, "w") as fh:
+        with open(out_dir / filename, "wb" if binary else "w") as fh:
             fh.writelines(chunks)
         print(f"wrote {out_dir / filename}")
+    elif binary and hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(chunk.decode() if binary else chunk for chunk in chunks)
 
 
-def _trace_chunks(outcomes, prefixes: list[str]) -> Iterable[str]:
-    """``prefixes[o] + str(w) + "}\\n"`` for each window ``w`` of outcome index ``o``, as
-    NUL-padded byte rows 1000 windows at a time (json.dumps output holds no NUL byte)."""
-    table = np.array([p.encode() for p in prefixes]).view(np.uint8).reshape(len(prefixes), -1)
-    low = np.array([b"%03d}\n" % i for i in range(1000)]).view(np.uint8).reshape(1000, 5)
-    edges = [a for a in (0, 10, 100, *range(1000, len(outcomes), 1000)) if a < len(outcomes)]
-    for a, b in zip(edges, edges[1:] + [len(outcomes)]):
-        # every window number in [a, b) has the digit count and the high digits of a
-        high = np.frombuffer(str(a)[:-3].encode(), dtype=np.uint8)
-        tail = low[a % 1000 : a % 1000 + b - a, 3 - min(len(str(a)), 3) :]
-        rows = np.hstack([table[outcomes[a:b]], np.broadcast_to(high, (b - a, high.size)), tail])
-        yield rows[rows != 0].tobytes().decode("ascii")
+def _trace_chunks(outcomes, prefixes: list[str]) -> Iterable[bytes]:
+    """``prefixes[o] + str(w) + "}\\n"`` for each window ``w`` of outcome index ``o``, encoded, 1000 windows
+    a chunk; past the first, each prefix is completed with the chunk's high digits ``str(a)[:-3]``."""
+    low = np.array([b"%03d}\n" % i for i in range(1000)], dtype=object)
+    for a in range(0, len(outcomes), 1000):
+        b = min(a + 1000, len(outcomes))
+        rows = np.empty((b - a, 2), dtype=object)
+        rows[:, 0] = np.array([(p + str(a)[:-3]).encode() for p in prefixes], dtype=object)[outcomes[a:b]]
+        rows[:, 1] = [b"%d}\n" % w for w in range(b)] if a == 0 else low[: b - a]
+        yield b"".join(rows.ravel().tolist())
 
 
 def _label_text(label: tuple) -> str:
@@ -501,10 +497,8 @@ def _validate_checks():
                 l_g = sld(rho, conditional_g_derivative(phi, g))
                 worst = max(worst, np.abs(l_phi - analytic.sld_phi(phi, g)).max())
                 worst = max(worst, np.abs(l_g - analytic.sld_g(phi, g)).max())
-                residual = np.abs(
-                    (l_phi @ rho + rho @ l_phi) / 2.0 - conditional_phi_derivative(phi, g)
-                ).max()
-                worst = max(worst, residual)
+                residual = (l_phi @ rho + rho @ l_phi) / 2.0 - conditional_phi_derivative(phi, g)
+                worst = max(worst, np.abs(residual).max())
         return worst < SLD_ATOL, f"worst SLD deviation = {worst:.2e}"
 
     def memory_round_trip():
@@ -540,8 +534,7 @@ def cmd_validate(args) -> int:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         status = "PASS" if ok else "FAIL"
         print(f"{status} {name}: {detail}")
-        if not ok:
-            failures += 1
+        failures += not ok
     if failures:
         print(f"{failures} invariant check(s) failed")
         return 3
@@ -581,12 +574,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out} exists and is not a directory")
         code = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader is gone: what is still buffered goes to devnull at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # a closed pipe's reader is gone; another failed write or open is named.  What the
+        # process's stdout still buffers goes to devnull, so the exit flush cannot fail again
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -204,7 +205,7 @@ def test_trace_chunks_equal_the_per_window_lines_across_every_chunk_edge(
     for n in (1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1999, 2000, 9999, 10000, 10001, 100001):
         # every outcome index the sampler can draw, -1 (no photon) included
         outcomes = rng.integers(-1, len(prefixes) - 1, n)
-        assert "".join(cli._trace_chunks(outcomes, prefixes)) == "".join(_trace_lines(outcomes, prefixes))
+        assert b"".join(cli._trace_chunks(outcomes, prefixes)) == "".join(_trace_lines(outcomes, prefixes)).encode()
 
 
 # past the first 1000-window chunk edge of the trace writer
@@ -254,6 +255,76 @@ def test_simulate_trace_lines_are_sorted_json_of_each_window(
             protocol, StellarSource(0.3, 0.8, 0.1), tuple(schedule), N_TRACE, seed=seed
         )
         np.testing.assert_array_equal(outcomes, estimation.run_experiment(plan))
+
+
+def _written_outputs(tmp_path, argv, fmt):
+    """The bytes ``--out`` writes for ``argv``: the trace, then the summary."""
+    out = tmp_path / f"out-{fmt}"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    return (out / "trace.jsonl").read_bytes() + (out / f"summary.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_prints_the_trace_bytes_then_the_summary(tmp_path, capsysbinary, fmt):
+    # the trace goes to stdout's binary buffer, the summary through the text layer after it
+    cfg = _write_config(tmp_path, protocol="direct", g=0.8, n_windows=N_TRACE)
+    argv = ["simulate", "--config", str(cfg), "--format", fmt]
+    assert cli.main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    assert printed == _written_outputs(tmp_path, argv, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_into_a_stdout_without_a_binary_buffer_prints_the_same_text(tmp_path, capsys, fmt):
+    cfg = _write_config(tmp_path, protocol="cnot", g=0.8, n_windows=N_TRACE)
+    argv = ["simulate", "--config", str(cfg), "--format", fmt]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    assert out.getvalue() == _written_outputs(tmp_path, argv, fmt).decode()
+
+
+def test_out_naming_an_existing_file_exits_2_with_one_line(tmp_path, capsys):
+    cfg = _write_config(tmp_path, protocol="direct", n_windows=100)
+    target = tmp_path / "e.json"
+    target.write_text("kept")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "exists and is not a directory" in err and err.count("\n") == 1
+    assert target.read_text() == "kept"
+
+
+class _FullDevice(io.BytesIO):
+    """A binary stream whose every write fails as a write to a full device does."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+def test_simulate_into_a_full_device_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path, protocol="direct", n_windows=N_TRACE)
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(_FullDevice()))
+    assert cli.main(["simulate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_output_to_dev_full_exits_1_with_one_line_and_no_traceback(tmp_path, command):
+    # the trace's binary write and validate's buffered text each fail on a full device
+    cfg = _write_config(tmp_path, protocol="direct", n_windows=10_000)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    with open("/dev/full", "wb") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "qtelescopy.cli", command, "--config", str(cfg)],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    err = child.stderr.decode()
+    assert child.returncode == 1 and err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_simulate_refuses_a_sampler_table_that_is_not_a_distribution(
