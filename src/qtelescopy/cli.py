@@ -234,8 +234,7 @@ def _write_or_print(text: str | Iterable[bytes], args, filename: str) -> None:
     binary = not isinstance(text, str)
     chunks = text if binary else [text]
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir := Path(args.out)).mkdir(parents=True, exist_ok=True)
         with open(out_dir / filename, "wb" if binary else "w") as fh:
             fh.writelines(chunks)
         print(f"wrote {out_dir / filename}")
@@ -574,8 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise ConfigError(f"--out {args.out} exists and is not a directory")
+        if args.out and any(p.exists() and not p.is_dir() for p in (Path(args.out), *Path(args.out).parents)):
+            raise ConfigError(f"--out {args.out}: it or a parent exists and is not a directory")  # before any work
         code = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()
         return code

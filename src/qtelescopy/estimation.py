@@ -1,25 +1,22 @@
 """Protocol registry, Monte-Carlo experiment runner, maximum-likelihood phase
 estimation and Cramer-Rao accounting.
 
-Every protocol has one entry in :data:`PROTOCOLS`: its circuit call, the compiled laws it reads, its
-outcome labels, its herald rule, whether its table is conditioned on a photon arrival, and its window
-sampler.  The heralded outcomes of a setting follow the exact law p_o(phi, g) = A_o + g cos(phi) B_o
-+ g sin(phi) C_o, sliced from the rows of the setting's compiled laws rather than simulating the
-circuit again for every phase it is scored at.  A window is the index of its outcome in the
-protocol's declared labels; for cnot, whose labels are in flat basis order, the sampler's flat
-outcome index.  The estimator counts the heralded outcomes of each setting and maximizes their
-log-likelihood under that law on a dense phase grid, then refines the peak by Newton steps on the
-exact score of the same law.  The Cramer-Rao bound 1/(M * fisher-per-window) takes its Fisher
-information from finite differences of the setting's outcome table.
+Every protocol has one entry in :data:`PROTOCOLS`: its circuit call, the compiled law of a setting
+(:class:`~qtelescopy.protocols.Law`), its outcome labels, its herald rule and its window sampler.  The
+heralded outcomes of a setting follow the exact law p_o(phi, g) = A_o + g cos(phi) B_o + g sin(phi) C_o,
+which the law reads off its rows instead of simulating the circuit again at every phase.  A window is the
+index of its outcome in the protocol's declared labels; for cnot, whose labels are in flat basis order,
+the sampler's flat outcome index.  The estimator counts the heralded outcomes of each setting and
+maximizes their log-likelihood under that law on a dense phase grid, then refines the peak by Newton
+steps on the exact score of the same law.  The Cramer-Rao bound 1/(M * fisher-per-window) takes its
+Fisher information from finite differences of the setting's outcome table.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -28,14 +25,15 @@ from . import analytic
 from .errors import PHASE_ATOL, TABLE_ATOL, EstimationError, NumericalInvariantError, check_table
 from .fisher import FisherMatrix, OutcomeModel, classical_fisher
 from .protocols import (
+    DIRECT_LABELS,
     N_MAX,
     Herald,
+    Law,
     ProtocolConfig,
     Variant,
-    _cnot_laws,
+    _cnot_circuit,
     _draw,
     _direct_circuit,
-    _fringe_mixing,
     _gottesman_circuit,
     _law,
     classify_herald,
@@ -111,12 +109,6 @@ class EstimateReport:
     fisher_per_window: float
 
 
-@lru_cache(maxsize=None)
-def _outcome_index(protocol: str) -> MappingProxyType:
-    """Read-only position of each declared outcome label of ``protocol``."""
-    return MappingProxyType({label: o for o, label in enumerate(get_protocol(protocol).outcomes())})
-
-
 def _sample_cnot(plan: ExperimentPlan, rng) -> np.ndarray:
     n_settings = len(plan.delta_schedule)
     outcomes = np.empty(plan.n_windows, dtype=np.int64)
@@ -133,17 +125,16 @@ def _sample_table(plan: ExperimentPlan, rng) -> np.ndarray:
     conditioned on arrival is drawn from only after a photon arrived, at the
     same point in the RNG stream; a window without one keeps the index -1."""
     entry = get_protocol(plan.protocol)
-    index = _outcome_index(plan.protocol)
+    laws = [entry.law(delta, plan.eta, plan.variant, plan.swap_bases) for delta in plan.delta_schedule]
     n, n_settings = plan.n_windows, len(plan.delta_schedule)
-    uniforms = sample_arrival(plan.source.epsilon, rng, n) if entry.conditioned else rng.random(n)  # nan: no arrival
+    uniforms = sample_arrival(plan.source.epsilon, rng, n) if laws[0].conditioned else rng.random(n)  # nan: no arrival
     outcomes = np.full(n, -1, dtype=np.int64)
-    for s, delta in enumerate(plan.delta_schedule):
+    for s, (delta, law) in enumerate(zip(plan.delta_schedule, laws)):
         table = entry.run(plan.source, delta, plan.eta, plan.variant, plan.swap_bases)
         u = uniforms[s::n_settings]
         drawn = ~np.isnan(u)
         if drawn.any():
-            ids = np.array([index[label] for label in table])
-            outcomes[s::n_settings][drawn] = ids[_draw(np.array(list(table.values())), u[drawn])]
+            outcomes[s::n_settings][drawn] = law.positions(table)[_draw(np.array(list(table.values())), u[drawn])]
     return outcomes
 
 
@@ -151,22 +142,19 @@ def _sample_table(plan: ExperimentPlan, rng) -> np.ndarray:
 class Protocol:
     """Registry entry of one measurement protocol.
 
-    ``run(source, delta, eta, variant, swap_bases)`` is the circuit's outcome
-    table, read from its compiled laws ``laws(delta, eta, variant, swap_bases)``,
-    ``(weight, labels, rows)`` each; ``outcomes()`` its declared labels,
-    ``herald`` the herald class of one label.  A ``conditioned`` table is
-    conditioned on a photon arrival.  Only a circuit that ``models_loss`` has
-    an ancilla pair for eta < 1 to lose.  ``reference`` is the closed-form
-    table, if any; ``sample`` draws the outcome index of every window.
+    ``run(source, delta, eta, variant, swap_bases)`` is the circuit's outcome table, read from the
+    setting's compiled :class:`Law`, ``law(delta, eta, variant, swap_bases)``; ``outcomes()`` its declared
+    labels, ``herald`` the herald class of one label.  Only a circuit that ``models_loss`` has an ancilla
+    pair for eta < 1 to lose.  ``reference`` is the closed-form table, if any, which ``qtelescopy probs``
+    prints next to the circuit's; ``sample`` draws the outcome index of every window.
     """
 
     name: str
     run: Callable[..., dict]
-    laws: Callable[..., list]
+    law: Callable[..., Law]
     outcomes: Callable[[], tuple]
     herald: Callable[[tuple], Herald]
     sample: Callable[[ExperimentPlan, np.random.Generator], np.ndarray]
-    conditioned: bool = False
     models_loss: bool = False
     reference: Callable[..., dict] | None = None
 
@@ -176,34 +164,27 @@ PROTOCOLS = {
     for entry in (
         Protocol(
             "cnot",
-            run=lambda source, delta, eta, variant, swap: cnot_distribution(
-                source, ProtocolConfig(delta, eta, variant)
-            ),
-            laws=lambda delta, eta, variant, swap: _cnot_laws(delta, eta, variant),
+            run=lambda s, delta, eta, variant, swap: cnot_distribution(s, ProtocolConfig(delta, eta, variant)),
+            law=lambda delta, eta, variant, swap: _law(_cnot_circuit, delta, eta, Variant.parse(variant)),
             outcomes=lambda: tuple(basis_labels(6, N_MAX)),
             herald=classify_herald,
             sample=_sample_cnot,
             models_loss=True,
-            reference=lambda source, delta, eta, swap: analytic.cnot_outcome_table(
-                source.phi, source.g, source.epsilon, delta, eta
-            ),
+            reference=lambda s, delta, eta, swap: analytic.cnot_outcome_table(s.phi, s.g, s.epsilon, delta, eta),
         ),
         Protocol(
             "direct",
             run=lambda source, delta, eta, variant, swap: direct_distribution(source, delta, swap),
-            laws=lambda delta, eta, variant, swap: [(1.0, *_law(_direct_circuit, delta, swap))],
-            outcomes=lambda: ((-1, -1), (-1, 1), (1, -1), (1, 1)),
+            law=lambda delta, eta, variant, swap: _law(_direct_circuit, delta, swap),
+            outcomes=lambda: DIRECT_LABELS,
             herald=lambda label: Herald.PHOTON_ARRIVED,
             sample=_sample_table,
-            conditioned=True,
-            reference=lambda source, delta, eta, swap: analytic.direct_outcome_table(
-                source.phi, source.g, delta, swap
-            ),
+            reference=lambda source, delta, eta, swap: analytic.direct_outcome_table(source.phi, source.g, delta, swap),
         ),
         Protocol(
             "gottesman",
             run=lambda source, delta, eta, variant, swap: gottesman_distribution(source, delta),
-            laws=lambda delta, eta, variant, swap: [(1.0, *_law(_gottesman_circuit, delta))],
+            law=lambda delta, eta, variant, swap: _law(_gottesman_circuit, delta),
             outcomes=lambda: tuple(basis_labels(4, N_MAX)),
             # any photon beyond the ancilla's shows up in the counts
             herald=lambda counts: Herald.PHOTON_ARRIVED if sum(counts) == 2 else Herald.VACUUM,
@@ -269,12 +250,11 @@ def _phi_grid() -> np.ndarray:
 class FringeTable:
     """Heralded outcome law of one protocol setting, exact in (phi, g):
     p_o(phi, g) = A_o + g cos(phi) B_o + g sin(phi) C_o, the rows (A, B, C)
-    of ``coefficients`` over the protocol's declared ``labels`` (zero outside
+    of ``coefficients`` over the protocol's declared labels (zero outside
     the heralded class), and ``herald`` those of the heralded-class total;
     a :func:`_stack` law has one herald column per setting.
     """
 
-    labels: tuple
     coefficients: np.ndarray
     herald: np.ndarray
 
@@ -303,27 +283,12 @@ class FringeTable:
 
 @lru_cache(maxsize=64)
 def _fringe_table(protocol: str, setting) -> FringeTable:
-    """The heralded slice of the setting's (delta, epsilon, eta, variant,
-    swap) compiled laws: their rows (V, K, X, Y), mixed into (A, B, C) at
-    epsilon, weighted and scattered onto the declared labels, the others
-    zero.  A subnormal epsilon is refused: the heralded probabilities are
-    of order epsilon and keep no relative precision to condition on.
-    """
-    entry = get_protocol(protocol)
+    """The read-only :meth:`Law.heralded` of a setting (delta, epsilon, eta, variant, swap), and its total."""
     delta, epsilon, eta, variant, swap = setting
-    if 0.0 < epsilon < sys.float_info.min:
-        raise NumericalInvariantError(
-            f"arrival probability {epsilon!r} is subnormal; the heralded class "
-            "cannot be conditioned on"
-        )
-    index = _outcome_index(protocol)
-    mixing = _fringe_mixing(epsilon, entry.conditioned)
-    coefficients = np.zeros((3, len(index)))
-    for weight, labels, rows in entry.laws(delta, eta, variant, swap):
-        coefficients[:, [index[label] for label in labels]] += weight * (mixing @ rows)
-    coefficients[:, ~_herald_masks(protocol)[0][:-1]] = 0.0
+    law = get_protocol(protocol).law(delta, eta, variant, swap)
+    coefficients = law.heralded(epsilon, _herald_masks(protocol)[0][:-1])
     coefficients.setflags(write=False)
-    return FringeTable(entry.outcomes(), coefficients, coefficients.sum(axis=1))
+    return FringeTable(coefficients, coefficients.sum(axis=1))
 
 
 def _stack(settings) -> tuple[FringeTable, np.ndarray, np.ndarray]:
@@ -331,7 +296,7 @@ def _stack(settings) -> tuple[FringeTable, np.ndarray, np.ndarray]:
     side and one herald column per setting, then all the counts k and each setting's heralded total K."""
     tables, seen, counts = zip(*settings)
     coefficients = np.concatenate([table.coefficients[:, cols] for table, cols in zip(tables, seen)], axis=1)
-    law = FringeTable((), coefficients, np.stack([table.herald for table in tables], axis=1))
+    law = FringeTable(coefficients, np.stack([table.herald for table in tables], axis=1))
     return law, np.concatenate(counts), np.array([k.sum() for k in counts])
 
 
@@ -492,16 +457,14 @@ def window_fisher(protocol: str, setting, at: tuple[float, float], wrt=("phi",))
     conditioned on arrival is scaled by epsilon."""
     entry = get_protocol(protocol)
     delta, epsilon, eta, variant, swap = setting
-
-    def dist(phi: float, g: float) -> dict:
-        return entry.run(StellarSource(phi, g, epsilon), delta, eta, variant, swap)
-
-    if entry.conditioned and epsilon == 0.0:
-        dist(*at)  # refuses a readout phase that is not finite; no photon arrives, and the table is empty
+    conditioned = entry.law(delta, eta, variant, swap).conditioned  # refuses a readout phase that is not finite
+    if conditioned and epsilon == 0.0:  # no photon arrives, and the table is empty
+        StellarSource(*at, epsilon)  # refuses a phase that is not finite or a visibility outside [0, 1]
         return FisherMatrix(np.zeros((2, 2)))
-    model = OutcomeModel(dist, entry.outcomes(), name=f"{protocol}(delta={delta})")
+    model = OutcomeModel(lambda phi, g: entry.run(StellarSource(phi, g, epsilon), delta, eta, variant, swap),
+                         entry.outcomes(), name=f"{protocol}(delta={delta})")
     info = classical_fisher(model, at, wrt)
-    return FisherMatrix(epsilon * info.matrix) if entry.conditioned else info
+    return FisherMatrix(epsilon * info.matrix) if conditioned else info
 
 
 def crb_report(

@@ -15,24 +15,24 @@ Four measurement schemes over the same two-port stellar source:
   into Bell pairs, in the original (memory-qubit) and the halved-resource
   variants.
 
-Every distribution here is produced by running the corresponding circuit through the state
-engine; closed-form outcome tables live only in the test oracles.  Each wiring of the six-mode
-circuit, the four-mode baseline and the direct readout is written once as a tuple of gates and
-readouts: :func:`_walk` enumerates its readout outcomes, and never samples.  Each window state is
-linear in nu = g e^{-i phi} and each circuit a fixed linear map, so :func:`_compile` walks a circuit
-four times per setting into its law, rows (V, K, X, Y) over its support, which every distribution
-function reads (:func:`_read_laws`); the batch sampler draws each six-mode window's branch and flat
-outcome index from walked branch tables, as arrays, and the modified memory protocol draws its direct
-readout from the table it reports.  The local X readouts that decode a Bell pair are the direct
-readout at delta = 0, drawn from the same enumeration.
+Every distribution here comes from running its circuit through the state engine; closed-form tables live only in
+the test oracles.  Each wiring of the six-mode circuit, the four-mode baseline and the direct readout is written once
+as a tuple of gates and readouts, which :func:`_walk` enumerates and never samples.  Each window state is linear in
+nu = g e^{-i phi} and each circuit a fixed linear map, so one protocol setting is one :class:`Law`: four walks per
+circuit give its rows (V, K, X, Y), once per setting (:func:`_law`), from which it reads the outcome table at a
+source, which every distribution function returns, and the likelihood's heralded coefficients.  The batch sampler
+draws each six-mode window's branch and outcome from walked branch tables, and the modified memory protocol draws
+from the table it reports.  The X readouts that decode a Bell pair are the direct readout at delta = 0.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -62,6 +62,7 @@ from .state_engine import (
     apply_unitary,
     basis_index,
     basis_label,
+    basis_labels,
     fock,
     number_measurement_distribution,
     tensor_at,
@@ -71,6 +72,7 @@ from .state_engine import (
 # memory registers use 1): a window holds at most one stellar and one
 # ancilla photon, so no mode ever holds more than two and it is exact
 N_MAX = 2
+SIX_MODE_LABELS, FOUR_MODE_LABELS = (tuple(basis_labels(modes, N_MAX)) for modes in (6, 4))  # declared, flat order
 
 
 class Herald(enum.Enum):
@@ -226,55 +228,89 @@ def _mixture(rows, register: str) -> dict:
     return merged
 
 
-def _compile(table) -> tuple[tuple, np.ndarray]:
-    """A circuit's law: its support labels and read-only rows (V, K, X, Y) over them, ``table(star)`` its outcome
-    table of a two-mode star.  V is the vacuum's table; the plus branch's, linear in e^{-i phi}, is K + cos phi X
-    + sin phi Y, walked at phi = 0, pi/2 and pi (the minus branch is the plus branch at phi + pi).  V's labels lead
-    in walk order, the rest follow in flat order: as the walked branches' mixture lists them at a generic phase."""
+@dataclass(frozen=True, eq=False)
+class Law:
+    """The compiled law of one protocol setting: ``tables``, each circuit's ``(weight, support labels, read-only rows
+    (V, K, X, Y))`` (:func:`_compile`); ``outcomes``, the protocol's declared labels; ``register``, the name that its
+    table guard reports; and whether its table is ``conditioned`` on a photon arrival."""
+
+    tables: tuple
+    outcomes: tuple
+    register: str
+    conditioned: bool = False
+
+    @cached_property
+    def _index(self) -> MappingProxyType:
+        return MappingProxyType({label: o for o, label in enumerate(self.outcomes)})
+
+    def positions(self, labels) -> np.ndarray:
+        """The position of each of ``labels`` among the declared outcomes, from one map per law."""
+        return np.array([self._index[label] for label in labels])
+
+    def _mixing(self, epsilon: float) -> np.ndarray:
+        """Rows (V, K, X, Y) to the (A, B, C) of p = A + g cos(phi) B + g sin(phi) C at ``epsilon``, the fringe
+        branches weighing eps (1 +- g) / 2: A = (1 - eps) V + eps K, B = eps X, C = eps Y; conditioned, K, X, Y."""
+        if self.conditioned:
+            return np.eye(4)[1:] * (epsilon > 0.0)
+        return np.array([[1.0 - epsilon, epsilon, 0.0, 0.0], [0.0, 0.0, epsilon, 0.0], [0.0, 0.0, 0.0, epsilon]])
+
+    def table(self, source: StellarSource) -> dict:
+        """The outcome table at ``source``, the weighted tables merged by :func:`_mixture` through its guard.  Exact
+        zeros are dropped, and round-off below zero is set to zero after the guard."""
+        fringe = np.array([1.0, source.g * math.cos(source.phi), source.g * math.sin(source.phi)])
+        coefficients = fringe @ self._mixing(source.epsilon)
+        rows = ((weight, dict(zip(labels, (coefficients @ law).tolist()))) for weight, labels, law in self.tables)
+        return {label: max(p, 0.0) for label, p in _mixture(rows, self.register).items() if p != 0.0}
+
+    def heralded(self, epsilon: float, mask: np.ndarray) -> np.ndarray:
+        """The tables' weighted (A, B, C) at ``epsilon`` on the declared outcomes, zero outside the heralded ``mask``.
+        A subnormal epsilon is refused: the heralded probabilities, of its order, are too imprecise to condition on."""
+        if 0.0 < epsilon < sys.float_info.min:
+            raise NumericalInvariantError(
+                f"arrival probability {epsilon!r} is subnormal; the heralded class cannot be conditioned on")
+        mixing = self._mixing(epsilon)
+        coefficients = np.zeros((3, len(self.outcomes)))
+        for weight, labels, rows in self.tables:
+            coefficients[:, self.positions(labels)] += weight * (mixing @ rows)
+        coefficients[:, ~mask] = 0.0
+        return coefficients
+
+
+def _compile(circuits, outcomes: tuple, register: str, conditioned: bool = False) -> Law:
+    """The law of ``(weight, circuit)`` pairs, ``circuit(star)`` an outcome table of a two-mode star: rows V, the
+    vacuum's table, and K + cos phi X + sin phi Y, the plus branch's, walked at phi = 0, pi/2 and pi (the minus branch
+    is it at phi + pi).  V's labels lead in walk order, the rest follow in flat order, as the walked mixture lists them
+    at a generic phase.  A ``circuit`` that is a compiled :class:`Law` adds its tables, weights scaled, walking none."""
     stars = [fock((0, 0), N_MAX)]
     stars += [StellarSource(phi, 1.0, 1.0).pure_branches(N_MAX)[1][1] for phi in (0.0, math.pi / 2.0, math.pi)]
-    tables = [table(star) for star in stars]
-    labels = (*tables[0], *sorted({label for t in tables[1:] for label in t} - tables[0].keys()))
-    vacuum, at_0, at_half_pi, at_pi = (np.array([t.get(label, 0.0) for label in labels]) for t in tables)
-    mean = (at_0 + at_pi) / 2.0
-    rows = np.array([vacuum, mean, (at_0 - at_pi) / 2.0, at_half_pi - mean])
-    rows.setflags(write=False)
-    return labels, rows
-
-
-def _fringe_mixing(epsilon: float, conditioned: bool = False) -> np.ndarray:
-    """The map from a law's rows (V, K, X, Y) to the coefficients (A, B, C) of its table at arrival probability
-    ``epsilon``, p(phi, g) = A + g cos(phi) B + g sin(phi) C: weighing the fringe branches by eps (1 +- g) / 2,
-    A = (1 - eps) V + eps K, B = eps X and C = eps Y; conditioned on an arrival, K, X and Y, and none at eps = 0."""
-    if conditioned:
-        return np.eye(4)[1:] * (epsilon > 0.0)
-    return np.array([[1.0 - epsilon, epsilon, 0.0, 0.0], [0.0, 0.0, epsilon, 0.0], [0.0, 0.0, 0.0, epsilon]])
-
-
-def _read_laws(source: StellarSource, laws, register: str, conditioned: bool = False) -> dict:
-    """The table at ``source`` of a mixture of compiled laws, ``(weight, labels, rows)`` each, through the table
-    guard of :func:`_mixture`.  Exact zeros are dropped, and round-off below zero is set to zero after the guard."""
-    fringe = np.array([1.0, source.g * math.cos(source.phi), source.g * math.sin(source.phi)])
-    coefficients = fringe @ _fringe_mixing(source.epsilon, conditioned)
-    rows = ((weight, dict(zip(labels, (coefficients @ law).tolist()))) for weight, labels, law in laws)
-    return {label: max(p, 0.0) for label, p in _mixture(rows, register).items() if p != 0.0}
+    compiled = []
+    for weight, circuit in circuits:
+        if isinstance(circuit, Law):
+            compiled += [(weight * w, labels, rows) for w, labels, rows in circuit.tables]
+            continue
+        tables = [circuit(star) for star in stars]
+        labels = (*tables[0], *sorted({label for t in tables[1:] for label in t} - tables[0].keys()))
+        vacuum, at_0, at_half_pi, at_pi = (np.array([t.get(label, 0.0) for label in labels]) for t in tables)
+        mean = (at_0 + at_pi) / 2.0
+        rows = np.array([vacuum, mean, (at_0 - at_pi) / 2.0, at_half_pi - mean])
+        rows.setflags(write=False)
+        compiled.append((weight, labels, rows))
+    return Law(tuple(compiled), outcomes, register, conditioned)
 
 
 @lru_cache(maxsize=256)
-def _law(circuit, *setting) -> tuple[tuple, np.ndarray]:
-    """The compiled law of ``circuit(*setting)``, a circuit's table of a two-mode star, once per setting."""
-    return _compile(circuit(*setting))
+def _law(circuit, *setting) -> Law:
+    """The compiled law of ``circuit(*setting)``, a circuit factory's :func:`_compile` arguments, once per setting."""
+    return _compile(*circuit(*setting))
 
 
-def _cnot_circuit(delta: float, variant: Variant, present: bool):
-    """One ancilla flag of a six-mode setting, as :func:`_compile` reads it."""
+def _cnot_circuit(delta: float, eta: float, variant: Variant):
+    """A six-mode setting, as :func:`_compile` reads it: its ancilla flags weighted by eta and 1 - eta.  At eta = 1 or
+    0 the one flag is walked; between, each flag is its single-flag law, so that no flag is walked twice."""
     steps = _cnot_steps(delta, variant)
-    return lambda star: _count_table(_cnot_input_state(star, present), steps)
-
-
-def _cnot_laws(delta: float, eta: float, variant: Variant) -> list:
-    """A six-mode setting's laws for :func:`_read_laws`: the ancilla flags weighted by eta and 1 - eta."""
-    return [(w, *_law(_cnot_circuit, delta, variant, present)) for present, w in ((True, eta), (False, 1 - eta)) if w]
+    flags = ([(eta, _law(_cnot_circuit, delta, 1.0, variant)), (1.0 - eta, _law(_cnot_circuit, delta, 0.0, variant))]
+             if 0.0 < eta < 1.0 else [(1.0, lambda star: _count_table(_cnot_input_state(star, eta == 1.0), steps))])
+    return flags, SIX_MODE_LABELS, "six-mode"
 
 
 def cnot_branches(source: StellarSource, config: ProtocolConfig) -> list[tuple[str, bool, float, Mapping]]:
@@ -282,7 +318,7 @@ def cnot_branches(source: StellarSource, config: ProtocolConfig) -> list[tuple[s
 
     The window state is an exact mixture of three pure source branches (vacuum and the two fringe
     eigenstates) crossed with the ancilla present/lost alternative; each fringe combination is walked
-    separately, and each vacuum one is the nonzero entries of its setting's V row (:func:`_compile`).
+    separately, and each vacuum one is the nonzero entries of the V row of its single-flag law.
     """
     names = ("vacuum", "plus", "minus")
     rows = []
@@ -291,17 +327,17 @@ def cnot_branches(source: StellarSource, config: ProtocolConfig) -> list[tuple[s
             weight = w_src * w_anc
             if weight == 0.0:
                 continue
-            labels, law = _law(_cnot_circuit, config.delta, config.variant, present)
+            ((_, labels, law),) = _law(_cnot_circuit, config.delta, float(present), config.variant).tables
             table = ({label: p for label, p in zip(labels, law[0].tolist()) if p != 0.0} if name == "vacuum"
-                     else _cnot_circuit(config.delta, config.variant, present)(star))
+                     else _count_table(_cnot_input_state(star, present), _cnot_steps(config.delta, config.variant)))
             rows.append((name, present, weight, table))
     return rows
 
 
 def cnot_distribution(source: StellarSource, config: ProtocolConfig) -> dict:
-    """Window outcome distribution over six-mode count tuples, read from the compiled laws of the two ancilla
-    flags (:func:`_cnot_laws`); :func:`cnot_branches` walks the same mixture."""
-    return _read_laws(source, _cnot_laws(config.delta, config.eta, config.variant), "six-mode")
+    """Window outcome distribution over six-mode count tuples, read from the setting's compiled law
+    (:func:`_cnot_circuit`); :func:`cnot_branches` walks the same mixture."""
+    return _law(_cnot_circuit, config.delta, config.eta, config.variant).table(source)
 
 
 def _draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -379,10 +415,14 @@ def _direct_steps(delta: float, n_max: int, swap_bases: bool) -> tuple:
     return (left, ((), ())), (right, ((), ()))
 
 
+DIRECT_LABELS = ((-1, -1), (-1, 1), (1, -1), (1, 1))  # (left, right) eigenvalues, the declared order
+
+
 def _direct_circuit(delta: float, swap_bases: bool):
-    """The direct readout of a two-mode star, as :func:`_compile` reads it: its four outcome pairs."""
+    """The direct readout, as :func:`_compile` reads it: its four outcome pairs of a two-mode star, conditioned on an
+    arrival."""
     steps = _direct_steps(delta, N_MAX, swap_bases)
-    return lambda star: {outcomes: p for outcomes, p, _ in _walk(star, steps)}
+    return [(1.0, lambda star: {o: p for o, p, _ in _walk(star, steps)})], DIRECT_LABELS, "direct", True
 
 
 def direct_distribution(
@@ -397,10 +437,10 @@ def direct_distribution(
     epsilon > 0, read from the compiled law as K + g (cos phi X + sin phi Y);
     at epsilon = 0 no photon arrives and the table is empty.
     """
-    labels, rows = _law(_direct_circuit, delta, swap_bases)
+    law = _law(_direct_circuit, delta, swap_bases)
     if source.epsilon == 0.0:
         return {}
-    return dict.fromkeys(labels, 0.0) | _read_laws(source, [(1.0, labels, rows)], "direct", conditioned=True)
+    return dict.fromkeys(law.tables[0][1], 0.0) | law.table(source)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +450,7 @@ STAR_L4, ANC_L4, STAR_R4, ANC_R4 = range(4)
 
 
 def _gottesman_circuit(delta: float, optics: tuple = ()):
-    """The baseline on a two-mode star, as :func:`_compile` reads it: one ancilla photon split between the labs
+    """The baseline, as :func:`_compile` reads it: on a two-mode star, one ancilla photon split between the labs
     with relative phase delta; ``optics``, gates on each lab's (star, ancilla) pair; then each lab's balanced
     beam splitter and photon counting."""
     if not math.isfinite(delta):
@@ -418,13 +458,14 @@ def _gottesman_circuit(delta: float, optics: tuple = ()):
     _, one, other = _two_mode_kets(N_MAX)
     anc = StateVector((one + np.exp(1j * delta) * other) / np.sqrt(2.0), 2, N_MAX)
     steps = optics + (beam_splitter(STAR_L4, ANC_L4, N_MAX), beam_splitter(STAR_R4, ANC_R4, N_MAX))
-    return lambda star: _count_table(tensor_at([(star, (STAR_L4, STAR_R4)), (anc, (ANC_L4, ANC_R4))]), steps)
+    circuit = lambda star: _count_table(tensor_at([(star, (STAR_L4, STAR_R4)), (anc, (ANC_L4, ANC_R4))]), steps)
+    return [(1.0, circuit)], FOUR_MODE_LABELS, "four-mode"
 
 
 def gottesman_distribution(source: StellarSource, delta: float) -> dict:
     """Count distribution of the shared-single-photon baseline protocol
     (:func:`_gottesman_circuit`, no local optics), read from its compiled law."""
-    return _read_laws(source, [(1.0, *_law(_gottesman_circuit, delta))], "four-mode")
+    return _law(_gottesman_circuit, delta).table(source)
 
 
 def linear_bound_search(n_trials: int, rng_seed) -> float:
@@ -439,23 +480,19 @@ def linear_bound_search(n_trials: int, rng_seed) -> float:
     from scipy.stats import unitary_group
 
     from .fisher import OutcomeModel, classical_fisher
-    from .state_engine import basis_labels
 
     if n_trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(rng_seed)
-    all_labels = tuple(basis_labels(4, N_MAX))
     best = -np.inf
     for _ in range(n_trials):
         optics = tuple(
             two_mode_unitary(unitary_group.rvs(2, random_state=rng), a, b, N_MAX, name)
             for a, b, name in ((STAR_L4, ANC_L4, "u_left"), (STAR_R4, ANC_R4, "u_right"))
         )
-        law = (1.0, *_compile(_gottesman_circuit(0.3, optics)))
-        model = OutcomeModel(
-            lambda phi, g, law=law: _read_laws(StellarSource(phi, g, 0.1), [law], "four-mode"), all_labels)
-        info = classical_fisher(model, (0.7, 1.0), wrt=("phi",)).phi_phi
-        best = max(best, info)
+        law = _compile(*_gottesman_circuit(0.3, optics))
+        model = OutcomeModel(lambda phi, g, law=law: law.table(StellarSource(phi, g, 0.1)), law.outcomes)
+        best = max(best, classical_fisher(model, (0.7, 1.0), wrt=("phi",)).phi_phi)
     return float(best)
 
 

@@ -293,6 +293,23 @@ def test_out_naming_an_existing_file_exits_2_with_one_line(tmp_path, capsys):
     assert target.read_text() == "kept"
 
 
+def test_out_under_an_existing_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    # a file as a parent component of --out is refused before the draw, not after the MLE
+    cfg = _write_config(tmp_path, protocol="direct", n_windows=100)
+    target = tmp_path / "e.json"
+    target.write_text("kept")
+
+    def refused(plan):
+        raise AssertionError("simulate ran before --out was resolved")
+
+    monkeypatch.setattr(cli, "run_experiment", refused)
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(target / "sub")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert "exists and is not a directory" in captured.err and captured.out == ""
+    assert target.read_text() == "kept" and sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "e.json"]
+
+
 class _FullDevice(io.BytesIO):
     """A binary stream whose every write fails as a write to a full device does."""
 
@@ -511,8 +528,11 @@ def test_unsupported_schema_version_exits_2(tmp_path):
     assert cli.main(["probs", "--config", str(cfg)]) == 2
 
 
-def test_missing_config_file_exits_2():
+def test_missing_config_file_exits_2(tmp_path):
     assert cli.main(["probs", "--config", "/definitely/not/here.json"]) == 2
+    # --out is checked, not created, before the config is read, so the refused run leaves no directory
+    assert cli.main(["simulate", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "new")]) == 2
+    assert not (tmp_path / "new").exists()
 
 
 def test_malformed_json_exits_2(tmp_path):

@@ -172,10 +172,11 @@ def _per_window_outcomes(plan):
         entry.run(plan.source, delta, plan.eta, plan.variant, plan.swap_bases)
         for delta in plan.delta_schedule
     ]
+    conditioned = entry.law(plan.delta_schedule[0], plan.eta, plan.variant, plan.swap_bases).conditioned
     rng = np.random.default_rng(plan.seed)
     outcomes = []
     for w in range(plan.n_windows):
-        if entry.conditioned and not sample_arrival(plan.source.epsilon, rng):
+        if conditioned and not sample_arrival(plan.source.epsilon, rng):
             outcomes.append(-1)
             continue
         table = tables[w % len(tables)]
@@ -522,6 +523,9 @@ def test_crb_report_at_zero_arrival_probability_reports_no_information(protocol)
         with pytest.raises(ValueError) as caught:
             crb_report(protocol, StellarSource(0.7, 0.8, 0.0), (0.0, delta))
         assert not isinstance(caught.value, NumericalInvariantError)
+    for at in ((math.nan, 0.8), (0.7, 2.0)):  # and so is a phase or visibility out of range
+        with pytest.raises(ValueError):
+            estimation.window_fisher(protocol, (0.3, 0.0, 1.0, Variant.CNOT_SEQUENCE, False), at)
 
 
 def _exact_window_fisher(protocol, setting, phi, g):
@@ -552,7 +556,8 @@ def _exact_window_fisher(protocol, setting, phi, g):
         surely |= bool(np.any(~keep & (low >= floors[1]) & (low > 0.0)))
         maybe |= bool(np.any(~keep & (high >= floors[0]) & (high > 0.0)))
     mat = np.array([[np.sum(di[keep] * dj[keep] / p[keep]) for dj in grads] for di in grads])
-    return (epsilon * mat if entry.conditioned else mat), (True if surely else None if maybe else False)
+    conditioned = entry.law(delta, eta, variant, swap).conditioned
+    return (epsilon * mat if conditioned else mat), (True if surely else None if maybe else False)
 
 
 @settings(max_examples=40, deadline=None)
@@ -649,7 +654,7 @@ def test_compiled_fringe_table_matches_circuit(protocol, eta, variant, swap, phi
             table.joint(phi, g)
         return
     probs, total = table.joint(phi, g)
-    compiled = dict(zip(table.labels, probs / total))
+    compiled = dict(zip(estimation.PROTOCOLS[protocol].outcomes(), probs / total))
     assert {k for k, v in expected.items() if v > 0.0} <= set(compiled)
     worst = max(abs(compiled.get(k, 0.0) - expected.get(k, 0.0)) for k in set(compiled) | set(expected))
     assert worst < 1e-12
@@ -675,7 +680,7 @@ def test_log_likelihood_on_the_grid_is_the_compiled_law():
             Variant.CNOT_SEQUENCE, False,
         )
         np.testing.assert_allclose(
-            conditional[i], [row.get(k, 0.0) for k in table.labels], rtol=0.0, atol=1e-12
+            conditional[i], [row.get(k, 0.0) for k in estimation.PROTOCOLS["cnot"].outcomes()], rtol=0.0, atol=1e-12
         )
 
 
@@ -685,7 +690,7 @@ def test_stacked_law_scores_each_setting_against_its_own_heralded_total():
     settings = []
     for n in (3, 2, 4):
         coefficients = np.vstack([rng.uniform(1.0, 2.0, n), rng.uniform(-0.5, 0.5, (2, n))])
-        table = estimation.FringeTable(tuple(range(n)), coefficients, coefficients.sum(axis=1))
+        table = estimation.FringeTable(coefficients, coefficients.sum(axis=1))
         seen = np.arange(1, n)
         settings.append((table, seen, rng.integers(1, 50, seen.size).astype(float)))
     observed = estimation._stack(settings)
@@ -707,9 +712,7 @@ def test_stacked_law_scores_each_setting_against_its_own_heralded_total():
 
 def test_log_likelihood_of_an_impossible_phase_is_minus_infinity():
     # p_a = (1 + cos phi) / 2 vanishes at phi = pi, where a was observed
-    table = estimation.FringeTable(
-        ("a", "b"), np.array([[0.5, 0.5], [0.5, -0.5], [0.0, 0.0]]), np.array([1.0, 0.0, 0.0])
-    )
+    table = estimation.FringeTable(np.array([[0.5, 0.5], [0.5, -0.5], [0.0, 0.0]]), np.array([1.0, 0.0, 0.0]))
     observed = estimation._stack([(table, np.array([0]), np.array([3.0]))])
     scores = estimation._log_likelihood(np.array([0.0, math.pi]), 1.0, observed)
     assert scores[0] == pytest.approx(0.0, abs=1e-15)
@@ -729,7 +732,9 @@ def test_outcome_indices_carry_the_herald_rule(tmp_path, protocol):
     assert outcomes.shape == (3000,) and outcomes.dtype.kind == "i"
     entry = estimation.PROTOCOLS[protocol]
     labels = entry.outcomes()
-    assert outcomes.min() >= (-1 if entry.conditioned else 0) and outcomes.max() < len(labels)
+    conditioned = entry.law(0.0, plan.eta, plan.variant, plan.swap_bases).conditioned
+    assert conditioned == (protocol == "direct")
+    assert outcomes.min() >= (-1 if conditioned else 0) and outcomes.max() < len(labels)
     heralds = [entry.herald(labels[o]) if o >= 0 else Herald.VACUUM for o in outcomes]
     report = mle_phase(outcomes, plan)
     assert report.n_heralded == heralds.count(Herald.PHOTON_ARRIVED)
@@ -768,19 +773,18 @@ def test_mle_refuses_outcomes_of_the_wrong_length_or_type():
 
 
 def test_fringe_table_guards():
-    labels = ("a", "b")
     # p_b = -1e-15 g cos(phi) dips to round-off level below zero at phi = 0
     roundoff = estimation.FringeTable(
-        labels, np.array([[1.0, 0.0], [0.0, -1e-15], [0.0, 0.0]]), np.array([1.0, -1e-15, 0.0])
+        np.array([[1.0, 0.0], [0.0, -1e-15], [0.0, 0.0]]), np.array([1.0, -1e-15, 0.0])
     )
     probs, _ = roundoff.joint(0.0, 1.0)
     assert probs[1] == 0.0
     broken = estimation.FringeTable(
-        labels, np.array([[1.0, 0.0], [0.0, -1e-9], [0.0, 0.0]]), np.array([1.0, -1e-9, 0.0])
+        np.array([[1.0, 0.0], [0.0, -1e-9], [0.0, 0.0]]), np.array([1.0, -1e-9, 0.0])
     )
     with pytest.raises(NumericalInvariantError):
         broken.joint(0.0, 1.0)
-    empty = estimation.FringeTable(labels, np.zeros((3, 2)), np.zeros(3))
+    empty = estimation.FringeTable(np.zeros((3, 2)), np.zeros(3))
     with pytest.raises(NumericalInvariantError):
         empty.joint(np.linspace(0.0, 1.0, 5), 0.5)
 
@@ -859,7 +863,7 @@ def _fringe(shift, weight, sign=1.0):
     """The outcome law w (1 + sign cos(phi - shift)) / 2 as a one-label table
     with a constant heralded total."""
     coefficients = weight * np.array([[0.5], [0.5 * sign * math.cos(shift)], [0.5 * sign * math.sin(shift)]])
-    return estimation.FringeTable(("a",), coefficients, np.array([1.0, 0.0, 0.0]))
+    return estimation.FringeTable(coefficients, np.array([1.0, 0.0, 0.0]))
 
 
 def _refine(settings, g=1.0):
@@ -897,7 +901,6 @@ def test_newton_refine_steps_around_an_observed_outcome_that_vanishes_in_the_cel
     step = grid[1] - grid[0]
     s = grid[700] + offset * step
     table = estimation.FringeTable(
-        ("a", "b"),
         np.array([[0.5, 0.5], [0.5 * math.cos(s), -0.5 * math.cos(s)], [0.5 * math.sin(s), -0.5 * math.sin(s)]]),
         np.array([1.0, 0.0, 0.0]),
     )
@@ -1012,9 +1015,16 @@ def test_constant_tables_are_built_once_and_read_only():
         for mask in (heralded, vacuum):
             with pytest.raises(ValueError, match="read-only"):
                 mask[0] = not mask[0]
-        index = estimation._outcome_index(protocol)
-        assert estimation._outcome_index(protocol) is index
+        # a setting's law holds the declared labels and their positions, mapped once per law
+        law = estimation.PROTOCOLS[protocol].law(0.3, 1.0, Variant.CNOT_SEQUENCE, False)
+        assert estimation.PROTOCOLS[protocol].law(0.3, 1.0, Variant.CNOT_SEQUENCE, False) is law
+        # a config's variant name reads the law of the wiring it names, as ``run`` does
+        assert estimation.PROTOCOLS[protocol].law(0.3, 1.0, "cnot_sequence", False) is law
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            law.outcomes = ()
+        assert law.outcomes == estimation.PROTOCOLS[protocol].outcomes()
+        index = law._index
         with pytest.raises(TypeError):
             index[None] = 0
-        assert list(index) == list(estimation.PROTOCOLS[protocol].outcomes())
-        assert list(index.values()) == list(range(len(index)))
+        assert law.positions(law.outcomes).tolist() == list(range(len(law.outcomes)))
+        assert law._index is index and list(index) == list(law.outcomes)

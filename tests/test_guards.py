@@ -185,9 +185,7 @@ def test_table_guard_prints_plain_floats():
 def test_table_guard_of_a_compiled_law_holds_at_its_tolerance():
     def table(dip):
         # p_b = dip * g cos(phi), which is dip at phi = 0, g = 1
-        return estimation.FringeTable(
-            ("a", "b"), np.array([[1.0, 0.0], [0.0, dip], [0.0, 0.0]]), np.array([1.0, dip, 0.0])
-        )
+        return estimation.FringeTable(np.array([[1.0, 0.0], [0.0, dip], [0.0, 0.0]]), np.array([1.0, dip, 0.0]))
 
     probs, _ = table(-TABLE_ATOL).joint(0.0, 1.0)
     assert probs[1] == 0.0
@@ -210,7 +208,7 @@ def test_table_guard_refuses_nan_at_every_site(monkeypatch):
         fisher.OutcomeModel(lambda phi, g: {"a": math.nan, "b": 1.0}, ("a", "b"), "edge").probs(0.0, 0.5)
     with pytest.raises(NumericalInvariantError, match="edge outcome table probabilities sum to .*nan"):
         protocols._mixture([(1.0, {"a": math.nan})], "edge")
-    law = estimation.FringeTable(("a", "b"), np.array([[1.0, 0.0], [0.0, math.nan], [0.0, 0.0]]), np.array([1.0, 0.0, 0.0]))
+    law = estimation.FringeTable(np.array([[1.0, 0.0], [0.0, math.nan], [0.0, 0.0]]), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(NumericalInvariantError, match="compiled outcome law has a negative probability"):
         law.joint(0.0, 1.0)
     monkeypatch.setattr(gates, "measurement_distribution", lambda *a: np.array([1.0, math.nan]))

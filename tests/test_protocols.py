@@ -186,8 +186,9 @@ def test_vacuum_branch_is_one_read_only_table_per_setting(variant, eta):
         # equal, in its order, to a fresh walk of the |00> branch
         fresh = protocols._count_table(protocols._cnot_input_state(vacuum, present), steps)
         assert list(table.items()) == list(fresh.items())
-        labels, law = protocols._law(protocols._cnot_circuit, 0.3, variant, present)
-        assert protocols._law(protocols._cnot_circuit, 0.3, variant, present)[1] is law
+        # the single-flag law at eta = 1 (present) or 0 (lost)
+        ((_, labels, law),) = protocols._law(protocols._cnot_circuit, 0.3, float(present), variant).tables
+        assert protocols._law(protocols._cnot_circuit, 0.3, float(present), variant).tables[0][2] is law
         assert labels[: len(table)] == tuple(table)
         with pytest.raises(ValueError, match="read-only"):
             law[0, 0] = 1.0
@@ -220,8 +221,11 @@ def test_cnot_distribution_is_the_walked_mixture(phi, g, epsilon, eta, delta, va
 def test_warm_cnot_distribution_reads_read_only_rows_and_walks_no_circuit(monkeypatch):
     config = ProtocolConfig(0.3, 0.6, Variant.PARITY_FEED_FORWARD)
     cnot_distribution(StellarSource(0.7, 0.8, 0.1), config)  # compiles both ancilla flags
-    for present in (True, False):
-        labels, rows = protocols._law(protocols._cnot_circuit, 0.3, config.variant, present)
+    law = protocols._law(protocols._cnot_circuit, 0.3, config.eta, config.variant)
+    assert [w for w, _, _ in law.tables] == [0.6, 1.0 - 0.6]
+    for present, (_, labels, rows) in zip((True, False), law.tables):
+        # each flag's table is its single-flag law's, compiled once
+        assert protocols._law(protocols._cnot_circuit, 0.3, float(present), config.variant).tables[0][2] is rows
         assert rows.shape == (4, len(labels)) == (4, len(set(labels)))
         with pytest.raises(ValueError, match="read-only"):
             rows[1, 0] = 0.0
@@ -232,6 +236,27 @@ def test_warm_cnot_distribution_reads_read_only_rows_and_walks_no_circuit(monkey
     assert calls == []
     cnot_branches(StellarSource(-1.2, 0.3, 0.9), config)  # the sampler's tables still walk
     assert calls
+
+
+@pytest.mark.parametrize(
+    "variant, walked, branches", [(Variant.CNOT_SEQUENCE, 80, 40), (Variant.PARITY_FEED_FORWARD, 83, 44)]
+)
+def test_cold_mixed_eta_setting_walks_each_ancilla_flag_once(monkeypatch, variant, walked, branches):
+    # eta = 0.6 compiles its two single-flag laws, 4 walks each: ``walked`` gates in all, as
+    # when each flag was compiled on its own.  The laws at eta = 1 and 0 are those two, and
+    # cnot_branches reads its vacuum rows from them and walks the fringe branches alone
+    protocols._law.cache_clear()
+    calls = []
+    walk_gate = protocols.apply_unitary
+    monkeypatch.setattr(protocols, "apply_unitary", lambda *args: calls.append(args) or walk_gate(*args))
+    source, config = StellarSource(0.7, 0.8, 0.1), ProtocolConfig(0.3, 0.6, variant)
+    cnot_distribution(source, config)
+    assert len(calls) == walked
+    for eta in (1.0, 0.0):
+        cnot_distribution(source, ProtocolConfig(0.3, eta, variant))
+    assert len(calls) == walked
+    cnot_branches(source, config)
+    assert len(calls) == walked + branches
 
 
 def _haar_optics(seed):
@@ -253,9 +278,7 @@ _COMPILED_AND_WALKED = {
         gottesman_distribution(source, delta), walks.walked_gottesman(source, delta)
     ),
     "gottesman, Haar optics": lambda source, delta, seed: (
-        protocols._read_laws(
-            source, [(1.0, *protocols._compile(protocols._gottesman_circuit(delta, _haar_optics(seed))))], "four-mode"
-        ),
+        protocols._compile(*protocols._gottesman_circuit(delta, _haar_optics(seed))).table(source),
         walks.walked_gottesman(source, delta, _haar_optics(seed)),
     ),
 }

@@ -35,7 +35,7 @@ def walked_direct(source, delta, swap_bases=False) -> dict:
 
 def walked_gottesman(source, delta, optics=()) -> dict:
     """The four-mode baseline, with local ``optics``: each source branch of nonzero weight walked and mixed."""
-    circuit = protocols._gottesman_circuit(delta, optics)
+    ((_, circuit),), _, _ = protocols._gottesman_circuit(delta, optics)
     return protocols._mixture(((w, circuit(star)) for w, star in source.pure_branches(N_MAX) if w != 0.0), "four-mode")
 
 
