@@ -8,10 +8,11 @@ Subcommands::
     memory-demo  time-bin encode/decode transcript and resource comparison
     validate     run the built-in invariant suite
 
-Configuration is a flat JSON object with a ``schema_version`` field;
-unknown keys are rejected.  Exit codes: 0 success, 2 configuration error,
-3 numerical-invariant violation, 1 any other error, a failed write and a
-reader that closed the output pipe included.
+Configuration is a flat JSON object with a ``schema_version`` field; unknown
+keys, and values of another JSON kind than their key's, are rejected.  Exit
+codes: 0 success, 2 configuration error, 3 numerical-invariant violation, 1
+any other error, a failed write and a reader that closed the output pipe
+included.
 """
 
 from __future__ import annotations
@@ -80,68 +81,50 @@ MAX_N_BINS = 31
 MAX_ANGLE = 2.0**52
 
 
+def _key(default, kind, domain=None):
+    """A config key: its default, its JSON kind (``float`` a JSON number, ``list`` a non-empty list of them; a key
+    whose default is None also takes null) and, for a number, the closed interval that it must lie in."""
+    return dataclasses.field(default=default, metadata={"schema": (kind, domain)})
+
+
+_UNIT, _ANGLE = (0.0, 1.0), (-MAX_ANGLE, MAX_ANGLE)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters shared by all subcommands."""
+    """Validated run parameters shared by all subcommands, each key declared once by :func:`_key`."""
 
-    schema_version: int = SCHEMA_VERSION
-    protocol: str = "cnot"
-    epsilon: float = 0.1
-    g: float = 1.0
-    phi: float = 0.7
-    delta: float = 0.0
-    delta_schedule: tuple[float, ...] | None = None
-    eta: float = 1.0
-    variant: str = "cnot_sequence"
-    swap_bases: bool = False
-    n_bins: int = 7
-    n_windows: int = 1000
-    seed: int | None = None
-    phi_values: tuple[float, ...] | None = None
-    g_values: tuple[float, ...] | None = None
-    delta_values: tuple[float, ...] | None = None
+    schema_version: int = _key(SCHEMA_VERSION, int, (SCHEMA_VERSION, SCHEMA_VERSION))
+    protocol: str = _key("cnot", str)
+    epsilon: float = _key(0.1, float, _UNIT)
+    g: float = _key(1.0, float, _UNIT)
+    phi: float = _key(0.7, float, _ANGLE)
+    delta: float = _key(0.0, float, _ANGLE)
+    delta_schedule: tuple[float, ...] | None = _key(None, list, _ANGLE)
+    eta: float = _key(1.0, float, _UNIT)
+    variant: str = _key("cnot_sequence", str)
+    swap_bases: bool = _key(False, bool)
+    n_bins: int = _key(7, int, (1, MAX_N_BINS))
+    n_windows: int = _key(1000, int, (1, math.inf))
+    seed: int | None = _key(None, int, (0, math.inf))
+    phi_values: tuple[float, ...] | None = _key(None, list, _ANGLE)
+    g_values: tuple[float, ...] | None = _key(None, list, _UNIT)
+    delta_values: tuple[float, ...] | None = _key(None, list, _ANGLE)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        fields = dataclasses.fields(cls)
+        unknown = set(raw) - {f.name for f in fields}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged = {f.name: raw.get(f.name, getattr(cls, f.name)) for f in dataclasses.fields(cls)}
-        cfg = cls(**_coerce_types(merged))
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        if self.schema_version != SCHEMA_VERSION:
-            raise ConfigError(
-                f"unsupported schema_version {self.schema_version}; expected {SCHEMA_VERSION}"
-            )
-        unit, angle = (0.0, 1.0), (-MAX_ANGLE, MAX_ANGLE)
-        bounds = {
-            "epsilon": unit, "g": unit, "eta": unit, "n_bins": (1, MAX_N_BINS),
-            "phi": angle, "delta": angle, "delta_schedule": angle,
-            "phi_values": angle, "g_values": unit, "delta_values": angle,
-        }
-        for key, (lo, hi) in bounds.items():
-            value = getattr(self, key)
-            if value == ():
-                raise ConfigError(f"{key}, when given, must not be empty")
-            named = {key: value}
-            if isinstance(value, tuple):
-                named = {f"{key}[{i}]": v for i, v in enumerate(value)}
-            for name, v in named.items():
-                if v is not None and not lo <= v <= hi:
-                    raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {v}")
-        if self.n_windows < 1:
-            raise ConfigError(f"n_windows must be >= 1, got {self.n_windows}")
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"seed must be >= 0 or null, got {self.seed}")
+        cfg = cls(**{f.name: _checked(f.name, raw.get(f.name, f.default), f.default is None, *f.metadata["schema"])
+                     for f in fields})
         try:
-            _check_eta(self.protocol, self.eta)
-            Variant.parse(self.variant)
+            _check_eta(cfg.protocol, cfg.eta)
+            Variant.parse(cfg.variant)
         except ValueError as exc:
             raise ConfigError(str(exc))
+        return cfg
 
     def source(self) -> StellarSource:
         return StellarSource(self.phi, self.g, self.epsilon)
@@ -152,38 +135,23 @@ class RunConfig:
         return tuple(DEFAULT_SCHEDULE)
 
 
-def _coerce_types(merged: dict) -> dict:
-    def finite(value, name):
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
-        if not math.isfinite(number):
-            raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        return number
+_KINDS = {float: "a number", list: "a list of numbers", int: "an integer", bool: "a boolean", str: "a string"}
 
-    for key in ("delta_schedule", "phi_values", "g_values", "delta_values"):
-        value = merged[key]
-        if value is None:
-            continue
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{key} must be a list of numbers")
-        merged[key] = tuple(finite(v, f"{key}[{i}]") for i, v in enumerate(value))
-    for key in ("epsilon", "g", "phi", "delta", "eta"):
-        merged[key] = finite(merged[key], key)
-    for key in ("schema_version", "n_bins", "n_windows"):
-        if not isinstance(merged[key], int) or isinstance(merged[key], bool):
-            raise ConfigError(f"{key} must be an integer, got {merged[key]!r}")
-    if merged["seed"] is not None and (
-        not isinstance(merged["seed"], int) or isinstance(merged["seed"], bool)
-    ):
-        raise ConfigError(f"seed must be an integer or null, got {merged['seed']!r}")
-    if not isinstance(merged["swap_bases"], bool):
-        raise ConfigError("swap_bases must be a boolean")
-    for key in ("protocol", "variant"):
-        if not isinstance(merged[key], str):
-            raise ConfigError(f"{key} must be a string")
-    return merged
+
+def _checked(name: str, value, nullable: bool, kind, domain):
+    """``value`` of the config key ``name``, refused unless it is of JSON ``kind`` (or null, if ``nullable``) and lies
+    in ``domain``."""
+    if value is None and nullable:
+        return None
+    if kind is list and isinstance(value, (list, tuple)):
+        if not value:
+            raise ConfigError(f"{name}, when given, must not be empty")
+        return tuple(_checked(f"{name}[{i}]", v, False, float, domain) for i, v in enumerate(value))
+    if type(value) is not kind and not (kind is float and type(value) is int):  # a bool is no number
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    if domain and not domain[0] <= value <= domain[1]:  # nan and +-inf included, an int compared exactly
+        raise ConfigError(f"{name} must lie in [{domain[0]}, {domain[1]}], got {value}")
+    return kind(value)
 
 
 def load_config(path: str | None, seed_override: int | None) -> RunConfig:
@@ -194,7 +162,7 @@ def load_config(path: str | None, seed_override: int | None) -> RunConfig:
             raw = json.loads(Path(path).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSON, UTF-8 or integer-length error
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -247,14 +215,17 @@ def _write_or_print(text: str | Iterable[bytes], args, filename: str) -> None:
 
 def _trace_chunks(outcomes, prefixes: list[str]) -> Iterable[bytes]:
     """``prefixes[o] + str(w) + "}\\n"`` for each window ``w`` of outcome index ``o``, encoded, 1000 windows
-    a chunk; past the first, each prefix is completed with the chunk's high digits ``str(a)[:-3]``."""
-    low = np.array([b"%03d}\n" % i for i in range(1000)], dtype=object)
+    a chunk; past the first, each prefix that the chunk draws is completed with its high digits ``str(a)[:-3]``."""
+    encoded, completed = [p.encode() for p in prefixes], np.empty(len(prefixes), dtype=object)
+    rows = np.empty((1000, 2), dtype=object)  # column 1: the first chunk's numbers, from the second on their low digits
     for a in range(0, len(outcomes), 1000):
         b = min(a + 1000, len(outcomes))
-        rows = np.empty((b - a, 2), dtype=object)
-        rows[:, 0] = np.array([(p + str(a)[:-3]).encode() for p in prefixes], dtype=object)[outcomes[a:b]]
-        rows[:, 1] = [b"%d}\n" % w for w in range(b)] if a == 0 else low[: b - a]
-        yield b"".join(rows.ravel().tolist())
+        high, drawn = str(a)[:-3].encode(), (np.bincount(outcomes[a:b] + 1).nonzero()[0] - 1).tolist()
+        completed[drawn] = [encoded[o] + high for o in drawn]  # o = -1, no photon, is the last prefix
+        if a < 2000:
+            rows[: b - a, 1] = [b"%d}\n" % w for w in range(b)] if a == 0 else [b"%03d}\n" % i for i in range(b - a)]
+        rows[: b - a, 0] = completed[outcomes[a:b]]
+        yield b"".join(rows[: b - a].ravel().tolist())
 
 
 def _label_text(label: tuple) -> str:
@@ -267,8 +238,10 @@ def _label_text(label: tuple) -> str:
 
 def cmd_probs(args) -> int:
     cfg = load_config(args.config, args.seed)
-    source = cfg.source()
     protocol = get_protocol(cfg.protocol)
+    if cfg.epsilon == 0.0 and protocol.law(cfg.delta, cfg.eta, cfg.variant, cfg.swap_bases).conditioned:
+        raise ConfigError(f"probs for {cfg.protocol} needs epsilon > 0: its table is conditioned on a photon arrival")
+    source = cfg.source()
     table = protocol.run(source, cfg.delta, cfg.eta, cfg.variant, cfg.swap_bases)
     reference = None
     if protocol.reference is not None:

@@ -208,6 +208,34 @@ def test_trace_chunks_equal_the_per_window_lines_across_every_chunk_edge(
         assert b"".join(cli._trace_chunks(outcomes, prefixes)) == "".join(_trace_lines(outcomes, prefixes)).encode()
 
 
+def _profiled_calls(argv) -> int:
+    """The Python and C function calls that one in-process ``cli.main(argv)`` makes, counted by ``sys.setprofile``."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event in ("call", "c_call")
+
+    sys.setprofile(profile)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    return count
+
+
+@pytest.mark.parametrize("protocol", ["cnot", "direct", "gottesman"])
+def test_simulate_makes_few_calls_per_window(tmp_path, capsys, protocol):
+    # a trace chunk completes only the outcome prefixes that it draws, not each of the 730 cnot or 82 gottesman ones
+    calls = {}
+    for n in (10**4, 10**4, 10**5):  # the first run warms the compiled laws
+        cfg = _write_config(tmp_path, protocol=protocol, g=0.8, phi=0.7, n_windows=n, seed=1)
+        calls[n] = _profiled_calls(["simulate", "--config", str(cfg), "--format", "json", "--out", str(tmp_path / "out")])
+    marginal = (calls[10**5] - calls[10**4]) / (10**5 - 10**4)
+    assert marginal < 0.05, f"{marginal:.3f} calls per window"
+
+
 # past the first 1000-window chunk edge of the trace writer
 N_TRACE = 2345
 
@@ -523,6 +551,41 @@ def test_simulate_trace_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path)
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # a number must be a JSON number, not a string or a bool
+        {"epsilon": "0.5"},
+        {"g": True},
+        {"epsilon": "0.5", "g": True, "phi": "0.7"},
+        {"delta_values": ["0.1"]},
+        # an integer must not be a float, a bool must not be an integer
+        {"n_windows": 10.0},
+        {"swap_bases": 1},
+    ],
+    ids=lambda overrides: ",".join(overrides),
+)
+def test_value_of_the_wrong_json_kind_exits_2_with_one_line(tmp_path, capsys, overrides):
+    cfg = _write_config(tmp_path, **overrides)
+    assert cli.main(["probs", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_probs_of_a_table_conditioned_on_arrival_at_epsilon_zero_exits_2(tmp_path, capsys, monkeypatch):
+    # direct's table is conditioned on a photon arrival: at epsilon = 0 every label would read 0 next to its reference
+    entry = dataclasses.replace(estimation.PROTOCOLS["direct"], run=lambda *args: pytest.fail("probs read the table"))
+    monkeypatch.setitem(estimation.PROTOCOLS, "direct", entry)
+    cfg = _write_config(tmp_path, protocol="direct", epsilon=0.0)
+    assert cli.main(["probs", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and "epsilon > 0" in captured.err and captured.out == ""
+    for protocol in ("cnot", "gottesman"):  # their tables at epsilon = 0 are the no-photon windows'
+        cfg = _write_config(tmp_path, protocol=protocol, epsilon=0.0)
+        assert cli.main(["probs", "--config", str(cfg)]) == 0
+        assert abs(sum(float(row["probability"]) for row in _parse_csv(capsys.readouterr().out)) - 1.0) < 1e-12
+
+
 def test_unsupported_schema_version_exits_2(tmp_path):
     cfg = _write_config(tmp_path, schema_version=99)
     assert cli.main(["probs", "--config", str(cfg)]) == 2
@@ -539,6 +602,23 @@ def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert cli.main(["probs", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b'{"phi": 1' + b"0" * 400 + b"}",  # an integer too large for a float
+        b'{"n_windows": 1' + b"0" * 5000 + b"}",  # beyond the digit limit of int()
+        b'\xff\xfe{"phi": 0.7}',  # not UTF-8
+    ],
+    ids=["huge-int", "digit-limit", "not-utf8"],
+)
+def test_config_text_that_reads_as_no_valid_number_exits_2_with_one_line(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert cli.main(["probs", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_numerical_invariant_breach_exits_3(tmp_path, monkeypatch):
@@ -642,7 +722,7 @@ _EDGE_NUMBERS = [
 ]
 _NUMBERS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(_EDGE_NUMBERS), st.floats())
 _UNIT = st.one_of(st.floats(0.0, 1.0), _NUMBERS)
-_CONFIGS = st.fixed_dictionaries(
+_VALID_KINDS = st.fixed_dictionaries(
     {"schema_version": st.just(1), "protocol": st.sampled_from(["cnot", "direct", "gottesman"])},
     optional={
         "epsilon": _UNIT,
@@ -661,9 +741,19 @@ _CONFIGS = st.fixed_dictionaries(
         "delta_values": st.one_of(st.none(), st.lists(_NUMBERS, max_size=2)),
     },
 )
+# a value of each JSON kind: a number as a string, a bool, null, an integer, a float, a list and an object
+_ANY_KIND = st.one_of(
+    st.sampled_from(["0.5", "1", "cnot", "", True, False, None, 0, 1, 10.0, [], ["0.1"], [0.5, True], {"a": 1}]),
+    st.lists(_NUMBERS, max_size=2),
+)
+_KEYS = [f.name for f in dataclasses.fields(cli.RunConfig)]
+# about half the configs have one key, any of the 16, of any kind
+_CONFIGS = st.one_of(
+    _VALID_KINDS, st.builds(lambda raw, key, value: {**raw, key: value}, _VALID_KINDS, st.sampled_from(_KEYS), _ANY_KIND)
+)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(
     raw=_CONFIGS,
     command=st.sampled_from(["probs", "fisher", "simulate", "memory-demo", "validate"]),
