@@ -42,7 +42,7 @@ from .estimation import (
     run_experiment,
     window_fisher,
 )
-from .fisher import G_BOUNDARY, qfi_matrix, saturability_check, sld
+from .fisher import G_BOUNDARY, saturability_check, sld, sld_fisher
 from .gates import beam_splitter
 from .protocols import (
     Herald,
@@ -105,7 +105,7 @@ class RunConfig:
     variant: str = _key("cnot_sequence", str)
     swap_bases: bool = _key(False, bool)
     n_bins: int = _key(7, int, (1, MAX_N_BINS))
-    n_windows: int = _key(1000, int, (1, math.inf))
+    n_windows: int = _key(1000, int, (1, 2**53))  # the largest count a float holds exactly
     seed: int | None = _key(None, int, (0, math.inf))
     phi_values: tuple[float, ...] | None = _key(None, list, _ANGLE)
     g_values: tuple[float, ...] | None = _key(None, list, _UNIT)
@@ -271,16 +271,16 @@ def _fisher_row(cfg: RunConfig, phi: float, g: float, delta: float) -> list:
     f_pg = np.nan if at_boundary else fmat.phi_g
 
     rho = single_photon_conditional(source)
-    drho_phi = conditional_phi_derivative(phi, g)
-    drho_g = None if at_boundary else conditional_g_derivative(phi, g)
-    qmat = qfi_matrix(rho, drho_phi, drho_g)
+    l_phi = sld(rho, conditional_phi_derivative(phi, g))
+    l_g = None if at_boundary else sld(rho, conditional_g_derivative(phi, g))
+    qmat = sld_fisher(rho, l_phi, l_g)
     h_pp = cfg.epsilon * qmat.phi_phi
     if at_boundary:
         h_gg = h_pg = sat = np.nan
     else:
         h_gg = cfg.epsilon * qmat.g_g
         h_pg = cfg.epsilon * qmat.phi_g
-        sat = saturability_check(rho, sld(rho, drho_phi), sld(rho, drho_g))
+        sat = saturability_check(rho, l_phi, l_g)
     return [phi, g, delta, f_pp, f_gg, f_pg, h_pp, h_gg, h_pg, sat]
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from . import analytic
 from .errors import PHASE_ATOL, TABLE_ATOL, EstimationError, NumericalInvariantError, check_table
 from .fisher import FisherMatrix, OutcomeModel, classical_fisher
+from .gates import _draw
 from .protocols import (
     DIRECT_LABELS,
     N_MAX,
@@ -32,7 +33,6 @@ from .protocols import (
     ProtocolConfig,
     Variant,
     _cnot_circuit,
-    _draw,
     _direct_circuit,
     _gottesman_circuit,
     _law,

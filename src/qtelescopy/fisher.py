@@ -196,8 +196,13 @@ def qfi_matrix(rho, drho_phi=None, drho_g=None) -> FisherMatrix:
     Entries are computed only for the supplied derivatives; the rest stay
     zero.  Real and symmetric by construction.
     """
+    return sld_fisher(rho, *(None if drho is None else sld(rho, drho) for drho in (drho_phi, drho_g)))
+
+
+def sld_fisher(rho, l_phi=None, l_g=None) -> FisherMatrix:
+    """:func:`qfi_matrix` from the SLDs themselves, so that a caller that also needs them solves each once."""
     rho = _as_matrix(rho)
-    slds = {i: sld(rho, drho) for i, drho in enumerate((drho_phi, drho_g)) if drho is not None}
+    slds = {i: li for i, li in enumerate((l_phi, l_g)) if li is not None}
     mat = np.zeros((2, 2))
     for i, li in slds.items():
         for j, lj in slds.items():

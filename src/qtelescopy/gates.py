@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
+import math
 from math import comb, factorial, isfinite, sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .errors import LIFT_ATOL, NORM_ATOL, QubitRegisterError, check_table
+from .errors import CHOICE_ATOL, LIFT_ATOL, NORM_ATOL, NumericalInvariantError, QubitRegisterError, check_table
 from .state_engine import (
     ModeUnitary,
     QubitRegister,
@@ -245,19 +246,36 @@ def parity_basis(mode_a: int, mode_b: int, n_max: int) -> MeasurementBasis:
 
 def measurement_distribution(state, basis: MeasurementBasis) -> np.ndarray:
     """Outcome probabilities of a projective measurement."""
-    state, modes = _readout(state, basis)
-    return np.array([np.vdot(state.amplitudes, _projected(state, modes, p)) for p in basis.projectors]).real
+    amps, modes, _ = _readout(state, basis)
+    return _weights(amps, [_projected(state, amps, modes, p) for p in basis.projectors])
+
+
+def _draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The index that each uniform in [0, 1) picks in ``probs``, a table of a few dozen entries at most, as
+    ``Generator.choice(len(probs), p=probs)`` resolves it after its checks (the table must be nonnegative and, once
+    normalized, finite and sum to 1 within sqrt(eps)): the inner steps of its cdf at or below the uniform, which is
+    ``cdf.searchsorted(u, side="right")``."""
+    with np.errstate(all="ignore"):
+        p = probs / probs.sum()
+    if not (p.size and probs.min() >= 0.0 and abs(math.fsum(p.tolist()) - 1.0) <= CHOICE_ATOL):  # nan fails both
+        raise NumericalInvariantError(f"outcome table {probs.tolist()!r} is not a probability distribution")
+    cdf = p.cumsum()
+    index = np.zeros(uniforms.shape, dtype=np.int64)
+    for step in cdf[:-1] / cdf[-1]:
+        index += uniforms >= step
+    return index
 
 
 def measure_in_basis(state, basis: MeasurementBasis, rng=None):
-    """Sample one outcome and collapse. Returns ``(outcome, post_state)``.
-    A weight at most ``NORM_ATOL`` below zero is round-off and counts as zero."""
-    rng = np.random.default_rng(rng)
-    weights = measurement_distribution(state, basis)
+    """Sample one outcome and collapse, projecting each outcome once and drawing one uniform by :func:`_draw`. Returns
+    ``(outcome, post_state)``. A weight at most ``NORM_ATOL`` below zero is round-off and counts as zero."""
+    amps, modes, collapse = _readout(state, basis)
+    projected = [_projected(state, amps, modes, p) for p in basis.projectors]
+    weights = _weights(amps, projected)
     check_table(weights, f"{basis.name or 'basis'} readout", negative_atol=NORM_ATOL)
     weights = np.maximum(weights, 0.0)
-    outcome = basis.outcomes[int(rng.choice(len(weights), p=weights / weights.sum()))]
-    return outcome, project(state, basis, outcome)[1]
+    idx = int(_draw(weights, np.random.default_rng(rng).random(1))[0])
+    return basis.outcomes[idx], collapse(amplitudes=projected[idx] / np.sqrt(weights[idx]))
 
 
 def project(state, basis: MeasurementBasis, outcome):
@@ -267,35 +285,53 @@ def project(state, basis: MeasurementBasis, outcome):
     is ``None`` when the outcome has zero weight.  Useful for enumerating
     measurement branches deterministically.
     """
-    state, modes = _readout(state, basis)
+    amps, modes, collapse = _readout(state, basis)
     try:
         idx = basis.outcomes.index(outcome)
     except ValueError:
         raise ValueError(f"{outcome!r} is not an outcome of {basis.name or 'this basis'}")
-    projected = _projected(state, modes, basis.projectors[idx])
-    weight = float(np.vdot(state.amplitudes, projected).real)
+    projected = _projected(state, amps, modes, basis.projectors[idx])
+    weight = float(np.vdot(amps, projected).real)
     if weight <= 0.0:
         return 0.0, None
     projected /= np.sqrt(weight)
-    return weight, replace(state, amplitudes=projected)
+    return weight, collapse(amplitudes=projected)
 
 
 def _readout(state, basis: MeasurementBasis):
-    """The state a readout of ``basis`` reads, and the modes it reads there: a
-    :class:`QubitRegister` is read in its ``paired`` layout, where the measured mode leads."""
+    """The amplitudes a readout of ``basis`` reads, the modes it reads there, and the post-state's constructor from
+    amplitudes so laid out.  A :class:`QubitRegister` is read in the layout of :func:`_pair`, its mode leading."""
     if not isinstance(state, (StateVector, QubitRegister)):
         raise TypeError("a readout acts on a StateVector or a QubitRegister")
     _check_modes(basis.target_modes, state.mode_count)
     check_support(basis, state, f"{basis.name or 'basis'} measurement")
     if not isinstance(state, QubitRegister):
-        return state, basis.target_modes
+        return state.amplitudes, basis.target_modes, partial(replace, state)
     if basis.n_max != 1 or len(basis.target_modes) != 1:
         raise QubitRegisterError(f"{basis.name or 'basis'} on {basis.target_modes} is not a one-mode readout at cutoff 1")
-    return state.paired(basis.target_modes[0]), (0,)
+    return _pair(state, 1 << (state.mode_count - 1 - basis.target_modes[0]))
 
 
-def _projected(state, target_modes: tuple[int, ...], proj: np.ndarray) -> np.ndarray:
-    """Amplitudes of ``proj`` applied on ``target_modes``; one mode needs no copy."""
+def _pair(state: QubitRegister, bit: int):
+    """:func:`_readout` of ``state`` with each label and its flip at label bit ``bit`` present once, zeros filled in,
+    the bit clear and then set on the sorted labels of the other modes: ``amplitudes.reshape(2, -1)`` holds its rows."""
+    cleared = state.labels & ~bit
+    rest = np.sort(cleared)
+    first = np.ones(len(rest), dtype=bool)
+    first[1:] = rest[1:] != rest[:-1]
+    rest = rest[first]
+    amps = np.zeros((2, len(rest)), dtype=complex)
+    amps[(state.labels & bit) // bit, rest.searchsorted(cleared)] = state.amplitudes
+    return amps.ravel(), (0,), partial(QubitRegister, np.concatenate([rest, rest | bit]), mode_count=state.mode_count)
+
+
+def _projected(state, amps: np.ndarray, target_modes: tuple[int, ...], proj: np.ndarray) -> np.ndarray:
+    """``proj`` on ``target_modes`` of the amplitudes ``amps`` that :func:`_readout` reads in ``state``; no copy."""
     if len(target_modes) == 1:
-        return _apply_one_mode(proj, target_modes[0], state.amplitudes, state.n_max + 1)
+        return _apply_one_mode(proj, target_modes[0], amps, state.n_max + 1)
     return _apply_block(proj, target_modes, state)
+
+
+def _weights(amps: np.ndarray, projected: list) -> np.ndarray:
+    """The weight of each projection of ``amps``."""
+    return np.array([np.vdot(amps, v) for v in projected]).real

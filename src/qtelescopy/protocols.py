@@ -37,9 +37,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CHOICE_ATOL, NORM_ATOL, SUM_ATOL, TABLE_ATOL, NumericalInvariantError, check_table
+from .errors import NORM_ATOL, SUM_ATOL, TABLE_ATOL, NumericalInvariantError, check_table
 from .gates import (
     MeasurementBasis,
+    _draw,
     beam_splitter,
     cnot_fock,
     cz_fock,
@@ -340,22 +341,6 @@ def cnot_distribution(source: StellarSource, config: ProtocolConfig) -> dict:
     return _law(_cnot_circuit, config.delta, config.eta, config.variant).table(source)
 
 
-def _draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """The index that each uniform in [0, 1) picks in ``probs``, a table of a few dozen entries at most, as
-    ``Generator.choice(len(probs), p=probs)`` resolves it after its checks (the table must be nonnegative and, once
-    normalized, finite and sum to 1 within sqrt(eps)): the inner steps of its cdf at or below the uniform, which is
-    ``cdf.searchsorted(u, side="right")``."""
-    with np.errstate(all="ignore"):
-        p = probs / probs.sum()
-    if not (p.size and probs.min() >= 0.0 and abs(math.fsum(p.tolist()) - 1.0) <= CHOICE_ATOL):  # nan fails both
-        raise NumericalInvariantError(f"outcome table {probs.tolist()!r} is not a probability distribution")
-    cdf = p.cumsum()
-    index = np.zeros(uniforms.shape, dtype=np.int64)
-    for step in cdf[:-1] / cdf[-1]:
-        index += uniforms >= step
-    return index
-
-
 class CnotWindows(Sequence):
     """The windows of :func:`sample_cnot_windows`: read-only arrays of each window's (source branch, ancilla present)
     row, ``branch``, and the flat basis index of its counts, ``outcome``; item ``w`` is its ``(source branch,
@@ -575,10 +560,9 @@ def encode_time_bin_modified(register: BellRegister, arrival) -> BellRegister:
 
 def _sample_pair_x_outcomes(pair: np.ndarray, rng) -> tuple[int, int]:
     """Joint X-basis outcomes (left, right) for one Bell pair 4-vector, drawn
-    with one ``rng.choice`` from the engine's readout paths."""
+    with one uniform by :func:`_draw` from the engine's readout paths."""
     paths = list(_walk(StateVector(pair, 2, 1), _direct_steps(0.0, 1, False)))
-    weights = np.array([w for _, w, _ in paths])
-    return paths[int(rng.choice(len(paths), p=weights / weights.sum()))][0]
+    return paths[_draw(np.array([w for _, w, _ in paths]), rng.random(1))[0]][0]
 
 
 def _decoded_bin(x_outcomes):
@@ -670,17 +654,19 @@ def _read(state: QubitRegister, modes: list, mode: int, rng, basis: MeasurementB
     ``modes`` lists the register mode held at each position of ``state``;
     ``basis`` acts at ``mode``'s position, and is X by default.  Every readout
     here is a rank-1 projector ``|v><v|``, which leaves ``|v> (x) phi``; no
-    gate acts on a measured mode afterwards, so only ``phi`` is kept, read
-    off the mode's slice at the largest entry ``v_j``.
+    gate acts on a measured mode afterwards, so only ``phi`` is kept: the paired
+    post-state's row at the largest entry ``v_j``, the mode's bit dropped from its labels.
     """
     m = modes.index(mode)
     basis = x_basis(m, 1) if basis is None else basis
     outcome, post = measure_in_basis(state, basis, rng)
     proj = basis.projectors[basis.outcomes.index(outcome)]
-    j = int(np.argmax(proj.diagonal().real))
-    phi = post.slice(m, j)
+    j = int(proj.diagonal().real.argmax())
+    bit = 1 << (state.mode_count - 1 - m)
+    rest = post.labels[: len(post.labels) // 2]
     modes.remove(mode)
-    return outcome, replace(phi, amplitudes=phi.amplitudes / np.sqrt(proj[j, j].real))
+    amps = post.amplitudes.reshape(2, -1)[j] / math.sqrt(proj[j, j].real)
+    return outcome, QubitRegister(((rest >> 1) & -bit) | (rest & (bit - 1)), amps, state.mode_count - 1)
 
 
 def run_memory_unmodified(
@@ -772,9 +758,7 @@ def run_memory_unmodified(
 
     final_basis = rotated_basis(modes.index(final_mode), delta, n_max)
     probs = measurement_distribution(state, final_basis)
-    final_distribution = {
-        outcome: float(p) for outcome, p in zip(final_basis.outcomes, probs / probs.sum())
-    }
+    final_distribution = dict(zip(final_basis.outcomes, (probs / probs.sum()).tolist()))
     outcome, _ = _read(state, modes, final_mode, rng, final_basis)
     return MemoryRunResult(decoded, outcome, n_minus, final_distribution)
 

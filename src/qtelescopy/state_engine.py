@@ -126,7 +126,6 @@ class QubitRegister:
     amplitudes: np.ndarray
     mode_count: int
     n_max: ClassVar[int] = 1
-    _paired: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         labels, amps = np.asarray(self.labels, np.int64), np.asarray(self.amplitudes, complex)
@@ -143,37 +142,12 @@ class QubitRegister:
         cls([], [], mode_count)  # refuses a mode count outside 0..62 before any stride is formed
         return cls(*_support_product(factors, mode_count, 1), mode_count)
 
-    def _bits(self, modes: Sequence[int]) -> list[int]:
-        """The label bit of each of ``modes``."""
-        _check_modes(modes, self.mode_count)
-        return [1 << (self.mode_count - 1 - int(m)) for m in modes]
-
     def _local_index(self, modes: Sequence[int]) -> np.ndarray:
-        """Each amplitude's local label on ``modes``, as a flat index (first mode most significant)."""
-        index = np.zeros_like(self.labels)
-        for bit in self._bits(modes):
-            index = (index << 1) | ((self.labels & bit) != 0)
+        """Each amplitude's local label on ``modes``, in range, as a flat index (first mode most significant)."""
+        index = 0
+        for m in modes:
+            index = (index << 1) | ((self.labels >> (self.mode_count - 1 - m)) & 1)
         return index
-
-    def paired(self, mode: int) -> "QubitRegister":
-        """This state with each label and its flip on ``mode`` present once, zeros
-        filled in, so that ``amplitudes.reshape(2, -1)`` holds the mode's empty
-        and occupied slices.  Kept for the next readout of this state."""
-        if mode not in self._paired:
-            (bit,) = self._bits((mode,))
-            rest, where = np.unique(self.labels & ~bit, return_inverse=True)
-            amps = np.zeros((2, len(rest)), dtype=complex)
-            amps[(self.labels & bit) // bit, where] = self.amplitudes
-            self._paired[mode] = QubitRegister(np.concatenate([rest, rest | bit]), amps.ravel(), self.mode_count)
-        return self._paired[mode]
-
-    def slice(self, mode: int, occupation: int) -> "QubitRegister":
-        """The amplitudes with ``mode`` holding ``occupation``, as a register of the other modes."""
-        (bit,) = self._bits((mode,))
-        keep = (self.labels & bit) // bit == occupation
-        labels = self.labels[keep]
-        labels = ((labels >> 1) & -bit) | (labels & (bit - 1))
-        return QubitRegister(labels, self.amplitudes[keep], self.mode_count - 1)
 
 
 def fock(occupations: Sequence[int], n_max: int) -> StateVector:
@@ -314,8 +288,8 @@ def _apply_one_mode(op: np.ndarray, mode: int, amps: np.ndarray, d: int) -> np.n
 
 
 @lru_cache(maxsize=256)
-def _flip_table(gate: ModeUnitary, bits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Per local label of ``gate`` on the modes at label bits ``bits``: the XOR
+def _flip_table(gate: ModeUnitary, mode_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per local label of ``gate`` on a register of ``mode_count`` modes: the XOR
     that takes a label to its image, and the phase, read off a matrix with one
     nonzero entry in each column and each row.  Any other gate, or one at a
     cutoff above 1, is refused with :class:`QubitRegisterError`."""
@@ -323,8 +297,9 @@ def _flip_table(gate: ModeUnitary, bits: tuple[int, ...]) -> tuple[np.ndarray, n
     dim = len(gate.matrix)
     if gate.n_max != 1 or not np.array_equal(local, range(dim)) or len(set(images.tolist())) != dim:
         raise QubitRegisterError(f"{gate.name or 'gate'} is not a signed permutation at cutoff 1")
-    moved = (local ^ images)[:, None] >> np.arange(len(bits) - 1, -1, -1) & 1
-    flips, phases = moved @ np.array(bits, np.int64), gate.matrix[images, local]
+    moved = (local ^ images)[:, None] >> np.arange(len(gate.target_modes) - 1, -1, -1) & 1
+    bits = 1 << (mode_count - 1 - np.array(gate.target_modes, np.int64))
+    flips, phases = moved @ bits, gate.matrix[images, local]
     flips.setflags(write=False)
     phases.setflags(write=False)
     return flips, phases
@@ -366,11 +341,11 @@ def apply_unitary(state, gate: ModeUnitary):
     qubits = isinstance(state, QubitRegister)
     if not qubits and not isinstance(state, StateVector):
         raise TypeError("gates act on a StateVector or a QubitRegister; mix over branches instead")
+    _check_modes(gate.target_modes, state.mode_count)
     if qubits:
-        flips, phases = _flip_table(gate, tuple(state._bits(gate.target_modes)))
+        flips, phases = _flip_table(gate, state.mode_count)
     if gate.n_max != state.n_max:
         raise ValueError("gate and state cutoffs differ")
-    _check_modes(gate.target_modes, state.mode_count)
 
     check_support(gate, state, gate.name or "gate")
     before = float(np.vdot(state.amplitudes, state.amplitudes).real)

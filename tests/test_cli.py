@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtelescopy import analytic, cli, estimation
+from qtelescopy import analytic, cli, estimation, fisher
 from qtelescopy.errors import ConfigError, EstimationError, NumericalInvariantError
 from qtelescopy.protocols import Herald, run_memory_unmodified
 from qtelescopy.sources import StellarSource
@@ -119,6 +119,16 @@ def test_fisher_sweep_columns_and_boundary(tmp_path, capsys):
     assert math.isnan(float(boundary["h_gg"]))
     assert math.isnan(float(boundary["saturability"]))
     assert float(boundary["f_phiphi"]) == pytest.approx(0.1, abs=1e-8)
+
+
+def test_fisher_solves_each_sld_once_per_row(tmp_path, capsys, monkeypatch):
+    # the QFI and the saturability check share the row's SLDs: two at an interior g, one at the boundary
+    solved = []
+    monkeypatch.setattr(fisher, "sld", lambda rho, drho, sld=fisher.sld: solved.append(drho) or sld(rho, drho))
+    monkeypatch.setattr(cli, "sld", fisher.sld)
+    cfg = _write_config(tmp_path, phi=0.7, delta=0.3, phi_values=[0.7], g_values=[0.5, 1.0], delta_values=[0.3])
+    assert cli.main(["fisher", "--config", str(cfg)]) == 0
+    assert len(_parse_csv(capsys.readouterr().out)) == 2 and len(solved) == 3
 
 
 def test_fisher_gottesman_half(tmp_path, capsys):
@@ -570,6 +580,18 @@ def test_value_of_the_wrong_json_kind_exits_2_with_one_line(tmp_path, capsys, ov
     assert cli.main(["probs", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:") and captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("n_windows", [10**30, 2**53 + 1], ids=["1e30", "2^53+1"])
+def test_window_count_past_what_a_float_holds_exactly_exits_2_with_one_line(tmp_path, capsys, n_windows):
+    # 10**30 windows reached numpy's arrival sampler, whose ValueError escaped as a traceback
+    cfg = _write_config(tmp_path, protocol="direct", n_windows=n_windows)
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: n_windows must lie in [1, 9007199254740992]")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not (tmp_path / "out").exists()
+    assert cli.RunConfig.from_dict({"n_windows": 2**53}).n_windows == 2**53
 
 
 def test_probs_of_a_table_conditioned_on_arrival_at_epsilon_zero_exits_2(tmp_path, capsys, monkeypatch):

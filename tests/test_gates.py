@@ -319,13 +319,37 @@ def test_measure_in_basis_deterministic_per_seed():
     assert runs_a == runs_b
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.sampled_from([0.0, 1e-300, 0.5, 1.0]) | st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+        lambda pair: pair if pair[0] or pair[1] else (0.0, 1.0)
+    ),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_measure_in_basis_picks_the_outcome_that_generator_choice_picks(weights, seed, register):
+    """One uniform through :func:`gates._draw`, the samplers' draw rule: the outcome that ``Generator.choice``
+    picks from the readout's weights at the same seed, a zero weight included, on either register."""
+    if seed % 2:
+        weights = weights[::-1]
+    number = gates.MeasurementBasis((0,), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), (0, 1), 1, [True, True])
+    amps = np.sqrt(np.array(weights) / sum(weights)).astype(complex)
+    state = se.QubitRegister([0, 1], amps, 1) if register else se.StateVector(amps, 1, 1)
+    probs = gates.measurement_distribution(state, number)
+    chosen = np.random.default_rng(seed).choice(2, p=probs / probs.sum())
+    outcome, post = gates.measure_in_basis(state, number, rng=np.random.default_rng(seed))
+    assert outcome == number.outcomes[chosen]
+    # both layouts hold occupation 0, then 1: the post-state is the drawn outcome's
+    assert post.amplitudes[1 - outcome] == 0.0 and abs(post.amplitudes[outcome]) == pytest.approx(1.0)
+
+
 def test_measure_in_basis_clamps_round_off_and_refuses_negative_weights(monkeypatch):
     state = se.fock((1,), 1)
     basis = gates.x_basis(0, 1)
     # a round-off negative on an impossible outcome counts as zero
-    monkeypatch.setattr(gates, "measurement_distribution", lambda *a, **k: np.array([1.0, -1e-17]))
+    monkeypatch.setattr(gates, "_weights", lambda *a, **k: np.array([1.0, -1e-17]))
     assert all(gates.measure_in_basis(state, basis, rng=s)[0] == +1 for s in range(20))
-    monkeypatch.setattr(gates, "measurement_distribution", lambda *a, **k: np.array([1.0, -1e-6]))
+    monkeypatch.setattr(gates, "_weights", lambda *a, **k: np.array([1.0, -1e-6]))
     with pytest.raises(NumericalInvariantError, match="negative"):
         gates.measure_in_basis(state, basis, rng=0)
 

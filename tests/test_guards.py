@@ -195,9 +195,9 @@ def test_table_guard_of_a_compiled_law_holds_at_its_tolerance():
 
 def test_table_guard_of_a_sampled_readout_holds_at_its_tolerance(monkeypatch):
     state, basis = se.fock((1,), 1), gates.x_basis(0, 1)
-    monkeypatch.setattr(gates, "measurement_distribution", lambda *a: np.array([1.0, -NORM_ATOL]))
+    monkeypatch.setattr(gates, "_weights", lambda *a: np.array([1.0, -NORM_ATOL]))
     assert gates.measure_in_basis(state, basis, rng=0)[0] == +1
-    monkeypatch.setattr(gates, "measurement_distribution", lambda *a: np.array([1.0, _below(NORM_ATOL)]))
+    monkeypatch.setattr(gates, "_weights", lambda *a: np.array([1.0, _below(NORM_ATOL)]))
     with pytest.raises(NumericalInvariantError, match="x readout has a negative probability"):
         gates.measure_in_basis(state, basis, rng=0)
 
@@ -211,7 +211,7 @@ def test_table_guard_refuses_nan_at_every_site(monkeypatch):
     law = estimation.FringeTable(np.array([[1.0, 0.0], [0.0, math.nan], [0.0, 0.0]]), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(NumericalInvariantError, match="compiled outcome law has a negative probability"):
         law.joint(0.0, 1.0)
-    monkeypatch.setattr(gates, "measurement_distribution", lambda *a: np.array([1.0, math.nan]))
+    monkeypatch.setattr(gates, "_weights", lambda *a: np.array([1.0, math.nan]))
     with pytest.raises(NumericalInvariantError, match="x readout has a negative probability"):
         gates.measure_in_basis(se.fock((1,), 1), gates.x_basis(0, 1), rng=0)
     for tolerance in ({"negative_atol": TABLE_ATOL}, {"sum_atol": SUM_ATOL}):

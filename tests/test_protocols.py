@@ -6,6 +6,7 @@ matrix-exponential simulation before being committed, so circuit-vs-table
 agreement here is a genuine two-sided check.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 import walks
-from qtelescopy import analytic, protocols, sources, state_engine
+from qtelescopy import analytic, gates, protocols, sources, state_engine
 from qtelescopy.gates import two_mode_unitary
 from qtelescopy.protocols import (
     DetectionRecord,
@@ -421,6 +422,35 @@ def test_memory_window_builds_no_gather_table():
     misses = state_engine._gather.cache_info().misses
     run_memory_unmodified(15, 11, StellarSource(0.4, 0.9, 0.1), 0.3, rng_seed=2)
     assert state_engine._gather.cache_info().misses == misses
+
+
+def test_memory_window_reads_each_register_mode_in_one_pass(monkeypatch):
+    """Work gate of the unmodified memory protocol at N = 15, over the no-photon window and every arrival bin: a
+    register readout pairs the measured mode's labels once and projects each of its two outcomes once, and the
+    windows run the same gates as before."""
+    counts = collections.Counter()
+
+    def count(module, name, key, registers_only=True):
+        original = getattr(module, name)
+
+        def counted(state, *args, **kwargs):
+            counts[key] += not registers_only or isinstance(state, state_engine.QubitRegister)
+            return original(state, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(protocols, "measure_in_basis", "readouts")
+    count(protocols, "measurement_distribution", "readouts")
+    count(gates, "_projected", "projections")
+    count(gates, "_pair", "pairings")
+    count(protocols, "apply_unitary", "gates", registers_only=False)
+    source = StellarSource(0.7, 0.9, 0.1)
+    for arrival in [NO_PHOTON, *range(1, 16)]:
+        run_memory_unmodified(15, arrival, source, 0.3, rng_seed=arrival)
+    assert counts["readouts"] == 229  # 214 sampled, and a final distribution in each of 15 windows
+    assert counts["projections"] <= 2 * counts["readouts"]
+    assert counts["pairings"] <= counts["readouts"]
+    assert counts["gates"] == 199  # 12.4 a window
 
 
 def test_protocol_config_validation():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtelescopy import gates, protocols
 from qtelescopy import state_engine as se
 from qtelescopy.errors import InvalidSubspaceError, LeakageError
 
@@ -211,12 +212,16 @@ def test_tensor_at_placement_checks():
 @pytest.mark.parametrize("mode", range(5))
 @pytest.mark.parametrize("occupation", [0, 1])
 def test_qubit_register_slice_drops_the_mode(mode, occupation):
+    """A one-mode readout leaves, as the register of the other modes, the read mode's slice at the occupation read,
+    normalized: the row of the paired post-state that the memory protocol keeps."""
     dense = _random_factor(5, np.random.default_rng(mode))
     register = se.QubitRegister.place([(dense, range(5))], 5)
     expected = dense.amplitudes.reshape(2**mode, 2, -1)[:, occupation].reshape(-1)
-    part = register.slice(mode, occupation)
-    assert part.mode_count == 4
-    np.testing.assert_array_equal(_densified(part), expected)
+    number = gates.MeasurementBasis((mode,), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), (0, 1), 1, [True, True])
+    seed = next(s for s in range(100) if gates.measure_in_basis(register, number, s)[0] == occupation)
+    outcome, part = protocols._read(register, list(range(5)), mode, seed, number)
+    assert outcome == occupation and part.mode_count == 4
+    np.testing.assert_allclose(_densified(part), expected / np.linalg.norm(expected), rtol=1e-14, atol=0)
 
 
 def test_qubit_register_mode_count_and_placement_checks():
