@@ -266,15 +266,20 @@ def _draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return index
 
 
+def _pick(basis: MeasurementBasis, weights: np.ndarray, rng=None) -> int:
+    """The index of the outcome of ``basis`` that one uniform of ``rng`` draws by :func:`_draw` from its readout
+    ``weights``. A weight at most ``NORM_ATOL`` below zero is round-off and counts as zero."""
+    check_table(weights, f"{basis.name or 'basis'} readout", negative_atol=NORM_ATOL)
+    return int(_draw(np.maximum(weights, 0.0), np.random.default_rng(rng).random(1))[0])
+
+
 def measure_in_basis(state, basis: MeasurementBasis, rng=None):
-    """Sample one outcome and collapse, projecting each outcome once and drawing one uniform by :func:`_draw`. Returns
-    ``(outcome, post_state)``. A weight at most ``NORM_ATOL`` below zero is round-off and counts as zero."""
+    """Sample one outcome and collapse, projecting each outcome once and drawing by :func:`_pick`. Returns
+    ``(outcome, post_state)``."""
     amps, modes, collapse = _readout(state, basis)
     projected = [_projected(state, amps, modes, p) for p in basis.projectors]
     weights = _weights(amps, projected)
-    check_table(weights, f"{basis.name or 'basis'} readout", negative_atol=NORM_ATOL)
-    weights = np.maximum(weights, 0.0)
-    idx = int(_draw(weights, np.random.default_rng(rng).random(1))[0])
+    idx = _pick(basis, weights, rng)
     return basis.outcomes[idx], collapse(amplitudes=projected[idx] / np.sqrt(weights[idx]))
 
 
@@ -300,21 +305,26 @@ def project(state, basis: MeasurementBasis, outcome):
 
 def _readout(state, basis: MeasurementBasis):
     """The amplitudes a readout of ``basis`` reads, the modes it reads there, and the post-state's constructor from
-    amplitudes so laid out.  A :class:`QubitRegister` is read in the layout of :func:`_pair`, its mode leading."""
+    amplitudes so laid out.  A :class:`QubitRegister` is read in the layout of :func:`_pair`, its mode leading.  A
+    state whose squared norm is not finite is refused (:class:`NumericalInvariantError`) before any projection."""
     if not isinstance(state, (StateVector, QubitRegister)):
         raise TypeError("a readout acts on a StateVector or a QubitRegister")
     _check_modes(basis.target_modes, state.mode_count)
+    if not isfinite(norm := float(np.vdot(state.amplitudes, state.amplitudes).real)):
+        raise NumericalInvariantError(f"{basis.name or 'basis'} readout of a state whose squared norm is not finite")
     check_support(basis, state, f"{basis.name or 'basis'} measurement")
     if not isinstance(state, QubitRegister):
         return state.amplitudes, basis.target_modes, partial(replace, state)
     if basis.n_max != 1 or len(basis.target_modes) != 1:
         raise QubitRegisterError(f"{basis.name or 'basis'} on {basis.target_modes} is not a one-mode readout at cutoff 1")
-    return _pair(state, 1 << (state.mode_count - 1 - basis.target_modes[0]))
+    return _pair(state, 1 << (state.mode_count - 1 - basis.target_modes[0]), norm)
 
 
-def _pair(state: QubitRegister, bit: int):
-    """:func:`_readout` of ``state`` with each label and its flip at label bit ``bit`` present once, zeros filled in,
-    the bit clear and then set on the sorted labels of the other modes: ``amplitudes.reshape(2, -1)`` holds its rows."""
+def _pair(state: QubitRegister, bit: int, norm: float):
+    """:func:`_readout` of ``state``, of squared norm ``norm``, with each label and its flip at label bit ``bit``
+    present once, zeros filled in, the bit clear and then set on the sorted labels of the other modes:
+    ``amplitudes.reshape(2, -1)`` holds its rows.  A label outside the register's modes, or one that repeats, which
+    overwrites an entry and so pairs to another squared norm, is refused by ``ValueError``."""
     cleared = state.labels & ~bit
     rest = np.sort(cleared)
     first = np.ones(len(rest), dtype=bool)
@@ -322,6 +332,9 @@ def _pair(state: QubitRegister, bit: int):
     rest = rest[first]
     amps = np.zeros((2, len(rest)), dtype=complex)
     amps[(state.labels & bit) // bit, rest.searchsorted(cleared)] = state.amplitudes
+    paired = float(np.vdot(amps, amps).real)
+    if rest.size and (rest[0] < 0 or rest[-1] >> state.mode_count) or not abs(paired - norm) <= NORM_ATOL * norm:
+        raise ValueError(f"register labels must be distinct and in [0, 2**{state.mode_count})")
     return amps.ravel(), (0,), partial(QubitRegister, np.concatenate([rest, rest | bit]), mode_count=state.mode_count)
 
 

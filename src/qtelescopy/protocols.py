@@ -21,8 +21,8 @@ as a tuple of gates and readouts, which :func:`_walk` enumerates and never sampl
 nu = g e^{-i phi} and each circuit a fixed linear map, so one protocol setting is one :class:`Law`: four walks per
 circuit give its rows (V, K, X, Y), once per setting (:func:`_law`), from which it reads the outcome table at a
 source, which every distribution function returns, and the likelihood's heralded coefficients.  The batch sampler
-draws each six-mode window's branch and outcome from walked branch tables, and the modified memory protocol draws
-from the table it reports.  The X readouts that decode a Bell pair are the direct readout at delta = 0.
+draws each six-mode window's branch and outcome from walked branch tables, and each memory protocol draws its last
+readout from the table it reports.  The X readouts that decode a Bell pair are the direct readout at delta = 0.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import NORM_ATOL, SUM_ATOL, TABLE_ATOL, NumericalInvariantError, check_table
 from .gates import (
-    MeasurementBasis,
     _draw,
+    _pick,
     beam_splitter,
     cnot_fock,
     cz_fock,
@@ -503,7 +503,7 @@ class BellRegister:
             arr = np.array(vec, dtype=complex)
             if arr.shape != (4,):
                 raise ValueError("each pair state must be a 4-vector")
-            if abs(np.linalg.norm(arr) - 1.0) > NORM_ATOL:
+            if not abs(np.linalg.norm(arr) - 1.0) <= NORM_ATOL:  # nan fails it too
                 raise ValueError("pair states must be normalized")
             arr.setflags(write=False)
             frozen.append(arr)
@@ -648,25 +648,12 @@ def run_memory_modified(
     return MemoryRunResult(decoded, outcome, None, table)
 
 
-def _read(state: QubitRegister, modes: list, mode: int, rng, basis: MeasurementBasis | None = None):
-    """Sample a one-mode readout of register mode ``mode``, then drop the mode.
-
-    ``modes`` lists the register mode held at each position of ``state``;
-    ``basis`` acts at ``mode``'s position, and is X by default.  Every readout
-    here is a rank-1 projector ``|v><v|``, which leaves ``|v> (x) phi``; no
-    gate acts on a measured mode afterwards, so only ``phi`` is kept: the paired
-    post-state's row at the largest entry ``v_j``, the mode's bit dropped from its labels.
-    """
-    m = modes.index(mode)
-    basis = x_basis(m, 1) if basis is None else basis
-    outcome, post = measure_in_basis(state, basis, rng)
-    proj = basis.projectors[basis.outcomes.index(outcome)]
-    j = int(proj.diagonal().real.argmax())
-    bit = 1 << (state.mode_count - 1 - m)
-    rest = post.labels[: len(post.labels) // 2]
-    modes.remove(mode)
-    amps = post.amplitudes.reshape(2, -1)[j] / math.sqrt(proj[j, j].real)
-    return outcome, QubitRegister(((rest >> 1) & -bit) | (rest & (bit - 1)), amps, state.mode_count - 1)
+def _read(state: QubitRegister, mode: int, rng):
+    """Sample an X readout of register mode ``mode``, which leaves ``|+-> (x) phi``; no gate acts on a read mode
+    again, so keep ``|0> (x) phi``, the mode in vacuum: the paired post-state's first row, its labels' bit clear."""
+    outcome, post = measure_in_basis(state, x_basis(mode, 1), rng)
+    half = len(post.labels) // 2
+    return outcome, QubitRegister(post.labels[:half], post.amplitudes[:half] / math.sqrt(0.5), state.mode_count)
 
 
 def run_memory_unmodified(
@@ -685,15 +672,16 @@ def run_memory_unmodified(
     gates transfer the digits onto the Bell pairs, which are decoded by
     local X measurements.  The star modes and all written memory qubits
     except one are then measured in X; the number of -1 results, n_minus,
-    fixes the fringe sign of the last qubit, which is read in the
-    delta-rotated basis.
+    fixes the fringe sign of the last qubit, whose delta-rotated readout is
+    drawn from the distribution reported.
 
-    The window is one pure state on a :class:`QubitRegister`: at most
+    The window is one pure state on a :class:`QubitRegister` of 3 + 4 * n_pairs
+    modes, each at its index throughout, a read mode left in vacuum: at most
     2 * 2^n_pairs amplitudes.  The two fringe branches of the source differ
     only by a Z on the right star mode, which commutes with the gate stage
     and the pair readouts, so those run on the plus branch alone.  Before
-    the star modes are read, one leading ancilla mode purifies the mixture
-    as ``sqrt(w+)|0>psi + sqrt(w-)|1>Z psi``; it is never read.
+    the star modes are read, mode 0 purifies the mixture as
+    ``sqrt(w+)|0>psi + sqrt(w-)|1>Z psi``; it is never read.
     """
     arrival = _validate_arrival(n_bins, arrival, delta)
     rng = np.random.default_rng(rng_seed)
@@ -709,42 +697,40 @@ def run_memory_unmodified(
     affected = [i for i, d in enumerate(digits) if d == 1]
     last = affected[-1]
 
-    # mode layout: stars, then per-lab memory qubits, then pair qubits
+    # mode layout: the purifying mode 0, the stars, per-lab memory qubits, then pair qubits
     n_max = 1
-    star_l, star_r = 0, 1
-    mem_l = [2 + i for i in range(n_pairs)]
-    mem_r = [2 + n_pairs + i for i in range(n_pairs)]
-    pair_l = [2 + 2 * n_pairs + 2 * i for i in range(n_pairs)]
-    pair_r = [3 + 2 * n_pairs + 2 * i for i in range(n_pairs)]
+    star_l, star_r = 1, 2
+    mem_l = [3 + i for i in range(n_pairs)]
+    mem_r = [3 + n_pairs + i for i in range(n_pairs)]
+    pair_l = [3 + 2 * n_pairs + 2 * i for i in range(n_pairs)]
+    pair_r = [4 + 2 * n_pairs + 2 * i for i in range(n_pairs)]
 
     _, (_, star), _ = source.pure_branches(n_max)
     w_plus, w_minus = (1.0 + source.g) / 2.0, (1.0 - source.g) / 2.0
-    # the memory qubits, named by no factor, start in vacuum
+    # mode 0 and the memory qubits, named by no factor, start in vacuum
     factors = [(star, (star_l, star_r))]
     factors += [(StateVector(BELL_PLUS, 2, n_max), (pair_l[i], pair_r[i])) for i in range(n_pairs)]
-    state = QubitRegister.place(factors, 2 + 4 * n_pairs)
+    state = QubitRegister.place(factors, 3 + 4 * n_pairs)
     for i in affected:
         state = apply_unitary(state, cnot_fock(star_l, mem_l[i], n_max))
         state = apply_unitary(state, cnot_fock(star_r, mem_r[i], n_max))
     for i in range(n_pairs):
         state = apply_unitary(state, cz_fock(mem_l[i], pair_l[i], n_max))
         state = apply_unitary(state, cz_fock(mem_r[i], pair_r[i], n_max))
-    modes = list(range(state.mode_count))
     x_outcomes = []
     for i in range(n_pairs):
-        x_l, state = _read(state, modes, pair_l[i], rng)
-        x_r, state = _read(state, modes, pair_r[i], rng)
+        x_l, state = _read(state, pair_l[i], rng)
+        x_r, state = _read(state, pair_r[i], rng)
         x_outcomes.append((x_l, x_r))
     decoded = _decoded_bin(x_outcomes)
 
-    # purify the fringe mixture: psi_- is psi_+ with a Z on star_r
-    minus = apply_unitary(state, z_fock(modes.index(star_r), n_max))
+    # purify the fringe mixture: psi_- is psi_+ with a Z on star_r, mode 0 set
+    minus = apply_unitary(state, z_fock(star_r, n_max))
     state = QubitRegister(
-        np.concatenate([state.labels, minus.labels | (1 << state.mode_count)]),
+        np.concatenate([state.labels, minus.labels | (1 << (state.mode_count - 1))]),
         np.concatenate([np.sqrt(w_plus) * state.amplitudes, np.sqrt(w_minus) * minus.amplitudes]),
-        state.mode_count + 1,
+        state.mode_count,
     )
-    modes.insert(0, None)
 
     final_mode = mem_l[last] if swap_bases else mem_r[last]
     x_modes = [star_l, star_r]
@@ -753,13 +739,13 @@ def run_memory_unmodified(
 
     n_minus = 0
     for mode in x_modes:
-        x, state = _read(state, modes, mode, rng)
+        x, state = _read(state, mode, rng)
         n_minus += x == -1
 
-    final_basis = rotated_basis(modes.index(final_mode), delta, n_max)
+    final_basis = rotated_basis(final_mode, delta, n_max)
     probs = measurement_distribution(state, final_basis)
     final_distribution = dict(zip(final_basis.outcomes, (probs / probs.sum()).tolist()))
-    outcome, _ = _read(state, modes, final_mode, rng, final_basis)
+    outcome = final_basis.outcomes[_pick(final_basis, probs, rng)]
     return MemoryRunResult(decoded, outcome, n_minus, final_distribution)
 
 

@@ -19,7 +19,7 @@ its matrix into the target modes through ``_gather``, a cached table of flat
 indices with those modes leading.  One-mode projectors act on the
 ``(d**m, d, rest)`` view of mode ``m``.  A rank-1 one-mode projection
 leaves the product of its vector and a state of the other modes, so a caller
-that never gates the measured mode again may drop it and keep that factor.
+that never gates the measured mode again may keep that factor, the mode in vacuum.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NORM_ATOL, CutoffError, InvalidSubspaceError, LeakageError, QubitRegisterError
 
-MAX_QUBIT_MODES = 62  # int64 labels: a bit per mode, one above them for a new leading mode, the sign bit
+MAX_QUBIT_MODES = 62  # int64 labels: a bit per mode below a spare bit and the sign bit
 
 
 # ---------------------------------------------------------------------------

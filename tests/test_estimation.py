@@ -1,5 +1,6 @@
 """Monte-Carlo runner and maximum-likelihood estimator tests."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -708,6 +709,34 @@ def test_stacked_law_scores_each_setting_against_its_own_heralded_total():
         assert value == pytest.approx(at, rel=1e-12)
         assert score == pytest.approx((above - below) / (2 * h), rel=1e-6)
         assert curvature == pytest.approx((above - 2 * at + below) / h**2, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "protocol, eta, walks_, gates_",
+    [("cnot", 1.0, 4, 40), ("cnot", 0.6, 8, 80), ("direct", 1.0, 0, 0), ("gottesman", 1.0, 0, 0)],
+)
+def test_a_warm_estimate_compiles_no_law(monkeypatch, protocol, eta, walks_, gates_):
+    """Law-work gate of a second estimate at one setting: it compiles no law, and only the six-mode sampler walks its
+    fringe branches, one walk of ten gates per branch, setting and ancilla flag."""
+    plan = ExperimentPlan(protocol, StellarSource(0.7, 0.8, 0.1), (0.0, HALF_PI), 10**4, seed=1, eta=eta)
+    mle_phase(run_experiment(plan), plan)
+    counts = collections.Counter()
+
+    def count(name):
+        original = getattr(protocols, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, name, counted)
+
+    for name in ("_walk", "apply_unitary", "_compile"):
+        count(name)
+    mle_phase(run_experiment(plan), plan)
+    assert counts["_compile"] == 0
+    assert counts["_walk"] <= walks_
+    assert counts["apply_unitary"] <= gates_
 
 
 def test_log_likelihood_of_an_impossible_phase_is_minus_infinity():

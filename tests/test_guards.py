@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,17 @@ def test_table_guard_of_a_sampled_readout_holds_at_its_tolerance(monkeypatch):
         gates.measure_in_basis(state, basis, rng=0)
 
 
+def test_table_guard_of_the_last_memory_readout_holds_at_its_tolerance(monkeypatch):
+    # the last readout draws from the weights it reports, through the guard of measure_in_basis
+    source = StellarSource(0.7, 0.9, 0.1)
+    monkeypatch.setattr(protocols, "measurement_distribution", lambda *a: np.array([1.0, -NORM_ATOL]))
+    assert protocols.run_memory_unmodified(3, 1, source, 0.3, rng_seed=1).outcome == +1
+    for weight in (_below(NORM_ATOL), math.nan):
+        monkeypatch.setattr(protocols, "measurement_distribution", lambda *a: np.array([1.0, weight]))
+        with pytest.raises(NumericalInvariantError, match="rotated readout has a negative probability"):
+            protocols.run_memory_unmodified(3, 1, source, 0.3, rng_seed=1)
+
+
 def test_table_guard_refuses_nan_at_every_site(monkeypatch):
     # nan is neither above nor below a tolerance: each check is written to fail on it
     with pytest.raises(NumericalInvariantError, match="model edge has a negative probability"):
@@ -231,6 +243,50 @@ def test_bell_register_refuses_a_pair_of_the_wrong_shape_or_norm():
         BellRegister((np.array([1.0 + sign * NORM_ATOL * (1.0 - 1e-4), 0.0, 0.0, 0.0]),))
         with pytest.raises(ValueError, match="normalized"):
             BellRegister((np.array([1.0 + sign * NORM_ATOL * (1.0 + 1e-4), 0.0, 0.0, 0.0]),))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_bell_register_refuses_a_nan_or_inf_pair(value):
+    # abs(nan - 1) > NORM_ATOL is False: the guard is written to fail on nan
+    with pytest.raises(ValueError, match="normalized"):
+        BellRegister((np.array([value, 0.0, 0.0, 0.0]),))
+    with pytest.raises(ValueError, match="normalized"):
+        protocols.encode_time_bin_modified(BellRegister((np.array([value, 0.0, 0.0, 0.0]) + protocols.BELL_PLUS,)), 1)
+
+
+def _readouts(basis, outcome):
+    """Each readout of ``basis``, as a function of the state it reads."""
+    return [
+        lambda state: gates.measurement_distribution(state, basis),
+        lambda state: gates.project(state, basis, outcome),
+        lambda state: gates.measure_in_basis(state, basis, rng=0),
+    ]
+
+
+@pytest.mark.parametrize("register", ["dense", "qubits"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_readouts_refuse_a_state_of_non_finite_norm(register, value):
+    if register == "dense":
+        state, basis = se.StateVector(np.array([1.0, value, 0.0], dtype=complex), 1, 2), gates.x_basis(0, 2)
+    else:
+        state, basis = se.QubitRegister([0, 1], [1.0, value], 1), gates.x_basis(0, 1)
+    for read in _readouts(basis, +1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalInvariantError, match="x readout of a state whose squared norm is not finite"):
+                read(state)
+
+
+@pytest.mark.parametrize(
+    "labels, amplitudes", [([1, 1], [0.6, 0.8]), ([5], [1.0]), ([-1], [1.0])], ids=["repeated", "above", "negative"]
+)
+@pytest.mark.parametrize("mode", [0, 1])
+def test_register_readouts_refuse_a_repeated_or_out_of_range_label(labels, amplitudes, mode):
+    # the register takes such labels; the readout, the first place they yield a number, refuses them
+    state = se.QubitRegister(labels, amplitudes, 2)
+    for read in _readouts(gates.x_basis(mode, 1), +1):
+        with pytest.raises(ValueError, match=r"register labels must be distinct and in \[0, 2\*\*2\)"):
+            read(state)
 
 
 def test_mle_refuses_an_observed_outcome_the_model_calls_impossible():

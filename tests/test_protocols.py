@@ -417,7 +417,7 @@ def test_cached_gate_sequence_is_shared_and_read_only():
 
 
 def test_memory_window_builds_no_gather_table():
-    # a gather table of the 18-mode register would hold 2 MiB of indices;
+    # a gather table of the 19-mode register would hold 4 MiB of indices;
     # its gates are signed permutations and its readouts one-mode views
     misses = state_engine._gather.cache_info().misses
     run_memory_unmodified(15, 11, StellarSource(0.4, 0.9, 0.1), 0.3, rng_seed=2)
@@ -426,15 +426,19 @@ def test_memory_window_builds_no_gather_table():
 
 def test_memory_window_reads_each_register_mode_in_one_pass(monkeypatch):
     """Work gate of the unmodified memory protocol at N = 15, over the no-photon window and every arrival bin: a
-    register readout pairs the measured mode's labels once and projects each of its two outcomes once, and the
-    windows run the same gates as before."""
-    counts = collections.Counter()
+    register readout pairs the measured mode's labels once and projects each of its two outcomes once, the last
+    readout draws from the distribution it reports, every read of a window sees its 19 modes, and the windows run
+    the same gates as before."""
+    counts, mode_counts = collections.Counter(), set()
 
     def count(module, name, key, registers_only=True):
         original = getattr(module, name)
 
         def counted(state, *args, **kwargs):
-            counts[key] += not registers_only or isinstance(state, state_engine.QubitRegister)
+            register = isinstance(state, state_engine.QubitRegister)
+            counts[key] += not registers_only or register
+            if register and key == "readouts":
+                mode_counts.add(state.mode_count)
             return original(state, *args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -446,8 +450,10 @@ def test_memory_window_reads_each_register_mode_in_one_pass(monkeypatch):
     count(protocols, "apply_unitary", "gates", registers_only=False)
     source = StellarSource(0.7, 0.9, 0.1)
     for arrival in [NO_PHOTON, *range(1, 16)]:
+        mode_counts.clear()
         run_memory_unmodified(15, arrival, source, 0.3, rng_seed=arrival)
-    assert counts["readouts"] == 229  # 214 sampled, and a final distribution in each of 15 windows
+        assert mode_counts == (set() if arrival is NO_PHOTON else {19})  # 3 + 4 * n_pairs, every mode kept
+    assert counts["readouts"] == 214  # 199 sampled, and a final distribution in each of 15 windows
     assert counts["projections"] <= 2 * counts["readouts"]
     assert counts["pairings"] <= counts["readouts"]
     assert counts["gates"] == 199  # 12.4 a window
@@ -665,9 +671,9 @@ def test_unmodified_memory_round_trip(arrival):
 def test_unmodified_final_distribution_obeys_sign_rule(n_bins, swap):
     # P(+/-) = (1 +/- (-1)^{n_minus} g cos(phi +/- delta)) / 2, where the
     # swapped readout measures the left memory qubit and flips delta; every
-    # measured mode leaves the register, so a wrong remap of the remaining
-    # modes shows up here, and g in {0, 0.9, 1} pins the weights of the
-    # fringe mixture, which an ancilla purifies after the pair readouts
+    # measured mode is left in vacuum at its index, so a read of the wrong
+    # mode shows up here, and g in {0, 0.9, 1} pins the weights of the
+    # fringe mixture, which mode 0 purifies after the pair readouts
     for g in (0.0, 0.9, 1.0):
         src = StellarSource(phi=0.4, g=g, epsilon=0.1)
         for arrival in range(1, n_bins + 1):

@@ -210,18 +210,22 @@ def test_tensor_at_placement_checks():
 
 
 @pytest.mark.parametrize("mode", range(5))
-@pytest.mark.parametrize("occupation", [0, 1])
-def test_qubit_register_slice_drops_the_mode(mode, occupation):
-    """A one-mode readout leaves, as the register of the other modes, the read mode's slice at the occupation read,
-    normalized: the row of the paired post-state that the memory protocol keeps."""
+@pytest.mark.parametrize("index", [0, 1])
+def test_qubit_register_slice_drops_the_mode(mode, index):
+    """An X readout of a register mode, by the memory protocol's ``_read``, leaves the read mode at 0 and the other
+    modes holding the combination of its two slices that the outcome read, normalized, on the same 5 modes."""
     dense = _random_factor(5, np.random.default_rng(mode))
     register = se.QubitRegister.place([(dense, range(5))], 5)
-    expected = dense.amplitudes.reshape(2**mode, 2, -1)[:, occupation].reshape(-1)
-    number = gates.MeasurementBasis((mode,), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), (0, 1), 1, [True, True])
-    seed = next(s for s in range(100) if gates.measure_in_basis(register, number, s)[0] == occupation)
-    outcome, part = protocols._read(register, list(range(5)), mode, seed, number)
-    assert outcome == occupation and part.mode_count == 4
-    np.testing.assert_allclose(_densified(part), expected / np.linalg.norm(expected), rtol=1e-14, atol=0)
+    basis = gates.x_basis(mode, 1)
+    outcome = basis.outcomes[index]
+    slices = dense.amplitudes.reshape(2**mode, 2, -1)
+    expected = np.zeros_like(slices)
+    expected[:, 0] = slices[:, 0] + outcome * slices[:, 1]
+    seed = next(s for s in range(100) if gates.measure_in_basis(register, basis, s)[0] == outcome)
+    read, part = protocols._read(register, mode, seed)
+    assert read == outcome and part.mode_count == 5
+    assert not (part.labels & (1 << (4 - mode))).any()
+    np.testing.assert_allclose(_densified(part), expected.reshape(-1) / np.linalg.norm(expected), rtol=1e-14, atol=0)
 
 
 def test_qubit_register_mode_count_and_placement_checks():
