@@ -160,8 +160,8 @@ def load_config(path: str | None, seed_override: int | None) -> RunConfig:
     else:
         try:
             raw = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
+        except OSError as exc:  # a missing file, a directory, or a file that cannot be read
+            raise ConfigError(f"config file {path} cannot be read: {exc.strerror or exc}")
         except ValueError as exc:  # a JSON, UTF-8 or integer-length error
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(raw, dict):

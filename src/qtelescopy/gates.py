@@ -30,9 +30,8 @@ from .state_engine import (
     ModeUnitary,
     QubitRegister,
     StateVector,
-    _apply_block,
-    _apply_one_mode,
     _check_modes,
+    _gather,
     basis_index,
     check_support,
     labels_array,
@@ -246,8 +245,8 @@ def parity_basis(mode_a: int, mode_b: int, n_max: int) -> MeasurementBasis:
 
 def measurement_distribution(state, basis: MeasurementBasis) -> np.ndarray:
     """Outcome probabilities of a projective measurement."""
-    amps, modes, _ = _readout(state, basis)
-    return _weights(amps, [_projected(state, amps, modes, p) for p in basis.projectors])
+    amps, image, _ = _readout(state, basis)
+    return _weights(amps, [image(p) for p in basis.projectors])
 
 
 def _draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -276,8 +275,8 @@ def _pick(basis: MeasurementBasis, weights: np.ndarray, rng=None) -> int:
 def measure_in_basis(state, basis: MeasurementBasis, rng=None):
     """Sample one outcome and collapse, projecting each outcome once and drawing by :func:`_pick`. Returns
     ``(outcome, post_state)``."""
-    amps, modes, collapse = _readout(state, basis)
-    projected = [_projected(state, amps, modes, p) for p in basis.projectors]
+    amps, image, collapse = _readout(state, basis)
+    projected = [image(p) for p in basis.projectors]
     weights = _weights(amps, projected)
     idx = _pick(basis, weights, rng)
     return basis.outcomes[idx], collapse(amplitudes=projected[idx] / np.sqrt(weights[idx]))
@@ -290,12 +289,12 @@ def project(state, basis: MeasurementBasis, outcome):
     is ``None`` when the outcome has zero weight.  Useful for enumerating
     measurement branches deterministically.
     """
-    amps, modes, collapse = _readout(state, basis)
+    amps, image, collapse = _readout(state, basis)
     try:
         idx = basis.outcomes.index(outcome)
     except ValueError:
         raise ValueError(f"{outcome!r} is not an outcome of {basis.name or 'this basis'}")
-    projected = _projected(state, amps, modes, basis.projectors[idx])
+    projected = image(basis.projectors[idx])
     weight = float(np.vdot(amps, projected).real)
     if weight <= 0.0:
         return 0.0, None
@@ -304,45 +303,51 @@ def project(state, basis: MeasurementBasis, outcome):
 
 
 def _readout(state, basis: MeasurementBasis):
-    """The amplitudes a readout of ``basis`` reads, the modes it reads there, and the post-state's constructor from
-    amplitudes so laid out.  A :class:`QubitRegister` is read in the layout of :func:`_pair`, its mode leading.  A
-    state whose squared norm is not finite is refused (:class:`NumericalInvariantError`) before any projection."""
+    """The flat amplitudes a readout of ``basis`` reads, the image of a projector on them (the flat amplitudes it
+    leaves) and the post-state's constructor from flat amplitudes so laid out.  The basis's modes are gathered once,
+    as rows with them leading: by :func:`_gather`'s table, or on a :class:`QubitRegister` by :func:`_pair`.  The
+    support guard reads the rows outside the valid labels.  A state whose squared norm is not finite is refused
+    (:class:`NumericalInvariantError`) before any projection."""
     if not isinstance(state, (StateVector, QubitRegister)):
         raise TypeError("a readout acts on a StateVector or a QubitRegister")
     _check_modes(basis.target_modes, state.mode_count)
     if not isfinite(norm := float(np.vdot(state.amplitudes, state.amplitudes).real)):
         raise NumericalInvariantError(f"{basis.name or 'basis'} readout of a state whose squared norm is not finite")
-    check_support(basis, state, f"{basis.name or 'basis'} measurement")
-    if not isinstance(state, QubitRegister):
-        return state.amplitudes, basis.target_modes, partial(replace, state)
-    if basis.n_max != 1 or len(basis.target_modes) != 1:
-        raise QubitRegisterError(f"{basis.name or 'basis'} on {basis.target_modes} is not a one-mode readout at cutoff 1")
-    return _pair(state, 1 << (state.mode_count - 1 - basis.target_modes[0]), norm)
+    if isinstance(state, QubitRegister):
+        if basis.n_max != 1 or len(basis.target_modes) != 1:
+            raise QubitRegisterError(f"{basis.name or 'basis'} on {basis.target_modes} is not a one-mode readout "
+                                     "at cutoff 1")
+        amps, rows, image, collapse = _pair(state, 1 << (state.mode_count - 1 - basis.target_modes[0]), norm)
+    else:
+        table = _gather(basis.target_modes, state.n_max + 1, state.mode_count)
+        amps, rows, collapse = state.amplitudes, state.amplitudes[table], partial(replace, state)
+
+        def image(proj: np.ndarray) -> np.ndarray:
+            out = np.empty_like(amps)
+            out[table] = proj @ rows
+            return out
+    check_support(basis, rows[~basis.valid_mask], f"{basis.name or 'basis'} measurement")
+    return amps, image, collapse
 
 
 def _pair(state: QubitRegister, bit: int, norm: float):
     """:func:`_readout` of ``state``, of squared norm ``norm``, with each label and its flip at label bit ``bit``
-    present once, zeros filled in, the bit clear and then set on the sorted labels of the other modes:
-    ``amplitudes.reshape(2, -1)`` holds its rows.  A label outside the register's modes, or one that repeats, which
-    overwrites an entry and so pairs to another squared norm, is refused by ``ValueError``."""
+    present once, zeros filled in, the bit clear and then set on the sorted labels of the other modes: the flat
+    amplitudes, their two rows, the rows' image of a projector and the post-state's constructor.  A label outside
+    the register's modes, or one that repeats, which overwrites an entry and so pairs to another norm, is refused
+    by ``ValueError``."""
     cleared = state.labels & ~bit
     rest = np.sort(cleared)
     first = np.ones(len(rest), dtype=bool)
     first[1:] = rest[1:] != rest[:-1]
     rest = rest[first]
-    amps = np.zeros((2, len(rest)), dtype=complex)
-    amps[(state.labels & bit) // bit, rest.searchsorted(cleared)] = state.amplitudes
-    paired = float(np.vdot(amps, amps).real)
+    rows = np.zeros((2, len(rest)), dtype=complex)
+    rows[(state.labels & bit) // bit, rest.searchsorted(cleared)] = state.amplitudes
+    paired = float(np.vdot(rows, rows).real)
     if rest.size and (rest[0] < 0 or rest[-1] >> state.mode_count) or not abs(paired - norm) <= NORM_ATOL * norm:
         raise ValueError(f"register labels must be distinct and in [0, 2**{state.mode_count})")
-    return amps.ravel(), (0,), partial(QubitRegister, np.concatenate([rest, rest | bit]), mode_count=state.mode_count)
-
-
-def _projected(state, amps: np.ndarray, target_modes: tuple[int, ...], proj: np.ndarray) -> np.ndarray:
-    """``proj`` on ``target_modes`` of the amplitudes ``amps`` that :func:`_readout` reads in ``state``; no copy."""
-    if len(target_modes) == 1:
-        return _apply_one_mode(proj, target_modes[0], amps, state.n_max + 1)
-    return _apply_block(proj, target_modes, state)
+    collapse = partial(QubitRegister, np.concatenate([rest, rest | bit]), mode_count=state.mode_count)
+    return rows.ravel(), rows, lambda proj: (proj @ rows).ravel(), collapse
 
 
 def _weights(amps: np.ndarray, projected: list) -> np.ndarray:

@@ -57,6 +57,7 @@ from .gates import (
 )
 from .sources import NO_PHOTON, StellarSource, _integer, _two_mode_kets
 from .state_engine import (
+    MAX_QUBIT_MODES,
     ModeUnitary,
     QubitRegister,
     StateVector,
@@ -684,8 +685,11 @@ def run_memory_unmodified(
     ``sqrt(w+)|0>psi + sqrt(w-)|1>Z psi``; it is never read.
     """
     arrival = _validate_arrival(n_bins, arrival, delta)
-    rng = np.random.default_rng(rng_seed)
     n_pairs = pairs_for_bins(n_bins)
+    if 3 + 4 * n_pairs > MAX_QUBIT_MODES:
+        limit = 2 ** ((MAX_QUBIT_MODES - 3) // 4) - 1
+        raise ValueError(f"n_bins {n_bins} needs a register of {3 + 4 * n_pairs} modes; at most {limit} bins fit")
+    rng = np.random.default_rng(rng_seed)
 
     if arrival is NO_PHOTON:
         # every controlled gate is vacuum-controlled identity: the pairs

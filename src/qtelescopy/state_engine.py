@@ -14,12 +14,13 @@ A :class:`QubitRegister` (a cutoff-1 state held on its support) takes a gate
 whose matrix is a signed permutation of its local labels (the Fock-qubit
 gates and phase shifts at ``n_max = 1``): the image and phase of each label
 are read off the matrix once per gate and placement, and applied as XORs and
-phases of the register's labels.  On a dense register every gate multiplies
-its matrix into the target modes through ``_gather``, a cached table of flat
-indices with those modes leading.  One-mode projectors act on the
-``(d**m, d, rest)`` view of mode ``m``.  A rank-1 one-mode projection
-leaves the product of its vector and a state of the other modes, so a caller
-that never gates the measured mode again may keep that factor, the mode in vacuum.
+phases of the register's labels.  Every gate or readout on a dense register
+gathers its modes once through ``_gather``, a cached table of flat indices
+with those modes leading: the support guard reads the block outside the valid
+labels, and the gate's matrix or each projector multiplies the block, which
+is scattered back through the table.  A rank-1 one-mode projection leaves the
+product of its vector and a state of the other modes, so a caller that never
+gates the measured mode again may keep that factor, the mode in vacuum.
 """
 
 from __future__ import annotations
@@ -257,37 +258,6 @@ def _gather(modes: tuple[int, ...], d: int, mode_count: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _invalid_index(modes: tuple[int, ...], n_max: int, valid_mask: bytes, mode_count: int) -> np.ndarray:
-    """Read-only flat indices, in C order of ``_gather``'s rows, of the
-    register labels whose local label on ``modes`` is outside a valid mask
-    given as the bytes of its bool array.  Keyed on content, so gates built
-    afresh for every circuit share one entry; a mask with no invalid label
-    builds no gather table."""
-    valid = np.frombuffer(valid_mask, dtype=bool)
-    index = np.empty(0, np.intp) if valid.all() else _gather(modes, n_max + 1, mode_count)[~valid].ravel()
-    index.setflags(write=False)
-    return index
-
-
-def _apply_block(matrix: np.ndarray, modes: tuple[int, ...], state: StateVector) -> np.ndarray:
-    """Amplitudes of ``state`` with a ``(d**k, d**k)`` block applied to its modes ``modes``."""
-    table = _gather(modes, state.n_max + 1, state.mode_count)
-    out = np.empty_like(state.amplitudes)
-    out[table] = matrix @ state.amplitudes[table]
-    return out
-
-
-def _apply_one_mode(op: np.ndarray, mode: int, amps: np.ndarray, d: int) -> np.ndarray:
-    """Apply a ``(d, d)`` operator to ``mode`` on the ``(d**mode, d, rest)`` view."""
-    v = amps.reshape(d**mode, d, -1)
-    if v.shape[2] == 1:
-        # the last mode: one matrix product, not one matrix-vector product per
-        # row, which is slower and rounds differently
-        return (op @ v[:, :, 0].T).T.reshape(-1)
-    return np.matmul(op, v).reshape(-1)
-
-
-@lru_cache(maxsize=256)
 def _flip_table(gate: ModeUnitary, mode_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Per local label of ``gate`` on a register of ``mode_count`` modes: the XOR
     that takes a label to its image, and the phase, read off a matrix with one
@@ -305,24 +275,10 @@ def _flip_table(gate: ModeUnitary, mode_count: int) -> tuple[np.ndarray, np.ndar
     return flips, phases
 
 
-def _invalid_mass(gate, state) -> float:
-    """Probability of ``state`` on the labels outside ``gate.valid_mask``;
-    ``gate`` is a :class:`ModeUnitary` or anything with its ``target_modes``,
-    ``n_max`` and ``valid_mask``, such as a measurement basis."""
-    if not isinstance(state, QubitRegister):
-        index = _invalid_index(gate.target_modes, gate.n_max, gate.valid_mask.tobytes(), state.mode_count)
-        outside = state.amplitudes[index]
-    elif gate.valid_mask.all():
-        return 0.0
-    else:
-        outside = state.amplitudes[~gate.valid_mask[state._local_index(gate.target_modes)]]
-    return float(np.vdot(outside, outside).real)
-
-
-def check_support(op, state, what: str) -> None:
-    """Refuse ``state`` by :class:`InvalidSubspaceError` if it carries more than ``NORM_ATOL``
-    probability outside ``op.valid_mask``; ``op``, a gate or a measurement basis, is named ``what``."""
-    mass = _invalid_mass(op, state)
+def check_support(op, outside: np.ndarray, what: str) -> None:
+    """Refuse by :class:`InvalidSubspaceError` a state whose amplitudes ``outside`` ``op.valid_mask``, read in the
+    caller's layout, carry over ``NORM_ATOL`` probability; ``op``, a gate or a measurement basis, is named ``what``."""
+    mass = float(np.vdot(outside, outside).real)
     if mass > NORM_ATOL:
         raise InvalidSubspaceError(
             f"{what} on modes {op.target_modes} is undefined for labels "
@@ -344,18 +300,25 @@ def apply_unitary(state, gate: ModeUnitary):
     _check_modes(gate.target_modes, state.mode_count)
     if qubits:
         flips, phases = _flip_table(gate, state.mode_count)
-    if gate.n_max != state.n_max:
+        local = state._local_index(gate.target_modes)
+        outside = state.amplitudes[~gate.valid_mask[local]]
+    elif gate.n_max != state.n_max:
         raise ValueError("gate and state cutoffs differ")
+    else:
+        table = _gather(gate.target_modes, state.n_max + 1, state.mode_count)
+        block = state.amplitudes[table]
+        outside = block[~gate.valid_mask]
 
-    check_support(gate, state, gate.name or "gate")
+    check_support(gate, outside, gate.name or "gate")
     before = float(np.vdot(state.amplitudes, state.amplitudes).real)
     if not np.isfinite(before):
         new = state  # refused below as not finite, before the gate's arithmetic warns on it
     elif qubits:
-        local = state._local_index(gate.target_modes)
         new = QubitRegister(state.labels ^ flips[local], state.amplitudes * phases[local], state.mode_count)
     else:
-        new = StateVector(_apply_block(gate.matrix, gate.target_modes, state), state.mode_count, state.n_max)
+        amps = np.empty_like(state.amplitudes)
+        amps[table] = gate.matrix @ block
+        new = StateVector(amps, state.mode_count, state.n_max)
     after = float(np.vdot(new.amplitudes, new.amplitudes).real)
     if not before - after <= NORM_ATOL:  # a nan norm, or inf - inf, fails this test too
         raise LeakageError(

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,27 @@ def test_simulate_makes_few_calls_per_window(tmp_path, capsys, protocol):
         calls[n] = _profiled_calls(["simulate", "--config", str(cfg), "--format", "json", "--out", str(tmp_path / "out")])
     marginal = (calls[10**5] - calls[10**4]) / (10**5 - 10**4)
     assert marginal < 0.05, f"{marginal:.3f} calls per window"
+
+
+def _peak_bytes(argv) -> int:
+    """The peak of the memory that one in-process ``cli.main(argv)`` allocates, traced by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("protocol", ["cnot", "direct", "gottesman"])
+def test_simulate_allocates_few_bytes_per_window(tmp_path, capsys, protocol):
+    # the O(N) outcome and record arrays take about 20 to 31 B a window; a Python str per trace line takes more
+    peaks = {}
+    for n in (100, 10**4, 10**5):  # the first run warms the compiled laws
+        cfg = _write_config(tmp_path, protocol=protocol, g=0.8, phi=0.7, n_windows=n, seed=1)
+        peaks[n] = _peak_bytes(["simulate", "--config", str(cfg), "--format", "json", "--out", str(tmp_path / "out")])
+    marginal = (peaks[10**5] - peaks[10**4]) / (10**5 - 10**4)
+    assert marginal < 64, f"{marginal:.1f} bytes per window"
 
 
 # past the first 1000-window chunk edge of the trace writer
@@ -613,8 +635,13 @@ def test_unsupported_schema_version_exits_2(tmp_path):
     assert cli.main(["probs", "--config", str(cfg)]) == 2
 
 
-def test_missing_config_file_exits_2(tmp_path):
+def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["probs", "--config", "/definitely/not/here.json"]) == 2
+    # a directory is no config file either: refused before any work, with one error line
+    capsys.readouterr()
+    assert cli.main(["probs", "--config", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(tmp_path) in err
     # --out is checked, not created, before the config is read, so the refused run leaves no directory
     assert cli.main(["simulate", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "new")]) == 2
     assert not (tmp_path / "new").exists()

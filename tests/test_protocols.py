@@ -445,8 +445,20 @@ def test_memory_window_reads_each_register_mode_in_one_pass(monkeypatch):
 
     count(protocols, "measure_in_basis", "readouts")
     count(protocols, "measurement_distribution", "readouts")
-    count(gates, "_projected", "projections")
-    count(gates, "_pair", "pairings")
+    pair = gates._pair
+
+    def paired(state, *args):
+        # every projection of a register readout goes through the image of the rows _pair returns
+        counts["pairings"] += 1
+        amps, rows, image, collapse = pair(state, *args)
+
+        def projected(proj):
+            counts["projections"] += 1
+            return image(proj)
+
+        return amps, rows, projected, collapse
+
+    monkeypatch.setattr(gates, "_pair", paired)
     count(protocols, "apply_unitary", "gates", registers_only=False)
     source = StellarSource(0.7, 0.9, 0.1)
     for arrival in [NO_PHOTON, *range(1, 16)]:
@@ -454,9 +466,45 @@ def test_memory_window_reads_each_register_mode_in_one_pass(monkeypatch):
         run_memory_unmodified(15, arrival, source, 0.3, rng_seed=arrival)
         assert mode_counts == (set() if arrival is NO_PHOTON else {19})  # 3 + 4 * n_pairs, every mode kept
     assert counts["readouts"] == 214  # 199 sampled, and a final distribution in each of 15 windows
-    assert counts["projections"] <= 2 * counts["readouts"]
-    assert counts["pairings"] <= counts["readouts"]
+    assert counts["projections"] == 2 * counts["readouts"]
+    assert counts["pairings"] == counts["readouts"]
     assert counts["gates"] == 199  # 12.4 a window
+
+
+@pytest.mark.parametrize("arrival", [NO_PHOTON, 5])
+def test_unmodified_memory_refuses_a_register_past_62_modes_up_front(arrival):
+    # 16383 bins take 14 pairs, a 59-mode register; one bin more takes 15 pairs and 63 modes
+    source = StellarSource(0.7, 0.9, 0.1)
+    assert run_memory_unmodified(16383, arrival, source, 0.3, rng_seed=1).decoded == arrival
+    with pytest.raises(ValueError, match="n_bins 16384 .* at most 16383 bins"):
+        run_memory_unmodified(16384, arrival, source, 0.3, rng_seed=1)
+
+
+def test_every_dense_operation_gathers_its_modes_once(monkeypatch):
+    """Work gate of the dense layout: over a warm recompile of the parity-wiring cnot law and the direct law, each
+    gate and each readout on a dense register reads its modes through one _gather call, the guard included."""
+    source, counts = StellarSource(0.7, 0.8, 0.1), collections.Counter()
+
+    def compile_laws():
+        protocols._law.cache_clear()
+        cnot_distribution(source, ProtocolConfig(0.3, 1.0, Variant.PARITY_FEED_FORWARD))
+        direct_distribution(source, 0.3)
+
+    def counted(original, key):
+        def run(state, op, *args):
+            counts[key] += isinstance(state, state_engine.StateVector)
+            return original(state, op, *args)
+
+        return run
+
+    compile_laws()  # the gates, bases and gather tables are built once, before the count
+    monkeypatch.setattr(protocols, "apply_unitary", counted(protocols.apply_unitary, "gates"))
+    monkeypatch.setattr(gates, "_readout", counted(gates._readout, "readouts"))
+    before = state_engine._gather.cache_info()
+    compile_laws()
+    after = state_engine._gather.cache_info()
+    calls = after.hits + after.misses - before.hits - before.misses
+    assert (calls, counts["gates"], counts["readouts"]) == (92, 44, 48)
 
 
 def test_protocol_config_validation():

@@ -1,5 +1,6 @@
 """Tests for the truncated multimode Fock register."""
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -249,7 +250,7 @@ def test_qubit_register_mode_count_and_placement_checks():
 
 
 # ---------------------------------------------------------------------------
-# the cached invalid-label index of the support guard
+# the support guard, read from the layout each operation gathers
 
 
 def _dense(state):
@@ -261,29 +262,51 @@ def _dense(state):
     return state.amplitudes
 
 
-def _mass_from_gather(gate, amps, mode_count):
-    """Probability outside ``gate.valid_mask``, read through the gather table."""
-    table = se._gather(gate.target_modes, gate.n_max + 1, mode_count)
-    outside = amps[table[~gate.valid_mask]]
+def _mass(outside):
     return float(np.vdot(outside, outside).real)
 
 
+def _mass_from_gather(gate, amps, mode_count):
+    """Probability outside ``gate.valid_mask``, read through the gather table."""
+    table = se._gather(gate.target_modes, gate.n_max + 1, mode_count)
+    return _mass(amps[table[~gate.valid_mask]])
+
+
+def _guarded(op, state, seen):
+    """The probability that the support guard, spied on into ``seen``, reads outside ``op.valid_mask``
+    as the gate or basis ``op`` acts on ``state``."""
+    start = len(seen)
+    with contextlib.suppress(InvalidSubspaceError):
+        se.apply_unitary(state, op) if isinstance(op, se.ModeUnitary) else gates.measurement_distribution(state, op)
+    ((_, outside),) = seen[start:]
+    return _mass(outside)
+
+
 def test_cached_invalid_mass_is_the_mass_outside_the_valid_labels(monkeypatch):
-    from qtelescopy import protocols
     from qtelescopy.protocols import ProtocolConfig, Variant
     from qtelescopy.sources import StellarSource
 
-    seen = []
-    original = se._invalid_mass
+    seen, states = [], []
+    guard = se.check_support
 
-    def spy(gate, state):
-        mass = original(gate, state)
-        seen.append((gate, state, mass))
-        return mass
+    def spy(op, outside, what):
+        seen.append((op, outside))
+        return guard(op, outside, what)
 
-    # the one support guard, of gates and readouts alike, reads the mass here; each
-    # circuit walks once per compiled law, so the laws are compiled afresh
-    monkeypatch.setattr(se, "_invalid_mass", spy)
+    def entered(original):
+        def run(state, op, *args):
+            states.append(state)
+            return original(state, op, *args)
+
+        return run
+
+    # the one support guard, of gates and readouts alike, is handed the amplitudes outside the
+    # valid labels; a protocol gates through protocols.apply_unitary and reads through
+    # gates._readout.  Each circuit walks once per compiled law, so the laws are compiled afresh
+    for module in (se, gates):
+        monkeypatch.setattr(module, "check_support", spy)
+    monkeypatch.setattr(protocols, "apply_unitary", entered(protocols.apply_unitary))
+    monkeypatch.setattr(gates, "_readout", entered(gates._readout))
     protocols._law.cache_clear()
     source = StellarSource(0.7, 0.8, 0.1)
     for variant in Variant:
@@ -292,45 +315,23 @@ def test_cached_invalid_mass_is_the_mass_outside_the_valid_labels(monkeypatch):
     for swap in (False, True):
         protocols.direct_distribution(source, 0.3, swap)
     protocols.run_memory_unmodified(3, 2, source, 0.3, rng_seed=1)
-    registers = sum(isinstance(state, se.QubitRegister) for _, state, _ in seen)
-    assert registers and len(seen) > registers
+    guarded = list(zip(states, seen, strict=True))
+    registers = sum(isinstance(state, se.QubitRegister) for state, _ in guarded)
+    assert registers and len(guarded) > registers
 
     rng = np.random.default_rng(5)
-    for gate, state, mass in seen:
-        amps = _dense(state)
+    for state, (gate, outside) in guarded:
+        amps, mass = _dense(state), _mass(outside)
         if isinstance(state, se.QubitRegister):
             assert mass == pytest.approx(_mass_from_gather(gate, amps, state.mode_count), abs=1e-15)
             dense = se.StateVector(amps, state.mode_count, 1)
-            assert original(gate, dense) == _mass_from_gather(gate, amps, state.mode_count)
+            assert _guarded(gate, dense, seen) == _mass_from_gather(gate, amps, state.mode_count)
         else:
             assert mass == _mass_from_gather(gate, amps, state.mode_count)
         # a state with weight on every label, the invalid ones included
         raw = rng.normal(size=amps.size) + 1j * rng.normal(size=amps.size)
         noisy = se.StateVector(raw / np.linalg.norm(raw), state.mode_count, state.n_max)
-        assert original(gate, noisy) == _mass_from_gather(gate, noisy.amplitudes, state.mode_count)
-
-
-def test_cached_invalid_index_is_shared_read_only_and_keyed_on_content():
-    from qtelescopy import gates, protocols
-    from qtelescopy.sources import StellarSource
-
-    gate = gates.cnot_fock(0, 1, 2)
-    key = (gate.target_modes, gate.n_max, gate.valid_mask.tobytes(), 6)
-    index = se._invalid_index(*key)
-    assert se._invalid_index(*key) is index and not index.flags.writeable
-    # a gate built again has the same content, and so the same entry
-    assert se._invalid_index(*key[:2], gates.cnot_fock(0, 1, 2).valid_mask.tobytes(), 6) is index
-    table = se._gather((0, 1), 3, 6)
-    np.testing.assert_array_equal(index, table[~gate.valid_mask].ravel())
-    # beam splitters are shared, as the Fock-qubit gates are; a second gottesman
-    # compile, at another phase, adds no entry (a warm law walks no circuit)
-    assert gates.beam_splitter(0, 1, 2) is gates.beam_splitter(0, 1, 2)
-    protocols._law.cache_clear()
-    protocols.gottesman_distribution(StellarSource(0.7, 0.8, 0.1), 0.3)
-    before = se._invalid_index.cache_info()
-    protocols.gottesman_distribution(StellarSource(0.2, 0.5, 0.3), 1.1)
-    after = se._invalid_index.cache_info()
-    assert (after.misses, after.currsize) == (before.misses, before.currsize) and after.hits > before.hits
+        assert _guarded(gate, noisy, seen) == _mass_from_gather(gate, noisy.amplitudes, state.mode_count)
 
 
 def test_invalid_support_message_is_unchanged():
@@ -368,7 +369,7 @@ def test_a_cnot_chain_gate_keeps_the_support_guard_at_its_tolerance():
     from qtelescopy.errors import NORM_ATOL
 
     gate = gates.cnot_fock(2, 4, 2)  # a gate of the six-mode CNOT chain
-    at = se._invalid_index(gate.target_modes, 2, gate.valid_mask.tobytes(), 6)[0]
+    at = se._gather(gate.target_modes, 3, 6)[~gate.valid_mask].ravel()[0]
     within, past = (np.sqrt(NORM_ATOL * (1.0 + s)) for s in (-1e-6, 1e-6))
     se.apply_unitary(_six_mode_with(within, at), gate)
     with pytest.raises(InvalidSubspaceError) as caught:
