@@ -35,10 +35,8 @@ from .errors import PAIR_ATOL, SLD_ATOL, SUM_ATOL, TABLE_ATOL, ConfigError, Nume
 from .estimation import (
     DEFAULT_SCHEDULE,
     ExperimentPlan,
-    _check_eta,
     get_protocol,
     mle_phase,
-    outcome_heralds,
     run_experiment,
     window_fisher,
 )
@@ -120,11 +118,15 @@ class RunConfig:
         cfg = cls(**{f.name: _checked(f.name, raw.get(f.name, f.default), f.default is None, *f.metadata["schema"])
                      for f in fields})
         try:
-            _check_eta(cfg.protocol, cfg.eta)
-            Variant.parse(cfg.variant)
+            cfg.setting()
         except ValueError as exc:
             raise ConfigError(str(exc))
         return cfg
+
+    def setting(self, delta: float | None = None) -> ProtocolConfig:
+        """The protocol's setting of this config, at readout phase ``delta`` if given."""
+        delta = self.delta if delta is None else delta
+        return get_protocol(self.protocol).setting(delta, self.eta, self.variant, self.swap_bases)
 
     def source(self) -> StellarSource:
         return StellarSource(self.phi, self.g, self.epsilon)
@@ -179,11 +181,20 @@ def fmt_float(x) -> str:
     return "" if x is None else "%.17g" % float(x)
 
 
+def _json_text(payload) -> str:
+    """``payload`` as strict JSON; a value that is not finite is refused as a numerical invariant."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalInvariantError(f"a value cannot be written as JSON: {exc}") from None
+
+
 def _emit_table(header: list[str], rows: list[list], args, stem: str) -> None:
-    """Write one tabular result as CSV (default) or JSON."""
+    """Write one tabular result as CSV (default) or JSON; an undefined entry, nan in CSV, is null in JSON."""
     if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        payload = [{key: None if isinstance(v, float) and math.isnan(v) else v for key, v in zip(header, row)}
+                   for row in rows]
+        text = _json_text(payload)
         suffix = ".json"
     else:
         def cell(value) -> str:
@@ -238,14 +249,12 @@ def _label_text(label: tuple) -> str:
 
 def cmd_probs(args) -> int:
     cfg = load_config(args.config, args.seed)
-    protocol = get_protocol(cfg.protocol)
-    if cfg.epsilon == 0.0 and protocol.law(cfg.delta, cfg.eta, cfg.variant, cfg.swap_bases).conditioned:
+    protocol, config = get_protocol(cfg.protocol), cfg.setting()
+    if cfg.epsilon == 0.0 and protocol.law(config).conditioned:
         raise ConfigError(f"probs for {cfg.protocol} needs epsilon > 0: its table is conditioned on a photon arrival")
     source = cfg.source()
-    table = protocol.run(source, cfg.delta, cfg.eta, cfg.variant, cfg.swap_bases)
-    reference = None
-    if protocol.reference is not None:
-        reference = protocol.reference(source, cfg.delta, cfg.eta, cfg.swap_bases)
+    table = protocol.run(source, config)
+    reference = None if protocol.reference is None else protocol.reference(source, config)
 
     rows = []
     for label in sorted(set(table) | set(reference or {})):
@@ -264,8 +273,7 @@ def _fisher_row(cfg: RunConfig, phi: float, g: float, delta: float) -> list:
     source = StellarSource(phi, g, cfg.epsilon)
     at_boundary = g >= G_BOUNDARY
     wrt = ("phi",) if at_boundary else ("phi", "g")
-    setting = (delta, cfg.epsilon, cfg.eta, cfg.variant, cfg.swap_bases)
-    fmat = window_fisher(cfg.protocol, setting, (phi, g), wrt)
+    fmat = window_fisher(cfg.protocol, cfg.setting(delta), cfg.epsilon, (phi, g), wrt)
     f_pp = fmat.phi_phi
     f_gg = np.nan if at_boundary else fmat.g_g
     f_pg = np.nan if at_boundary else fmat.phi_g
@@ -316,7 +324,7 @@ def cmd_simulate(args) -> int:
     # index -1 (no photon) last; "window" sorts after the other keys
     records = [list(label) for label in get_protocol(cfg.protocol).outcomes()] + [None]
     prefixes = []
-    for herald, record in zip(outcome_heralds(cfg.protocol), records):
+    for herald, record in zip(get_protocol(cfg.protocol).heralds, records):
         payload = {
             "window": 0,
             "arrival_bin": None,
@@ -325,7 +333,7 @@ def cmd_simulate(args) -> int:
             "decoded_bin": None,
             "seed": cfg.seed,
         }
-        prefixes.append(json.dumps(payload, sort_keys=True)[: -len("0}")])
+        prefixes.append(json.dumps(payload, sort_keys=True, allow_nan=False)[: -len("0}")])
     _write_or_print(_trace_chunks(outcomes, prefixes), args, "trace.jsonl")
 
     summary = {
@@ -342,8 +350,7 @@ def cmd_simulate(args) -> int:
         "seed": cfg.seed,
     }
     if args.format == "json":
-        text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        _write_or_print(text, args, "summary.json")
+        _write_or_print(_json_text(summary), args, "summary.json")
     else:
         keys = sorted(summary)
         _emit_table(keys, [[summary[k] for k in keys]], args, "summary")

@@ -1,21 +1,22 @@
 """Protocol registry, Monte-Carlo experiment runner, maximum-likelihood phase
 estimation and Cramer-Rao accounting.
 
-Every protocol has one entry in :data:`PROTOCOLS`: its circuit call, the compiled law of a setting
-(:class:`~qtelescopy.protocols.Law`), its outcome labels, its herald rule and its window sampler.  The
-heralded outcomes of a setting follow the exact law p_o(phi, g) = A_o + g cos(phi) B_o + g sin(phi) C_o,
-which the law reads off its rows instead of simulating the circuit again at every phase.  A window is the
-index of its outcome in the protocol's declared labels; for cnot, whose labels are in flat basis order,
-the sampler's flat outcome index.  The estimator counts the heralded outcomes of each setting and
-maximizes their log-likelihood under that law on a dense phase grid, then refines the peak by Newton
-steps on the exact score of the same law.  The Cramer-Rao bound 1/(M * fisher-per-window) takes its
-Fisher information from finite differences of the setting's outcome table.
+Every protocol has one entry in :data:`PROTOCOLS`, which reads a setting as one validated
+:class:`~qtelescopy.protocols.ProtocolConfig` (:meth:`Protocol.setting`): its outcome table, its compiled law
+(:class:`~qtelescopy.protocols.Law`), its outcome labels and herald rule, and its window sampler.  The heralded
+outcomes of a setting follow the exact law p_o(phi, g) = A_o + g cos(phi) B_o + g sin(phi) C_o, which the law
+reads off its rows instead of simulating the circuit again at every phase.  A window is the index of its outcome
+in the protocol's declared labels; for cnot, whose labels are in flat basis order, the sampler's flat outcome
+index.  The estimator counts the heralded outcomes of each setting and maximizes their log-likelihood under that
+law on a dense phase grid, then refines the peak by Newton steps on the exact score of the same law.  The
+Cramer-Rao bound 1/(M * fisher-per-window) takes its Fisher information from finite differences of the
+setting's outcome table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -59,8 +60,8 @@ def wrap_phase(phi: float) -> float:
 class ExperimentPlan:
     """One estimation campaign: a protocol, a source, and a setting schedule.
 
-    The readout phases in ``delta_schedule`` are cycled across windows
-    (window w uses entry w mod len(schedule)).
+    The readout phases in ``delta_schedule``, each one of ``settings``,
+    are cycled across windows (window w uses entry w mod len(schedule)).
     """
 
     protocol: str
@@ -71,9 +72,10 @@ class ExperimentPlan:
     eta: float = 1.0
     variant: Variant = Variant.CNOT_SEQUENCE
     swap_bases: bool = False
+    settings: tuple[ProtocolConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        get_protocol(self.protocol)
+        entry = get_protocol(self.protocol)
         if _integer(self.n_windows, "n_windows") < 1:
             raise ValueError("a plan needs at least one window")
         schedule = tuple(float(d) for d in self.delta_schedule)
@@ -82,10 +84,11 @@ class ExperimentPlan:
         if not all(map(math.isfinite, schedule)):
             raise ValueError(f"the delta schedule {schedule} holds a non-finite phase")
         object.__setattr__(self, "delta_schedule", schedule)
-        _check_eta(self.protocol, self.eta)
+        settings = tuple(entry.setting(delta, self.eta, self.variant, self.swap_bases) for delta in schedule)
+        object.__setattr__(self, "settings", settings)
+        object.__setattr__(self, "variant", settings[0].variant)
         if self.seed is not None and _integer(self.seed, "seed") < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        object.__setattr__(self, "variant", Variant.parse(self.variant))
 
 
 DEFAULT_SCHEDULE = (0.0, np.pi / 2.0)
@@ -110,11 +113,10 @@ class EstimateReport:
 
 
 def _sample_cnot(plan: ExperimentPlan, rng) -> np.ndarray:
-    n_settings = len(plan.delta_schedule)
+    n_settings = len(plan.settings)
     outcomes = np.empty(plan.n_windows, dtype=np.int64)
     # settings beyond the last window draw nothing; a flat basis index is the declared index
-    for s, delta in enumerate(plan.delta_schedule[: plan.n_windows]):
-        config = ProtocolConfig(delta, plan.eta, plan.variant)
+    for s, config in enumerate(plan.settings[: plan.n_windows]):
         outcomes[s::n_settings] = sample_cnot_windows(plan.source, config, len(outcomes[s::n_settings]), rng).outcome
     return outcomes
 
@@ -125,12 +127,12 @@ def _sample_table(plan: ExperimentPlan, rng) -> np.ndarray:
     conditioned on arrival is drawn from only after a photon arrived, at the
     same point in the RNG stream; a window without one keeps the index -1."""
     entry = get_protocol(plan.protocol)
-    laws = [entry.law(delta, plan.eta, plan.variant, plan.swap_bases) for delta in plan.delta_schedule]
-    n, n_settings = plan.n_windows, len(plan.delta_schedule)
+    laws = [entry.law(config) for config in plan.settings]
+    n, n_settings = plan.n_windows, len(plan.settings)
     uniforms = sample_arrival(plan.source.epsilon, rng, n) if laws[0].conditioned else rng.random(n)  # nan: no arrival
     outcomes = np.full(n, -1, dtype=np.int64)
-    for s, (delta, law) in enumerate(zip(plan.delta_schedule, laws)):
-        table = entry.run(plan.source, delta, plan.eta, plan.variant, plan.swap_bases)
+    for s, (config, law) in enumerate(zip(plan.settings, laws)):
+        table = entry.run(plan.source, config)
         u = uniforms[s::n_settings]
         drawn = ~np.isnan(u)
         if drawn.any():
@@ -142,49 +144,71 @@ def _sample_table(plan: ExperimentPlan, rng) -> np.ndarray:
 class Protocol:
     """Registry entry of one measurement protocol.
 
-    ``run(source, delta, eta, variant, swap_bases)`` is the circuit's outcome table, read from the
-    setting's compiled :class:`Law`, ``law(delta, eta, variant, swap_bases)``; ``outcomes()`` its declared
-    labels, ``herald`` the herald class of one label.  Only a circuit that ``models_loss`` has an ancilla
-    pair for eta < 1 to lose.  ``reference`` is the closed-form table, if any, which ``qtelescopy probs``
-    prints next to the circuit's; ``sample`` draws the outcome index of every window.
+    ``run(source, config)`` is the circuit's outcome table at a setting, the :class:`ProtocolConfig` that
+    :meth:`setting` builds, read from its compiled :class:`Law`, ``law(config)``; each reads the knobs its
+    circuit has.  ``outcomes()`` are its declared labels, ``herald`` the herald class of one label.  Only a
+    circuit that ``models_loss`` has an ancilla pair for eta < 1 to lose.  ``reference(source, config)`` is the
+    closed-form table, if any, printed by ``qtelescopy probs``; ``sample`` draws every window's outcome index.
     """
 
     name: str
-    run: Callable[..., dict]
-    law: Callable[..., Law]
+    run: Callable[[StellarSource, ProtocolConfig], dict]
+    law: Callable[[ProtocolConfig], Law]
     outcomes: Callable[[], tuple]
     herald: Callable[[tuple], Herald]
     sample: Callable[[ExperimentPlan, np.random.Generator], np.ndarray]
     models_loss: bool = False
-    reference: Callable[..., dict] | None = None
+    reference: Callable[[StellarSource, ProtocolConfig], dict] | None = None
+
+    def setting(self, delta: float, eta: float = 1.0, variant=Variant.CNOT_SEQUENCE, swap_bases=False) -> ProtocolConfig:
+        """The validated setting; an eta other than 1 is refused where the circuit has no ancilla pair to lose."""
+        config = ProtocolConfig(delta, eta, variant, swap_bases)
+        if config.eta != 1.0 and not self.models_loss:
+            raise ValueError(f"eta = {eta} needs an ancilla pair to lose; the {self.name} protocol has none")
+        return config
+
+    @cached_property
+    def heralds(self) -> tuple[Herald, ...]:
+        """Each declared outcome's herald class, then VACUUM, that of index -1 (no photon arrived)."""
+        return (*map(self.herald, self.outcomes()), Herald.VACUUM)
+
+    @cached_property
+    def masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only masks of the PHOTON_ARRIVED and the VACUUM entries of :attr:`heralds`."""
+        heralds = np.array(self.heralds)
+        masks = heralds == Herald.PHOTON_ARRIVED, heralds == Herald.VACUUM
+        for mask in masks:
+            mask.setflags(write=False)
+        return masks
 
 
+# each ``run`` calls its distribution function by this module's name, so that a wrapper installed there sees it
 PROTOCOLS = {
     entry.name: entry
     for entry in (
         Protocol(
             "cnot",
-            run=lambda s, delta, eta, variant, swap: cnot_distribution(s, ProtocolConfig(delta, eta, variant)),
-            law=lambda delta, eta, variant, swap: _law(_cnot_circuit, delta, eta, Variant.parse(variant)),
+            run=lambda source, config: cnot_distribution(source, config),
+            law=lambda config: _law(_cnot_circuit, config.delta, config.eta, config.variant),
             outcomes=lambda: tuple(basis_labels(6, N_MAX)),
             herald=classify_herald,
             sample=_sample_cnot,
             models_loss=True,
-            reference=lambda s, delta, eta, swap: analytic.cnot_outcome_table(s.phi, s.g, s.epsilon, delta, eta),
+            reference=lambda s, config: analytic.cnot_outcome_table(s.phi, s.g, s.epsilon, config.delta, config.eta),
         ),
         Protocol(
             "direct",
-            run=lambda source, delta, eta, variant, swap: direct_distribution(source, delta, swap),
-            law=lambda delta, eta, variant, swap: _law(_direct_circuit, delta, swap),
+            run=lambda source, config: direct_distribution(source, config.delta, config.swap_bases),
+            law=lambda config: _law(_direct_circuit, config.delta, config.swap_bases),
             outcomes=lambda: DIRECT_LABELS,
             herald=lambda label: Herald.PHOTON_ARRIVED,
             sample=_sample_table,
-            reference=lambda source, delta, eta, swap: analytic.direct_outcome_table(source.phi, source.g, delta, swap),
+            reference=lambda s, config: analytic.direct_outcome_table(s.phi, s.g, config.delta, config.swap_bases),
         ),
         Protocol(
             "gottesman",
-            run=lambda source, delta, eta, variant, swap: gottesman_distribution(source, delta),
-            law=lambda delta, eta, variant, swap: _law(_gottesman_circuit, delta),
+            run=lambda source, config: gottesman_distribution(source, config.delta),
+            law=lambda config: _law(_gottesman_circuit, config.delta),
             outcomes=lambda: tuple(basis_labels(4, N_MAX)),
             # any photon beyond the ancilla's shows up in the counts
             herald=lambda counts: Herald.PHOTON_ARRIVED if sum(counts) == 2 else Herald.VACUUM,
@@ -202,16 +226,6 @@ def get_protocol(name: str) -> Protocol:
         raise ValueError(f"unknown protocol {name!r}; expected one of {tuple(PROTOCOLS)}") from None
 
 
-def _check_eta(protocol: str, eta: float) -> None:
-    """Refuse an unknown protocol, an eta outside [0, 1], and an eta other
-    than 1 for a protocol whose circuit has no ancilla pair to lose."""
-    entry = get_protocol(protocol)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if eta != 1.0 and not entry.models_loss:
-        raise ValueError(f"eta = {eta} needs an ancilla pair to lose; the {protocol} protocol has none")
-
-
 def run_experiment(plan: ExperimentPlan) -> np.ndarray:
     """Sample ``plan.n_windows`` independent windows, deterministic per seed.
 
@@ -219,23 +233,6 @@ def run_experiment(plan: ExperimentPlan) -> np.ndarray:
     labels ``outcomes()``, or -1 when no photon arrived.
     """
     return get_protocol(plan.protocol).sample(plan, np.random.default_rng(plan.seed))
-
-
-def outcome_heralds(protocol: str) -> list[Herald]:
-    """Herald class of each declared outcome, then VACUUM, the class of
-    index -1 (no photon arrived), so that index -1 reads the last entry."""
-    entry = get_protocol(protocol)
-    return [entry.herald(label) for label in entry.outcomes()] + [Herald.VACUUM]
-
-
-@lru_cache(maxsize=None)
-def _herald_masks(protocol: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only masks of the PHOTON_ARRIVED and the VACUUM entries of :func:`outcome_heralds`."""
-    heralds = np.array(outcome_heralds(protocol))
-    masks = heralds == Herald.PHOTON_ARRIVED, heralds == Herald.VACUUM
-    for mask in masks:
-        mask.setflags(write=False)
-    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +279,10 @@ class FringeTable:
 
 
 @lru_cache(maxsize=64)
-def _fringe_table(protocol: str, setting) -> FringeTable:
-    """The read-only :meth:`Law.heralded` of a setting (delta, epsilon, eta, variant, swap), and its total."""
-    delta, epsilon, eta, variant, swap = setting
-    law = get_protocol(protocol).law(delta, eta, variant, swap)
-    coefficients = law.heralded(epsilon, _herald_masks(protocol)[0][:-1])
+def _fringe_table(protocol: str, config: ProtocolConfig, epsilon: float) -> FringeTable:
+    """The read-only :meth:`Law.heralded` of a setting at arrival probability ``epsilon``, and its total."""
+    entry = get_protocol(protocol)
+    coefficients = entry.law(config).heralded(epsilon, entry.masks[0][:-1])
     coefficients.setflags(write=False)
     return FringeTable(coefficients, coefficients.sum(axis=1))
 
@@ -382,8 +378,8 @@ def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
     lost), the likelihood is flat and the estimate is refused.
     """
     source = plan.source
-    heralded, vacuum = _herald_masks(plan.protocol)
-    n_settings, n_classes = len(plan.delta_schedule), len(heralded)
+    heralded, vacuum = get_protocol(plan.protocol).masks
+    n_settings, n_classes = len(plan.settings), len(heralded)
     outcomes = np.asarray(outcomes)
     if outcomes.shape != (plan.n_windows,) or outcomes.dtype.kind not in "iu":
         raise EstimationError(
@@ -402,12 +398,12 @@ def mle_phase(outcomes: np.ndarray, plan: ExperimentPlan) -> EstimateReport:
         raise EstimationError("no heralded windows: the likelihood is flat in phi")
 
     observed = []
-    for s, delta in enumerate(plan.delta_schedule):
+    for s, config in enumerate(plan.settings):
         k = np.where(heralded, counts[s], 0)[:-1]
         seen = np.flatnonzero(k)
         if not seen.size:
             continue
-        table = _fringe_table(plan.protocol, (delta, source.epsilon, plan.eta, plan.variant, plan.swap_bases))
+        table = _fringe_table(plan.protocol, config, source.epsilon)
         if not table.coefficients[:, seen].any(axis=0).all():
             raise EstimationError("an observed outcome is impossible under the model")
         observed.append((table, seen, k[seen].astype(float)))
@@ -451,18 +447,17 @@ class CrbReport:
         return 1.0 / (n_windows * self.fisher_per_window)
 
 
-def window_fisher(protocol: str, setting, at: tuple[float, float], wrt=("phi",)) -> FisherMatrix:
+def window_fisher(protocol: str, config: ProtocolConfig, epsilon: float, at, wrt=("phi",)) -> FisherMatrix:
     """Per-window classical Fisher matrix at ``at = (phi, g)`` of the circuit
-    of one setting (delta, epsilon, eta, variant, swap); a table
-    conditioned on arrival is scaled by epsilon."""
+    of one setting at arrival probability ``epsilon``; a table conditioned
+    on arrival is scaled by epsilon."""
     entry = get_protocol(protocol)
-    delta, epsilon, eta, variant, swap = setting
-    conditioned = entry.law(delta, eta, variant, swap).conditioned  # refuses a readout phase that is not finite
+    conditioned = entry.law(config).conditioned  # refuses a readout phase that is not finite
     if conditioned and epsilon == 0.0:  # no photon arrives, and the table is empty
         StellarSource(*at, epsilon)  # refuses a phase that is not finite or a visibility outside [0, 1]
         return FisherMatrix(np.zeros((2, 2)))
-    model = OutcomeModel(lambda phi, g: entry.run(StellarSource(phi, g, epsilon), delta, eta, variant, swap),
-                         entry.outcomes(), name=f"{protocol}(delta={delta})")
+    model = OutcomeModel(lambda phi, g: entry.run(StellarSource(phi, g, epsilon), config),
+                         entry.outcomes(), name=f"{protocol}(delta={config.delta})")
     info = classical_fisher(model, at, wrt)
     return FisherMatrix(epsilon * info.matrix) if conditioned else info
 
@@ -479,14 +474,14 @@ def crb_report(
     """Average the per-window phase information over the entries of the
     setting schedule, so a repeated delta counts once per entry; each
     distinct delta is computed once.  ``variant`` and ``swap_bases``
-    complete the setting as in a plan."""
-    _check_eta(protocol, eta)
+    complete the setting as in a plan; eta scales its clean information."""
+    entry = get_protocol(protocol)
     at = (source.phi, source.g)
     schedule = [float(delta) for delta in delta_schedule]
     if not schedule:
         raise ValueError("the delta schedule must not be empty")
     per_setting: dict[float, float] = {}
     for delta in dict.fromkeys(schedule):
-        setting = (delta, source.epsilon, 1.0, variant, swap_bases)
-        per_setting[delta] = eta * window_fisher(protocol, setting, at).phi_phi
+        config = replace(entry.setting(delta, eta, variant, swap_bases), eta=1.0)
+        per_setting[delta] = eta * window_fisher(protocol, config, source.epsilon, at).phi_phi
     return CrbReport(per_setting, float(np.mean([per_setting[d] for d in schedule])))

@@ -89,35 +89,31 @@ class Variant(enum.Enum):
     CNOT_SEQUENCE = "cnot_sequence"
     PARITY_FEED_FORWARD = "parity_feed_forward"
 
-    @classmethod
-    def parse(cls, value) -> "Variant":
-        if isinstance(value, cls):
-            return value
-        # accept both snake_case and the CamelCase names used in configs
-        key = str(value).replace("-", "_").lower().replace("__", "_")
-        for member in cls:
-            if key in (member.value, member.value.replace("_", "")):
-                return member
-        raise ValueError(f"unknown protocol variant {value!r}")
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Knobs of the entangled-ancilla protocol.
+    """One setting of a measurement protocol, validated once.
 
     ``delta`` is the tunable readout phase, ``eta`` the probability that
     the entangled ancilla pair is actually supplied for a window (the
-    sole modeled error mechanism), and ``variant`` selects the wiring.
+    sole modeled error mechanism), ``variant`` the wiring of the six-mode
+    circuit, by member or exact value, and ``swap_bases`` whether the direct
+    readout swaps its two labs' bases.  A protocol reads the knobs it has.
     """
 
     delta: float
     eta: float = 1.0
     variant: Variant = Variant.CNOT_SEQUENCE
+    swap_bases: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        object.__setattr__(self, "variant", Variant.parse(self.variant))
+        try:
+            object.__setattr__(self, "variant", Variant(self.variant))
+        except ValueError:
+            raise ValueError(f"unknown protocol variant {self.variant!r}; "
+                             f"expected one of {tuple(v.value for v in Variant)}") from None
 
 
 @dataclass(frozen=True)

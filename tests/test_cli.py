@@ -45,6 +45,14 @@ def _parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def _strict_json(text):
+    """``text`` parsed as JSON, which has no NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_probs_csv_matches_reference(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert cli.main(["probs", "--config", str(cfg)]) == 0
@@ -120,6 +128,32 @@ def test_fisher_sweep_columns_and_boundary(tmp_path, capsys):
     assert math.isnan(float(boundary["h_gg"]))
     assert math.isnan(float(boundary["saturability"]))
     assert float(boundary["f_phiphi"]) == pytest.approx(0.1, abs=1e-8)
+
+
+def test_fisher_json_writes_null_for_an_entry_undefined_at_g_1(tmp_path, capsys):
+    # it wrote bare NaN, which a strict JSON parser refuses
+    cfg = _write_config(tmp_path, phi_values=[0.7], g_values=[0.5, 1.0], delta_values=[0.3])
+    assert cli.main(["fisher", "--config", str(cfg), "--format", "json"]) == 0
+    interior, boundary = _strict_json(capsys.readouterr().out)
+    undefined = ("f_gg", "f_phig", "h_gg", "h_phig", "saturability")
+    assert [boundary[key] for key in undefined] == [None] * 5
+    assert all(isinstance(interior[key], float) for key in undefined)
+    assert boundary["f_phiphi"] == pytest.approx(0.1, abs=1e-8)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_a_non_finite_value_reaching_the_fisher_json_writer_exits_3(tmp_path, capsys, monkeypatch, value):
+    real = cli._fisher_row
+
+    def row(*args):
+        return real(*args)[:3] + [value] + real(*args)[4:]
+
+    monkeypatch.setattr(cli, "_fisher_row", row)
+    cfg = _write_config(tmp_path, phi_values=[0.7], g_values=[0.5], delta_values=[0.3])
+    assert cli.main(["fisher", "--config", str(cfg), "--format", "json", "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical invariant violated:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_fisher_solves_each_sld_once_per_row(tmp_path, capsys, monkeypatch):
@@ -814,4 +848,8 @@ def test_every_schema_valid_config_exits_with_a_documented_code(raw, command, fm
         path.write_text(json.dumps(raw))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([command, "--config", str(path), "--format", fmt, "--out", tmp])
+        # every JSON output parses strictly
+        for written in Path(tmp).glob("*.json"):
+            if written != path:
+                _strict_json(written.read_text())
     assert code in (0, 1, 2, 3)

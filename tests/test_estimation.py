@@ -132,7 +132,7 @@ def test_a_non_finite_input_raises_value_error(run, protocol, bad, value, phi, g
 
 def _heralds(plan, outcomes):
     """Herald class of every window, read from its outcome index."""
-    classes = estimation.outcome_heralds(plan.protocol)
+    classes = estimation.PROTOCOLS[plan.protocol].heralds
     return [classes[o] for o in outcomes]
 
 
@@ -169,11 +169,8 @@ def _per_window_outcomes(plan):
     the table is conditioned on arrival, then one ``Generator.choice``."""
     entry = estimation.PROTOCOLS[plan.protocol]
     index = {label: o for o, label in enumerate(entry.outcomes())}
-    tables = [
-        entry.run(plan.source, delta, plan.eta, plan.variant, plan.swap_bases)
-        for delta in plan.delta_schedule
-    ]
-    conditioned = entry.law(plan.delta_schedule[0], plan.eta, plan.variant, plan.swap_bases).conditioned
+    tables = [entry.run(plan.source, config) for config in plan.settings]
+    conditioned = entry.law(plan.settings[0]).conditioned
     rng = np.random.default_rng(plan.seed)
     outcomes = []
     for w in range(plan.n_windows):
@@ -225,8 +222,8 @@ def test_direct_block_draw_matches_the_per_window_oracle_on_random_plans():
 
 # the walked oracles in the registry's call form, for the table sampler
 _WALKED_RUNS = {
-    "direct": lambda source, delta, eta, variant, swap: walks.walked_direct(source, delta, swap),
-    "gottesman": lambda source, delta, eta, variant, swap: walks.walked_gottesman(source, delta),
+    "direct": lambda source, config: walks.walked_direct(source, config.delta, config.swap_bases),
+    "gottesman": lambda source, config: walks.walked_gottesman(source, config.delta),
 }
 
 
@@ -474,9 +471,9 @@ def test_crb_report_averages_over_schedule_entries(monkeypatch):
     calls = []
     window_fisher = estimation.window_fisher
 
-    def counted(protocol, setting, at, wrt=("phi",)):
-        calls.append(setting[0])
-        return window_fisher(protocol, setting, at, wrt)
+    def counted(protocol, config, epsilon, at, wrt=("phi",)):
+        calls.append(config.delta)
+        return window_fisher(protocol, config, epsilon, at, wrt)
 
     monkeypatch.setattr(estimation, "window_fisher", counted)
     rep = crb_report("direct", src, (0.0, 0.0, HALF_PI))
@@ -508,6 +505,43 @@ def test_crb_report_refuses_eta_without_an_ancilla_pair(protocol):
         crb_report(protocol, StellarSource(0.7, 0.8, 0.1), (0.0, HALF_PI), eta=0.5)
 
 
+# one bad setting each: (protocol, eta, variant, what its refusal names)
+_BAD_SETTINGS = {
+    "eta above 1": ("cnot", 1.5, "cnot_sequence", "eta"),
+    "eta below 0": ("cnot", -0.1, "parity_feed_forward", "eta"),
+    "direct at eta 0.5": ("direct", 0.5, "cnot_sequence", "ancilla pair"),
+    "gottesman at eta 0.5": ("gottesman", 0.5, "cnot_sequence", "ancilla pair"),
+    "CamelCase variant": ("cnot", 1.0, "CnotSequence", "unknown protocol variant"),
+    "hyphenated variant": ("cnot", 1.0, "cnot-sequence", "unknown protocol variant"),
+}
+_SETTING_ENTRY_POINTS = {
+    "ExperimentPlan": lambda protocol, eta, variant: ExperimentPlan(
+        protocol, StellarSource(0.7, 0.8, 0.1), DEFAULT_SCHEDULE, 100, seed=1, eta=eta, variant=variant
+    ),
+    "crb_report": lambda protocol, eta, variant: crb_report(
+        protocol, StellarSource(0.7, 0.8, 0.1), DEFAULT_SCHEDULE, eta, variant=variant
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_SETTINGS))
+@pytest.mark.parametrize("entry_point", [*_SETTING_ENTRY_POINTS, "cli.main"])
+def test_every_entry_point_refuses_a_bad_setting(tmp_path, capsys, entry_point, bad):
+    # a variant spelled other than by its exact value was once rewritten and accepted
+    protocol, eta, variant, names = _BAD_SETTINGS[bad]
+    if entry_point != "cli.main":
+        with pytest.raises(ValueError, match=names):
+            _SETTING_ENTRY_POINTS[entry_point](protocol, eta, variant)
+        return
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema_version": 1, "protocol": protocol, "eta": eta, "variant": variant}))
+    for command in ("probs", "fisher", "simulate"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1 and names in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_crb_report_refuses_an_empty_schedule():
     # the mean over no entries was nan, with a numpy warning
     with pytest.raises(ValueError, match="schedule"):
@@ -526,20 +560,19 @@ def test_crb_report_at_zero_arrival_probability_reports_no_information(protocol)
         assert not isinstance(caught.value, NumericalInvariantError)
     for at in ((math.nan, 0.8), (0.7, 2.0)):  # and so is a phase or visibility out of range
         with pytest.raises(ValueError):
-            estimation.window_fisher(protocol, (0.3, 0.0, 1.0, Variant.CNOT_SEQUENCE, False), at)
+            estimation.window_fisher(protocol, ProtocolConfig(0.3), 0.0, at)
 
 
-def _exact_window_fisher(protocol, setting, phi, g):
+def _exact_window_fisher(protocol, config, epsilon, phi, g):
     """Fisher matrix of one setting with exact derivatives of the affine law
     p = A + g cos(phi) B + g sin(phi) C, fitted to three circuit runs, over the
     outcomes at or above PROB_FLOOR; and whether the floor refuses the point:
     True, False, or None where finite differences of the circuit may decide
     either way within their round-off."""
     entry = estimation.PROTOCOLS[protocol]
-    delta, epsilon, eta, variant, swap = setting
 
     def run(at_phi, at_g):
-        table = entry.run(StellarSource(at_phi, at_g, epsilon), delta, eta, variant, swap)
+        table = entry.run(StellarSource(at_phi, at_g, epsilon), config)
         return np.array([table.get(k, 0.0) for k in entry.outcomes()])
 
     a = run(0.0, 0.0)
@@ -557,7 +590,7 @@ def _exact_window_fisher(protocol, setting, phi, g):
         surely |= bool(np.any(~keep & (low >= floors[1]) & (low > 0.0)))
         maybe |= bool(np.any(~keep & (high >= floors[0]) & (high > 0.0)))
     mat = np.array([[np.sum(di[keep] * dj[keep] / p[keep]) for dj in grads] for di in grads])
-    conditioned = entry.law(delta, eta, variant, swap).conditioned
+    conditioned = entry.law(config).conditioned
     return (epsilon * mat if conditioned else mat), (True if surely else None if maybe else False)
 
 
@@ -582,14 +615,14 @@ def test_window_fisher_matches_exact_derivatives_of_the_circuit(
 ):
     # Richardson differences of the circuit, with the full setting, against
     # the exact derivatives of its affine law in (g cos phi, g sin phi)
-    setting = (delta, epsilon, eta, variant, swap)
-    exact, refused = _exact_window_fisher(protocol, setting, phi, g)
+    config = ProtocolConfig(delta, eta, variant, swap)
+    exact, refused = _exact_window_fisher(protocol, config, epsilon, phi, g)
     if refused:
         with pytest.raises(FisherDivergenceError):
-            estimation.window_fisher(protocol, setting, (phi, g), ("phi", "g"))
+            estimation.window_fisher(protocol, config, epsilon, (phi, g), ("phi", "g"))
         return
     try:
-        numeric = estimation.window_fisher(protocol, setting, (phi, g), ("phi", "g")).matrix
+        numeric = estimation.window_fisher(protocol, config, epsilon, (phi, g), ("phi", "g")).matrix
     except FisherDivergenceError:
         assert refused is None, "refused where every dropped derivative is clear of the floor"
         return
@@ -641,12 +674,12 @@ def _circuit_conditional(protocol, source, delta, eta, variant, swap):
 )
 def test_compiled_fringe_table_matches_circuit(protocol, eta, variant, swap, phi, g, epsilon, delta):
     # the likelihood reads the compiled table; it must be the state engine's law
-    setting = (delta, epsilon, eta, variant, swap)
+    config = ProtocolConfig(delta, eta, variant, swap)
     if 0.0 < epsilon < sys.float_info.min:
         with pytest.raises(NumericalInvariantError):
-            estimation._fringe_table(protocol, setting)
+            estimation._fringe_table(protocol, config, epsilon)
         return
-    table = estimation._fringe_table(protocol, setting)
+    table = estimation._fringe_table(protocol, config, epsilon)
     expected = _circuit_conditional(
         protocol, StellarSource(phi=phi, g=g, epsilon=epsilon), delta, eta, variant, swap
     )
@@ -662,8 +695,7 @@ def test_compiled_fringe_table_matches_circuit(protocol, eta, variant, swap, phi
 
 
 def test_log_likelihood_on_the_grid_is_the_compiled_law():
-    setting = (0.4, 0.1, 1.0, Variant.CNOT_SEQUENCE, False)
-    table = estimation._fringe_table("cnot", setting)
+    table = estimation._fringe_table("cnot", ProtocolConfig(0.4, 1.0, Variant.CNOT_SEQUENCE, False), 0.1)
     seen = np.flatnonzero(table.coefficients.any(axis=0))
     observed = estimation._stack([(table, seen, np.arange(1.0, seen.size + 1.0))])
     grid = estimation._phi_grid()
@@ -739,6 +771,25 @@ def test_a_warm_estimate_compiles_no_law(monkeypatch, protocol, eta, walks_, gat
     assert counts["apply_unitary"] <= gates_
 
 
+def test_registry_calls_each_distribution_through_its_module_name(monkeypatch):
+    # a wrapper installed on these names, as a span tracer installs one, must see every circuit
+    # evaluation; an entry that stored the function object would bypass it
+    calls = collections.Counter()
+    for name in ("cnot_distribution", "direct_distribution", "gottesman_distribution"):
+        original = getattr(estimation, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(estimation, name, counted)
+    source = StellarSource(0.7, 0.8, 0.1)
+    for protocol in ("cnot", "direct", "gottesman"):
+        crb_report(protocol, source, (0.0, 0.3, 0.3))
+    # five finite-difference evaluations per distinct delta
+    assert calls == {"cnot_distribution": 10, "direct_distribution": 10, "gottesman_distribution": 10}
+
+
 def test_log_likelihood_of_an_impossible_phase_is_minus_infinity():
     # p_a = (1 + cos phi) / 2 vanishes at phi = pi, where a was observed
     table = estimation.FringeTable(np.array([[0.5, 0.5], [0.5, -0.5], [0.0, 0.0]]), np.array([1.0, 0.0, 0.0]))
@@ -761,7 +812,8 @@ def test_outcome_indices_carry_the_herald_rule(tmp_path, protocol):
     assert outcomes.shape == (3000,) and outcomes.dtype.kind == "i"
     entry = estimation.PROTOCOLS[protocol]
     labels = entry.outcomes()
-    conditioned = entry.law(0.0, plan.eta, plan.variant, plan.swap_bases).conditioned
+    assert plan.settings[0].delta == 0.0
+    conditioned = entry.law(plan.settings[0]).conditioned
     assert conditioned == (protocol == "direct")
     assert outcomes.min() >= (-1 if conditioned else 0) and outcomes.max() < len(labels)
     heralds = [entry.herald(labels[o]) if o >= 0 else Herald.VACUUM for o in outcomes]
@@ -824,16 +876,16 @@ def test_fringe_table_guards():
 
 def _observed(plan, outcomes):
     """The (table, seen columns, counts) of every setting, as mle_phase scores them."""
-    heralded, _ = estimation._herald_masks(plan.protocol)
-    n_settings, n_classes = len(plan.delta_schedule), len(heralded)
+    heralded, _ = estimation.PROTOCOLS[plan.protocol].masks
+    n_settings, n_classes = len(plan.settings), len(heralded)
     cells = np.arange(outcomes.size) % n_settings * n_classes + outcomes % n_classes
     counts = np.bincount(cells, minlength=n_settings * n_classes).reshape(n_settings, n_classes)
     observed = []
-    for s, delta in enumerate(plan.delta_schedule):
+    for s, config in enumerate(plan.settings):
         k = np.where(heralded, counts[s], 0)[:-1]
         seen = np.flatnonzero(k)
-        setting = (delta, plan.source.epsilon, plan.eta, plan.variant, plan.swap_bases)
-        observed.append((estimation._fringe_table(plan.protocol, setting), seen, k[seen].astype(float)))
+        table = estimation._fringe_table(plan.protocol, config, plan.source.epsilon)
+        observed.append((table, seen, k[seen].astype(float)))
     return observed
 
 
@@ -1034,21 +1086,22 @@ def test_an_estimate_is_finite_with_a_finite_bound_or_refused(
 
 
 def test_constant_tables_are_built_once_and_read_only():
-    for protocol in estimation.PROTOCOLS:
-        heralded, vacuum = estimation._herald_masks(protocol)
-        assert estimation._herald_masks(protocol) == (heralded, vacuum)
-        assert estimation._herald_masks(protocol)[0] is heralded
-        heralds = estimation.outcome_heralds(protocol)
+    for protocol, entry in estimation.PROTOCOLS.items():
+        heralded, vacuum = entry.masks
+        assert entry.masks == (heralded, vacuum)
+        assert entry.masks[0] is heralded
+        heralds = entry.heralds
+        assert entry.heralds is heralds and heralds[-1] is Herald.VACUUM
         assert heralded.tolist() == [h is Herald.PHOTON_ARRIVED for h in heralds]
         assert vacuum.tolist() == [h is Herald.VACUUM for h in heralds]
         for mask in (heralded, vacuum):
             with pytest.raises(ValueError, match="read-only"):
                 mask[0] = not mask[0]
         # a setting's law holds the declared labels and their positions, mapped once per law
-        law = estimation.PROTOCOLS[protocol].law(0.3, 1.0, Variant.CNOT_SEQUENCE, False)
-        assert estimation.PROTOCOLS[protocol].law(0.3, 1.0, Variant.CNOT_SEQUENCE, False) is law
+        law = entry.law(ProtocolConfig(0.3, 1.0, Variant.CNOT_SEQUENCE, False))
+        assert entry.law(ProtocolConfig(0.3, 1.0, Variant.CNOT_SEQUENCE, False)) is law
         # a config's variant name reads the law of the wiring it names, as ``run`` does
-        assert estimation.PROTOCOLS[protocol].law(0.3, 1.0, "cnot_sequence", False) is law
+        assert entry.law(ProtocolConfig(0.3, 1.0, "cnot_sequence", False)) is law
         with pytest.raises(dataclasses.FrozenInstanceError):
             law.outcomes = ()
         assert law.outcomes == estimation.PROTOCOLS[protocol].outcomes()

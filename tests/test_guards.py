@@ -25,7 +25,7 @@ from qtelescopy.errors import (
     NumericalInvariantError,
 )
 from qtelescopy.estimation import DEFAULT_SCHEDULE, ExperimentPlan, crb_report, mle_phase, run_experiment
-from qtelescopy.protocols import BellRegister, Variant
+from qtelescopy.protocols import BellRegister, ProtocolConfig, Variant
 from qtelescopy.sources import StellarSource
 
 PACKAGE = Path(errors.__file__).parent
@@ -291,8 +291,8 @@ def test_register_readouts_refuse_a_repeated_or_out_of_range_label(labels, ampli
 
 def test_mle_refuses_an_observed_outcome_the_model_calls_impossible():
     plan = ExperimentPlan("cnot", StellarSource(0.7, 0.8, 0.1), DEFAULT_SCHEDULE, 4, seed=1)
-    heralded, _ = estimation._herald_masks("cnot")
-    table = estimation._fringe_table("cnot", (DEFAULT_SCHEDULE[0], 0.1, 1.0, Variant.CNOT_SEQUENCE, False))
+    heralded, _ = estimation.PROTOCOLS["cnot"].masks
+    table = estimation._fringe_table("cnot", ProtocolConfig(DEFAULT_SCHEDULE[0], 1.0, Variant.CNOT_SEQUENCE), 0.1)
     impossible = [o for o in np.flatnonzero(heralded[:-1]) if not table.coefficients[:, o].any()]
     assert impossible
     with pytest.raises(EstimationError, match="impossible"):
@@ -306,9 +306,9 @@ def test_mle_skips_a_setting_without_heralded_windows(monkeypatch):
     compiled = []
     real = estimation._fringe_table
 
-    def spy(protocol, setting):
-        compiled.append(setting[0])
-        return real(protocol, setting)
+    def spy(protocol, config, epsilon):
+        compiled.append(config.delta)
+        return real(protocol, config, epsilon)
 
     monkeypatch.setattr(estimation, "_fringe_table", spy)
     report = mle_phase(outcomes, plan)
@@ -327,9 +327,9 @@ def test_fisher_refuses_to_drop_heralded_outcomes_at_a_tiny_arrival_probability(
     # too; summing the rest gave 0.0375 epsilon at 1e-11 and 0 below, for 0.1215 epsilon
     with pytest.raises(FisherDivergenceError, match="would drop them"):
         crb_report(protocol, StellarSource(0.7, 0.5, epsilon), (0.0,))
-    setting = (0.0, epsilon, 1.0, Variant.CNOT_SEQUENCE, False)
+    config = ProtocolConfig(0.0, 1.0, Variant.CNOT_SEQUENCE, False)
     with pytest.raises(FisherDivergenceError):
-        estimation.window_fisher(protocol, setting, (0.7, 0.5), ("phi", "g"))
+        estimation.window_fisher(protocol, config, epsilon, (0.7, 0.5), ("phi", "g"))
 
 
 @pytest.mark.parametrize("epsilon", [1e-8, 1e-7])

@@ -512,8 +512,8 @@ def test_protocol_config_validation():
         ProtocolConfig(delta=0.1, eta=1.5)
     with pytest.raises(ValueError):
         ProtocolConfig(delta=0.1, eta=-0.1)
-    assert Variant.parse("parity_feed_forward") is Variant.PARITY_FEED_FORWARD
-    assert Variant.parse("cnot_sequence") is Variant.CNOT_SEQUENCE
+    assert Variant("parity_feed_forward") is Variant.PARITY_FEED_FORWARD
+    assert Variant("cnot_sequence") is Variant.CNOT_SEQUENCE
 
 
 # ---------------------------------------------------------------------------
